@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import policy
-from .confusion import Labels, ProbEstimate, Task, init_state, multiclass_to_multilabel
+from .confusion import (Labels, ProbEstimate, Task, batch_counts, init_state,
+                        multiclass_to_multilabel)
 from .metrics import BINARY, MACRO, Metric
 
 
@@ -33,10 +34,6 @@ class ProtocolError(RuntimeError):
 
 class UnsupportedMetricError(ValueError):
     """The algorithm cannot optimize this metric/averaging combination."""
-
-
-ALGORITHMS = ("omma", "omma-eta", "greedy", "ofw", "ofw-eta", "offline-fw",
-              "topk", "thresh05")
 
 
 @dataclass(frozen=True)
@@ -84,6 +81,13 @@ class OnlineLearner:
     def _predict(self, eta: ProbEstimate) -> Labels:
         raise NotImplementedError
 
+    def _decide(self, G: np.ndarray, eta: ProbEstimate) -> Labels:
+        """The cost-sensitive prediction of the classifier with gradient ``G``."""
+        if self.task.is_multiclass:
+            return policy.decide_multiclass(G, eta, self.cfg.budget)
+        g = policy.gains(policy.cost_coefficients(G), eta)
+        return policy.decide_multilabel(g, self.cfg.budget)
+
     def _update(self, y: Labels, eta: ProbEstimate, pred: Labels) -> None:
         pass
 
@@ -104,11 +108,7 @@ class OmmaLearner(OnlineLearner):
     def _predict(self, eta: ProbEstimate) -> Labels:
         if self.cfg.sparse_k is not None:
             return self._predict_sparse(eta)
-        G = self.metric.gradient(self.state.normalized())
-        if self.task.is_multiclass:
-            return policy.decide_multiclass(G, eta, self.cfg.budget)
-        g = policy.gains(policy.cost_coefficients(G), eta)
-        return policy.decide_multilabel(g, self.cfg.budget)
+        return self._decide(self.metric.gradient(self.state.normalized()), eta)
 
     def _predict_sparse(self, eta: ProbEstimate) -> Labels:
         est = eta.top(self.cfg.sparse_k)
@@ -162,15 +162,8 @@ class GreedyLearner(OnlineLearner):
 
     def _predict(self, eta: ProbEstimate) -> Labels:
         gain0, gain1 = self._gain_table(eta.dense())
-        delta = gain1 - gain0
-        if self.task.is_multiclass:
-            k = self.cfg.budget or 1
-            order = np.argsort(-delta, kind="stable")[:k]
-            return tuple(int(j) for j in np.sort(order))
-        if self.cfg.budget is None:
-            return tuple(int(j) for j in np.nonzero(delta >= 0.0)[0])
-        order = np.argsort(-delta, kind="stable")[: self.cfg.budget]
-        return tuple(int(j) for j in np.sort(order))
+        return policy.decide_one(gain1 - gain0, self.cfg.budget,
+                                 argmax=self.task.is_multiclass)
 
     def _update(self, y: Labels, eta: ProbEstimate, pred: Labels) -> None:
         self.state.update(y, pred)
@@ -214,67 +207,6 @@ def refit_thresholds(mode: str = "interval", base: float = 10.0, ratio: float = 
             yield nxt
 
 
-def _decide_matrix(estimates: np.ndarray, G: np.ndarray, task: Task,
-                   budget: int | None) -> np.ndarray:
-    """Vectorized decisions of a cost-sensitive classifier over a buffer."""
-    n = estimates.shape[0]
-    if task.is_multiclass:
-        scores = estimates @ G
-        dec = np.zeros((n, task.m), dtype=bool)
-        if budget is None:
-            dec[np.arange(n), np.argmax(scores, axis=1)] = True
-        else:
-            cols = np.argsort(-scores, axis=1, kind="stable")[:, :budget]
-            dec[np.arange(n)[:, None], cols] = True
-        return dec
-    alpha, beta = policy.cost_coefficients(G)
-    g = estimates * alpha - beta
-    if budget is None:
-        return g >= 0.0
-    dec = np.zeros((n, task.m), dtype=bool)
-    cols = np.argsort(-g, axis=1, kind="stable")[:, :budget]
-    dec[np.arange(n)[:, None], cols] = True
-    return dec
-
-
-def _buffer_confusion(task: Task, decisions: np.ndarray, labels: np.ndarray | None,
-                      estimates: np.ndarray) -> np.ndarray:
-    """Average confusion over the buffer, from labels or from estimates."""
-    n = decisions.shape[0]
-    if task.is_multiclass:
-        if labels is not None:
-            onehot = np.zeros((n, task.m))
-            onehot[np.arange(n), labels] = 1.0
-            return onehot.T @ decisions / n
-        return estimates.T @ decisions / n
-    ref = labels.astype(np.float64) if labels is not None else estimates
-    d = decisions.astype(np.float64)
-    C = np.empty((task.m, 2, 2))
-    C[:, 1, 1] = (ref * d).mean(axis=0)
-    C[:, 1, 0] = (ref * (1.0 - d)).mean(axis=0)
-    C[:, 0, 1] = ((1.0 - ref) * d).mean(axis=0)
-    C[:, 0, 0] = ((1.0 - ref) * (1.0 - d)).mean(axis=0)
-    return C
-
-
-def _initial_confusion(task: Task, pos_rate: np.ndarray, budget: int | None) -> np.ndarray:
-    """Confusion of the trivial starting classifier.
-
-    Multilabel: the all-negative classifier, or a uniformly random k-subset
-    under a budget.  Multiclass: a uniformly random class (or k-subset).
-    """
-    if task.is_multiclass:
-        k = budget or 1
-        return np.outer(pos_rate, np.full(task.m, k / task.m))
-    q = 0.0 if budget is None else budget / task.m
-    C = np.empty((task.m, 2, 2))
-    C[:, 1, 1] = pos_rate * q
-    C[:, 1, 0] = pos_rate * (1.0 - q)
-    C[:, 0, 1] = (1.0 - pos_rate) * q
-    C[:, 0, 0] = (1.0 - pos_rate) * (1.0 - q)
-    return C
-
-
 def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
            metric: Metric, iterations: int, use_labels: bool) -> MixtureClassifier:
     """Frank-Wolfe over the reachable confusion polytope of a buffer.
@@ -292,21 +224,28 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
         raise ValueError("use_labels requires a label buffer")
     if iterations < 1:
         raise ValueError("need at least one iteration")
+    n, m = estimates.shape
+    ref = estimates
+    if use_labels and task.is_multiclass:
+        ref = np.zeros((n, m))
+        ref[np.arange(n), labels] = 1.0
+    elif use_labels:
+        ref = labels.astype(np.float64)
     budget = metric.budget_k
-    if use_labels:
-        if task.is_multiclass:
-            pos_rate = np.bincount(labels, minlength=task.m) / labels.shape[0]
-        else:
-            pos_rate = labels.mean(axis=0)
-    else:
-        pos_rate = estimates.mean(axis=0)
-    cbar = _initial_confusion(task, pos_rate, budget)
+    # the trivial start predicts every label with probability k / m: the
+    # all-negative classifier, or a uniformly random class or k-subset
+    k = budget or (1 if task.is_multiclass else 0)
+    cbar = batch_counts(task, ref.sum(axis=0)[None] / n, np.full((1, m), k / m))
     tensors: list[np.ndarray] = []
     weights: list[float] = []
     for q in range(iterations):
         G = metric.gradient(cbar)
-        dec = _decide_matrix(estimates, G, task, budget)
-        cq = _buffer_confusion(task, dec, labels if use_labels else None, estimates)
+        if task.is_multiclass:
+            scores = estimates @ G
+        else:
+            scores = policy.gains(policy.cost_coefficients(G), estimates)
+        dec = policy.decide(scores, budget, argmax=task.is_multiclass)
+        cq = batch_counts(task, ref, dec) / n
         gamma = 2.0 / (q + 2.0)
         cbar = (1.0 - gamma) * cbar + gamma * cq
         for i in range(len(weights)):
@@ -316,23 +255,40 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     return MixtureClassifier(tensors, np.asarray(weights), final_cm=cbar)
 
 
-class FrankWolfeLearner(OnlineLearner):
+class _MixtureLearner(OnlineLearner):
+    """Serves every instance with one component of a classifier mixture.
+
+    The component is sampled with the mixture weights from a generator seeded
+    by ``cfg.seed``, matching the randomized-classifier semantics of the batch
+    method, or is always the last one under ``deterministic_mixture``.
+    """
+
+    def __init__(self, cfg: LearnerConfig):
+        super().__init__(cfg)
+        self.mixture: MixtureClassifier | None = None
+        self._rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(cfg.seed)))
+
+    def _predict(self, eta: ProbEstimate) -> Labels:
+        if self.cfg.deterministic_mixture:
+            G = self.mixture.tensors[-1]
+        else:
+            idx = self._rng.choice(len(self.mixture.tensors), p=self.mixture.weights)
+            G = self.mixture.tensors[idx]
+        return self._decide(G, eta)
+
+
+class FrankWolfeLearner(_MixtureLearner):
     """Buffers the stream and refits a classifier mixture on a growing schedule.
 
-    Between refits each instance is served by one mixture component sampled
-    with the component weights (seeded), matching the randomized-classifier
-    semantics of the batch method.  Before the first refit it falls back to
-    the top-k / 0.5-threshold baseline.
+    Before the first refit it falls back to the top-k / 0.5-threshold baseline.
     """
 
     def __init__(self, cfg: LearnerConfig, use_labels: bool):
         super().__init__(cfg)
         self.use_labels = use_labels
-        self.mixture: MixtureClassifier | None = None
         self._est_rows: list[np.ndarray] = []
         self._label_rows: list = []
-        self._rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(cfg.seed)))
         self._schedule = refit_thresholds(cfg.refit_mode)
         self._next_refit = next(self._schedule)
         self._fallback = _fallback_learner(cfg)
@@ -340,15 +296,7 @@ class FrankWolfeLearner(OnlineLearner):
     def _predict(self, eta: ProbEstimate) -> Labels:
         if self.mixture is None:
             return self._fallback._predict(eta)
-        if self.cfg.deterministic_mixture:
-            G = self.mixture.tensors[-1]
-        else:
-            idx = self._rng.choice(len(self.mixture.tensors), p=self.mixture.weights)
-            G = self.mixture.tensors[idx]
-        if self.task.is_multiclass:
-            return policy.decide_multiclass(G, eta, self.cfg.budget)
-        g = policy.gains(policy.cost_coefficients(G), eta)
-        return policy.decide_multilabel(g, self.cfg.budget)
+        return super()._predict(eta)
 
     def _update(self, y: Labels, eta: ProbEstimate, pred: Labels) -> None:
         self._est_rows.append(eta.dense())
@@ -374,14 +322,8 @@ class FrankWolfeLearner(OnlineLearner):
                               self.use_labels)
 
 
-class OfflineFWLearner(OnlineLearner):
+class OfflineFWLearner(_MixtureLearner):
     """Frank-Wolfe mixture fitted once on the estimate sequence, then frozen."""
-
-    def __init__(self, cfg: LearnerConfig):
-        super().__init__(cfg)
-        self.mixture: MixtureClassifier | None = None
-        self._rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(cfg.seed)))
 
     def prefit(self, estimates: list[ProbEstimate]) -> None:
         rows = np.vstack([e.dense() for e in estimates])
@@ -391,15 +333,7 @@ class OfflineFWLearner(OnlineLearner):
     def _predict(self, eta: ProbEstimate) -> Labels:
         if self.mixture is None:
             raise ProtocolError("offline-fw must be prefit on the estimate sequence")
-        if self.cfg.deterministic_mixture:
-            G = self.mixture.tensors[-1]
-        else:
-            idx = self._rng.choice(len(self.mixture.tensors), p=self.mixture.weights)
-            G = self.mixture.tensors[idx]
-        if self.task.is_multiclass:
-            return policy.decide_multiclass(G, eta, self.cfg.budget)
-        g = policy.gains(policy.cost_coefficients(G), eta)
-        return policy.decide_multilabel(g, self.cfg.budget)
+        return super()._predict(eta)
 
 
 class TopKLearner(OnlineLearner):
@@ -409,12 +343,11 @@ class TopKLearner(OnlineLearner):
         super().__init__(cfg)
         if cfg.budget is None and not cfg.task.is_multiclass:
             raise UnsupportedMetricError("topk needs a budget on multilabel tasks")
-        self.k = cfg.budget or 1
+        # a budget above m predicts every label
+        self.k = min(cfg.budget or 1, cfg.task.m)
 
     def _predict(self, eta: ProbEstimate) -> Labels:
-        dense = eta.dense()
-        return tuple(int(j) for j in np.sort(
-            np.argsort(-dense, kind="stable")[: self.k]))
+        return policy.decide_one(eta.dense(), self.k)
 
 
 class ThresholdLearner(OnlineLearner):
@@ -435,21 +368,21 @@ def _fallback_learner(cfg: LearnerConfig) -> OnlineLearner:
     return ThresholdLearner(cfg)
 
 
+_LEARNERS = {
+    "omma": OmmaLearner,
+    "omma-eta": OmmaEtaLearner,
+    "greedy": GreedyLearner,
+    "ofw": lambda cfg: FrankWolfeLearner(cfg, use_labels=True),
+    "ofw-eta": lambda cfg: FrankWolfeLearner(cfg, use_labels=False),
+    "offline-fw": OfflineFWLearner,
+    "topk": TopKLearner,
+    "thresh05": ThresholdLearner,
+}
+
+ALGORITHMS = tuple(_LEARNERS)
+
+
 def make_learner(cfg: LearnerConfig) -> OnlineLearner:
-    if cfg.algorithm == "omma":
-        return OmmaLearner(cfg)
-    if cfg.algorithm == "omma-eta":
-        return OmmaEtaLearner(cfg)
-    if cfg.algorithm == "greedy":
-        return GreedyLearner(cfg)
-    if cfg.algorithm == "ofw":
-        return FrankWolfeLearner(cfg, use_labels=True)
-    if cfg.algorithm == "ofw-eta":
-        return FrankWolfeLearner(cfg, use_labels=False)
-    if cfg.algorithm == "offline-fw":
-        return OfflineFWLearner(cfg)
-    if cfg.algorithm == "topk":
-        return TopKLearner(cfg)
-    if cfg.algorithm == "thresh05":
-        return ThresholdLearner(cfg)
-    raise ValueError(f"unknown algorithm: {cfg.algorithm!r}")
+    if cfg.algorithm not in _LEARNERS:
+        raise ValueError(f"unknown algorithm: {cfg.algorithm!r}")
+    return _LEARNERS[cfg.algorithm](cfg)

@@ -18,12 +18,24 @@ import numpy as np
 from . import dataio, evaluation
 from .algorithms import ALGORITHMS, LearnerConfig, UnsupportedMetricError
 from .confusion import Task
-from .dataio import DataFormatError, SynthModel
+from .dataio import DataFormatError, InstanceStream, SynthModel
 from .metrics import Metric, list_metrics, parse_metric
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    """The synthetic label model of ``synth`` and ``regret``."""
+    parser.add_argument("--model")
+    parser.add_argument("--task", choices=["multilabel", "multiclass"], default="multilabel")
+    parser.add_argument("--m", type=int, default=5)
+    parser.add_argument("--d", type=int, default=4)
+    parser.add_argument("--prior-low", type=float, default=0.15)
+    parser.add_argument("--prior-high", type=float, default=0.45)
+    parser.add_argument("--weight-scale", type=float, default=1.25)
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,16 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--jobs", type=int, default=1)
 
     synth = sub.add_parser("synth", help="write a synthetic stream to files")
+    _add_model_flags(synth)
     synth.add_argument("--out", required=True, help="output path prefix")
     synth.add_argument("--n", type=int, required=True)
-    synth.add_argument("--model")
-    synth.add_argument("--task", choices=["multilabel", "multiclass"], default="multilabel")
-    synth.add_argument("--m", type=int, default=5)
-    synth.add_argument("--d", type=int, default=4)
-    synth.add_argument("--prior-low", type=float, default=0.15)
-    synth.add_argument("--prior-high", type=float, default=0.45)
-    synth.add_argument("--weight-scale", type=float, default=1.25)
-    synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--noise", type=float, default=0.0)
 
     adv = sub.add_parser("adversarial", help="two-sequence worst-case regret demo")
@@ -76,18 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--out")
 
     reg = sub.add_parser("regret", help="regret against the estimated optimum")
+    _add_model_flags(reg)
     reg.add_argument("--metric", required=True)
     reg.add_argument("--alg", required=True, choices=ALGORITHMS)
     reg.add_argument("--n-grid", required=True)
     reg.add_argument("--runs", type=int, default=20)
-    reg.add_argument("--seed", type=int, default=0)
-    reg.add_argument("--model")
-    reg.add_argument("--task", choices=["multilabel", "multiclass"], default="multilabel")
-    reg.add_argument("--m", type=int, default=5)
-    reg.add_argument("--d", type=int, default=4)
-    reg.add_argument("--prior-low", type=float, default=0.15)
-    reg.add_argument("--prior-high", type=float, default=0.45)
-    reg.add_argument("--weight-scale", type=float, default=1.25)
     reg.add_argument("--lambda", dest="lam", type=float, default=None)
     reg.add_argument("--lambda-grid", default=None)
     reg.add_argument("--epsilon", type=float, default=1e-9)
@@ -112,6 +110,14 @@ def _task_from_args(args) -> Task:
     return Task(args.task, args.m)
 
 
+def _model_from_args(args) -> SynthModel:
+    if args.model:
+        return dataio.parse_model_file(args.model)
+    return SynthModel(task=_task_from_args(args), d=args.d, prior_low=args.prior_low,
+                      prior_high=args.prior_high, weight_scale=args.weight_scale,
+                      seed=args.seed)
+
+
 def _load_or_synth(args) -> InstanceStream:
     if args.model or args.n:
         if not (args.model and args.n) and not (args.n and args.m):
@@ -124,6 +130,14 @@ def _load_or_synth(args) -> InstanceStream:
     if not args.m:
         raise ConfigError("file streams need --m (label count)")
     return dataio.load_stream(args.labels, args.probs, _task_from_args(args))
+
+
+def _map(fn, payloads: list, jobs: int) -> list:
+    """``fn`` over the payloads, in a pool of ``jobs`` processes when jobs > 1."""
+    if jobs <= 1:
+        return [fn(p) for p in payloads]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, payloads))
 
 
 def _run_single(payload):
@@ -151,14 +165,7 @@ def cmd_run(args) -> int:
                             fw_iterations=args.fw_iters, refit_mode=args.schedule,
                             deterministic_mixture=args.fw_deterministic)
         jobs.append((shuffled, cfg, args.stride))
-    try:
-        if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                traces = list(pool.map(_run_single, jobs))
-        else:
-            traces = [_run_single(j) for j in jobs]
-    except UnsupportedMetricError as exc:
-        raise ConfigError(str(exc)) from None
+    traces = _map(_run_single, jobs, args.jobs)
     finals = np.array([t.final_psi for t in traces])
     for r, trace in enumerate(traces):
         evaluation.emit_trace(trace, os.path.join(args.out, f"trace-run{r}.csv"))
@@ -175,9 +182,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    model = (dataio.parse_model_file(args.model) if args.model else SynthModel(
-        task=_task_from_args(args), d=args.d, prior_low=args.prior_low,
-        prior_high=args.prior_high, weight_scale=args.weight_scale, seed=args.seed))
+    model = _model_from_args(args)
     stream = dataio.synth_generate(model, args.n, seed=args.seed)
     if args.noise > 0:
         stream, err = dataio.perturb_estimates(stream, args.noise, args.seed)
@@ -224,9 +229,7 @@ def cmd_regret(args) -> int:
             raise ConfigError(f"bad --lambda-grid: {args.lambda_grid!r}") from None
     else:
         lam_grid = [args.lam if args.lam is not None else 0.0]
-    model = (dataio.parse_model_file(args.model) if args.model else SynthModel(
-        task=_task_from_args(args), d=args.d, prior_low=args.prior_low,
-        prior_high=args.prior_high, weight_scale=args.weight_scale, seed=args.seed))
+    model = _model_from_args(args)
     try:
         psi_star = evaluation.estimate_optimal(metric, model, method=args.opt_method,
                                                n_opt=args.n_opt, seed=args.seed)
@@ -238,14 +241,7 @@ def cmd_regret(args) -> int:
     print("lambda,n,psi_mean,psi_std,regret_hat,regret*n/ln(n)")
     payloads = [(metric, model, args.alg, n_grid, args.runs, lam, args.seed, psi_star)
                 for lam in lam_grid]
-    try:
-        if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                per_lam = list(pool.map(_regret_single, payloads))
-        else:
-            per_lam = [_regret_single(p) for p in payloads]
-    except UnsupportedMetricError as exc:
-        raise ConfigError(str(exc)) from None
+    per_lam = _map(_regret_single, payloads, args.jobs)
     for lam, reports in zip(lam_grid, per_lam):
         for rep in reports:
             print(f"{lam:g},{rep.n},{rep.psi_final_mean:.6g},{rep.psi_final_std:.6g},"
@@ -288,9 +284,16 @@ _CONFIG_KEYS = ("metric", "alg", "labels", "probs", "task", "m", "model", "n",
 def _inject_config(argv: list[str]) -> list[str]:
     """Expand --config key=value pairs into flags placed before the real ones,
     so explicitly passed flags win (argparse keeps the last occurrence)."""
-    if "--config" not in argv:
+    for i, arg in enumerate(argv):
+        flag, eq, path = arg.partition("=")
+        if flag == "--config":
+            if not eq:
+                path = argv[i + 1] if i + 1 < len(argv) else ""
+            break
+    else:
         return argv
-    path = argv[argv.index("--config") + 1]
+    if not path:
+        raise ConfigError("--config needs a path")
     injected: list[str] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -313,18 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        argv = _inject_config(list(argv))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
+        args = _build_parser().parse_args(_inject_config(list(argv)))
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DataFormatError, OSError) as exc:

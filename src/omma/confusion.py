@@ -195,46 +195,43 @@ class ConfusionState:
     counts: np.ndarray = field(repr=False)
     t: int = 0
 
+    def __post_init__(self) -> None:
+        # the per-instance add writes through a flat view of the counts
+        self.counts = np.ascontiguousarray(self.counts, dtype=np.float64)
+
     def update(self, y: Labels, yhat: Labels) -> None:
         """Fold in one observed (label, prediction) pair."""
         check_labels(self.task, y)
-        check_labels(self.task, yhat, prediction=True)
-        c = self.counts
-        if self.task.is_multiclass:
-            c[y[0], list(yhat)] += 1.0
-        else:
-            touched = set(y) | set(yhat)
-            mask = np.ones(self.task.m, dtype=bool)
-            mask[list(touched)] = False
-            c[mask, 0, 0] += 1.0
-            ypos = set(y)
-            pred = set(yhat)
-            for j in touched:
-                c[j, int(j in ypos), int(j in pred)] += 1.0
-        self.t += 1
+        ref = np.zeros(self.task.m)
+        ref.put(y, 1.0)
+        self._add(ref, yhat)
 
     def update_semi(self, eta: ProbEstimate, yhat: Labels) -> None:
         """Fold in one expected (estimate, prediction) pair instead of a label."""
-        check_labels(self.task, yhat, prediction=True)
         if eta.m != self.task.m:
             raise ValueError("estimate size does not match the task")
-        c = self.counts
+        self._add(eta.dense(), yhat)
+
+    def _add(self, ref: np.ndarray, yhat: Labels) -> None:
+        """Add a dense reference row (0/1 labels or probabilities) against ``yhat``.
+
+        Multiclass: every predicted column receives the row.  Multilabel: label
+        j adds ref_j to its true-positive row and 1 - ref_j to its true-negative
+        row, in the column of its prediction.  Adding 0.0 is exact, so a 0/1
+        row gives the same counts as counting label pairs.
+        """
+        check_labels(self.task, yhat, prediction=True)
         if self.task.is_multiclass:
-            p = eta.dense()
             for col in yhat:
-                c[:, col] += p
+                self.counts[:, col] += ref
         else:
-            touched = set(eta.indices.tolist()) | set(yhat)
-            mask = np.ones(self.task.m, dtype=bool)
-            mask[list(touched)] = False
-            c[mask, 0, 0] += 1.0
-            dense = dict(zip(eta.indices.tolist(), eta.values.tolist()))
-            pred = set(yhat)
-            for j in touched:
-                pj = dense.get(j, 0.0)
-                v = int(j in pred)
-                c[j, 1, v] += pj
-                c[j, 0, v] += 1.0 - pj
+            pred = np.zeros(self.task.m, dtype=np.intp)
+            pred.put(yhat, 1)
+            # flat index of cell [j, 0, pred_j]; cell [j, 1, pred_j] is 2 further on
+            cells = np.arange(0, 4 * self.task.m, 4) + pred
+            flat = self.counts.reshape(-1)
+            flat[cells] += 1.0 - ref
+            flat[cells + 2] += ref
         self.t += 1
 
     def normalized(self) -> np.ndarray:
@@ -246,6 +243,23 @@ class ConfusionState:
     def normalized_blocks(self, indices: np.ndarray) -> np.ndarray:
         """Normalized per-label blocks for a label subset (multilabel only)."""
         return self.counts[indices] / max(self.t, 1)
+
+
+def batch_counts(task: Task, ref: np.ndarray, dec: np.ndarray) -> np.ndarray:
+    """Summed confusion of n reference rows against n decision rows, both (n, m).
+
+    Reference rows hold 0/1 labels (one-hot for multiclass) or probabilities;
+    decision rows hold 0/1 predictions or prediction probabilities.
+    """
+    if task.is_multiclass:
+        return ref.T @ dec
+    d = np.asarray(dec, dtype=np.float64)
+    out = np.empty(task.shape)
+    out[:, 1, 1] = (ref * d).sum(axis=0)
+    out[:, 1, 0] = (ref * (1.0 - d)).sum(axis=0)
+    out[:, 0, 1] = ((1.0 - ref) * d).sum(axis=0)
+    out[:, 0, 0] = ((1.0 - ref) * (1.0 - d)).sum(axis=0)
+    return out
 
 
 def init_state(task: Task, lam: float) -> ConfusionState:

@@ -175,7 +175,7 @@ class SynthModel:
         return eta
 
 
-def parse_model_file(path, task_override: Task | None = None) -> SynthModel:
+def parse_model_file(path) -> SynthModel:
     """Read a flat key=value model description."""
     fields = {}
     with open(path, encoding="utf-8") as fh:
@@ -188,10 +188,8 @@ def parse_model_file(path, task_override: Task | None = None) -> SynthModel:
                 raise DataFormatError(f"{path}:{lineno}: expected key=value")
             fields[key.strip()] = val.strip()
     try:
-        kind = fields.get("task", "multilabel")
-        task = task_override or Task(kind, int(fields["m"]))
         return SynthModel(
-            task=task,
+            task=Task(fields.get("task", "multilabel"), int(fields["m"])),
             d=int(fields.get("d", 4)),
             prior_low=float(fields.get("prior_low", 0.15)),
             prior_high=float(fields.get("prior_high", 0.45)),

@@ -9,6 +9,7 @@ metrics, so the reported regret is a conservative over-estimate.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import LearnerConfig, OfflineFWLearner, fw_fit, make_learner
-from .confusion import ProbEstimate, Task, init_state, multilabel
+from .confusion import Labels, ProbEstimate, Task, init_state, multilabel
 from .dataio import InstanceStream, SynthModel, synth_generate
 from .metrics import BINARY, MACRO, Metric, min_tn_tp
 
@@ -52,22 +53,23 @@ class RunReport:
     regret_hat: float | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "metric": self.metric,
-            "algorithm": self.algorithm,
-            "averaging": self.averaging,
-            "budget_k": self.budget_k,
-            "lambda": self.lam,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "n": self.n,
-            "runs": self.runs,
-            "psi_final_mean": self.psi_final_mean,
-            "psi_final_std": self.psi_final_std,
-            "psi_star": self.psi_star,
-            "regret_hat": self.regret_hat,
-        }
+        payload = dataclasses.asdict(self)
+        payload["lambda"] = payload.pop("lam")
         return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _steps(cfg: LearnerConfig, labels: list[Labels], estimates: list[ProbEstimate]):
+    """The online protocol: yield (t, y, prediction) for every instance in turn.
+
+    ``offline-fw`` is first fitted on the whole estimate sequence.
+    """
+    learner = make_learner(cfg)
+    if isinstance(learner, OfflineFWLearner):
+        learner.prefit(estimates)
+    for t, (y, eta) in enumerate(zip(labels, estimates), start=1):
+        pred = learner.step(eta)
+        learner.observe(y)
+        yield t, y, pred
 
 
 def run_online(stream: InstanceStream, cfg: LearnerConfig,
@@ -75,17 +77,12 @@ def run_online(stream: InstanceStream, cfg: LearnerConfig,
     """Drive step/observe over the stream and record the running utility."""
     if len(stream) == 0:
         raise ValueError("empty stream")
-    learner = make_learner(cfg)
-    if isinstance(learner, OfflineFWLearner):
-        learner.prefit(stream.estimates)
     metric = cfg.metric
     eval_state = init_state(stream.task, 0.0)
     stride = checkpoint_stride or len(stream)
     checkpoints: list[tuple[int, float]] = []
     started = time.perf_counter()
-    for t, (y, eta) in enumerate(stream, start=1):
-        pred = learner.step(eta)
-        learner.observe(y)
+    for t, y, pred in _steps(cfg, stream.labels, stream.estimates):
         eval_state.update(y, pred)
         if t % stride == 0 or t == len(stream):
             checkpoints.append((t, metric.value(eval_state.normalized())))
@@ -278,23 +275,20 @@ def adversarial_run(algorithm: str, n: int, runs: int, seed: int = 0,
         for r in range(runs):
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence([seed, s, r, 0xADE])))
-            ys = rng.random(n) < eta_seq
+            labels = [(0,) if yt else () for yt in rng.random(n) < eta_seq]
             cfg = LearnerConfig(algorithm=algorithm, task=task, metric=metric,
                                 lam=lam, seed=seed + r)
-            learner = make_learner(cfg)
             tp = tn = 0
             swe = 0.0   # sum of eta over positively-predicted steps
             svar = 0.0  # its binomial variance
-            for t in range(n):
-                pred = learner.step(estimates[t])
-                y = (0,) if ys[t] else ()
-                learner.observe(y)
+            for t, y, pred in _steps(cfg, labels, estimates):
                 if pred:
-                    swe += eta_seq[t]
-                    svar += eta_seq[t] * (1.0 - eta_seq[t])
-                    tp += int(ys[t])
+                    p = eta_seq[t - 1]
+                    swe += p
+                    svar += p * (1.0 - p)
+                    tp += len(y)
                 else:
-                    tn += int(not ys[t])
+                    tn += 1 - len(y)
             psis.append(min(tp, tn) / n)
             pred_mass.append((tp / n, swe / n))
             var_mass.append(svar / n**2)

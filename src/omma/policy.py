@@ -34,24 +34,46 @@ def cost_coefficients(G: np.ndarray) -> CostCoefficients:
 
 
 def gains(coeffs: CostCoefficients, eta: ProbEstimate | np.ndarray) -> np.ndarray:
-    """Dense per-label gains; unlisted labels contribute eta_j = 0."""
+    """Dense per-label gains of an estimate or of (n, m) rows; unlisted eta_j = 0."""
     dense = eta.dense() if isinstance(eta, ProbEstimate) else np.asarray(eta, float)
     return coeffs.alpha * dense - coeffs.beta
 
 
-def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    # stable sort keeps the smaller index first among equal scores
-    return np.sort(np.argsort(-scores, kind="stable")[:k])
+def decide(scores: np.ndarray, budget: int | None = None, *,
+           argmax: bool = False) -> np.ndarray:
+    """The decision kernel: an (n, m) score matrix to an (n, m) boolean decision.
+
+    Under a budget every row keeps its k highest scores; otherwise a row
+    predicts its argmax (multiclass) or every label with a gain >= 0
+    (multilabel).  Ties go to the smaller index (a stable sort).  A single
+    instance is n = 1.
+    """
+    n, m = scores.shape
+    if budget is None:
+        if argmax:
+            return np.arange(m) == scores.argmax(axis=1)[:, None]
+        return scores >= 0.0
+    if budget > m:
+        raise ValueError(f"budget {budget} exceeds the {m} candidate labels")
+    dec = np.zeros((n, m), dtype=bool)
+    dec[np.arange(n)[:, None], (-scores).argsort(axis=1, kind="stable")[:, :budget]] = True
+    return dec
+
+
+def decide_one(scores: np.ndarray, budget: int | None = None, *,
+               argmax: bool = False) -> Labels:
+    """The kernel on one instance's score vector, as a sorted label tuple."""
+    return _labels(decide(scores[None], budget, argmax=argmax))
+
+
+def _labels(dec: np.ndarray) -> Labels:
+    """Positive labels of a one-row decision matrix."""
+    return tuple(dec.nonzero()[1].tolist())
 
 
 def decide_multilabel(g: np.ndarray, budget: int | None = None) -> Labels:
     """Positive set from gains: thresholded at zero, or the top-k under a budget."""
-    g = np.asarray(g, dtype=np.float64)
-    if budget is None:
-        return tuple(int(j) for j in np.nonzero(g >= 0.0)[0])
-    if budget > g.shape[0]:
-        raise ValueError(f"budget {budget} exceeds label count {g.shape[0]}")
-    return tuple(int(j) for j in _top_k(g, budget))
+    return _labels(decide(np.asarray(g, dtype=np.float64)[None], budget))
 
 
 def decide_multiclass(G: np.ndarray, eta: ProbEstimate | np.ndarray,
@@ -63,12 +85,8 @@ def decide_multiclass(G: np.ndarray, eta: ProbEstimate | np.ndarray,
     dense = eta.dense() if isinstance(eta, ProbEstimate) else np.asarray(eta, float)
     if dense.shape[0] != G.shape[0]:
         raise ValueError("estimate length does not match the gradient")
-    scores = dense @ G
-    if budget is None:
-        return (int(np.argmax(scores)),)
-    if budget > scores.shape[0]:
-        raise ValueError(f"budget {budget} exceeds class count {scores.shape[0]}")
-    return tuple(int(j) for j in _top_k(scores, budget))
+    # a one-row product, so the scores equal dense @ G bit for bit
+    return _labels(decide(dense[None] @ G, budget, argmax=True))
 
 
 def decide_sparse(coeffs: CostCoefficients, eta: ProbEstimate,
@@ -83,8 +101,4 @@ def decide_sparse(coeffs: CostCoefficients, eta: ProbEstimate,
     if coeffs.alpha.shape[0] != support.shape[0]:
         raise ValueError("coefficients must align with the estimate support")
     g = coeffs.alpha * eta.values - coeffs.beta
-    if budget is None:
-        return tuple(int(j) for j in support[g >= 0.0])
-    if budget > support.shape[0]:
-        raise ValueError(f"budget {budget} exceeds support size {support.shape[0]}")
-    return tuple(int(j) for j in np.sort(support[np.argsort(-g, kind="stable")[:budget]]))
+    return tuple(support[decide(g[None], budget)[0]].tolist())

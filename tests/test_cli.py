@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from omma.cli import main
 
@@ -207,3 +208,32 @@ def test_jobs_parallel_identical_outputs(tmp_path, capsys):
     assert run_cli(capsys, *argv, "--jobs", "2", "--out", str(tmp_path / "p"))[0] == 0
     for name in ("report.json", "trace-run0.csv", "trace-run1.csv", "trace-run2.csv"):
         assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
+
+def _report(tmp):
+    return json.loads((tmp / "o" / "report.json").read_text())
+
+
+RUN_M3 = ["run", "--metric", "macro-f1", "--alg", "omma", "--m", "3", "--n", "30",
+          "--out", "{tmp}/o"]
+
+
+@pytest.mark.parametrize("argv, code, error, check", [
+    (["adversarial", "--n", "60", "--runs", "2", "--alg", "topk"], 2, "error: topk",
+     None),
+    (["adversarial", "--n", "60", "--runs", "2", "--alg", "offline-fw"], 0, None,
+     lambda out, tmp: json.loads(out)["algorithm"] == "offline-fw"),
+    ([*RUN_M3, "--config"], 2, "error: --config needs a path", None),
+    ([*RUN_M3, "--config="], 2, "error: --config needs a path", None),
+    # no flag sets lambda or runs, so the report shows the file's values
+    (["run", "--alg", "omma", "--out", "{tmp}/o", "--config={tmp}/exp.cfg"], 0, None,
+     lambda out, tmp: (_report(tmp)["lambda"], _report(tmp)["runs"]) == (0.5, 2)),
+])
+def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, check):
+    (tmp_path / "exp.cfg").write_text("metric=macro-f1\nm=3\nn=30\nlambda=0.5\nruns=2\n")
+    got, out, err = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert got == code
+    if error is None:
+        assert err == "" and check(out, tmp_path)
+    else:
+        assert err.startswith(error) and err.count("\n") == 1
