@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
+import math
 import os
 import sys
 
@@ -38,7 +40,9 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing does not change it."""
     p = argparse.ArgumentParser(prog="omma", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -113,9 +117,12 @@ def _task_from_args(args) -> Task:
 def _model_from_args(args) -> SynthModel:
     if args.model:
         return dataio.parse_model_file(args.model)
-    return SynthModel(task=_task_from_args(args), d=args.d, prior_low=args.prior_low,
-                      prior_high=args.prior_high, weight_scale=args.weight_scale,
-                      seed=args.seed)
+    try:
+        return SynthModel(task=_task_from_args(args), d=args.d, prior_low=args.prior_low,
+                          prior_high=args.prior_high, weight_scale=args.weight_scale,
+                          seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_or_synth(args) -> InstanceStream:
@@ -182,6 +189,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.n < 1:
+        raise ConfigError("--n must be at least 1")
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise ConfigError("--noise must be a finite number >= 0")
     model = _model_from_args(args)
     stream = dataio.synth_generate(model, args.n, seed=args.seed)
     if args.noise > 0:

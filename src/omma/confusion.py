@@ -58,9 +58,21 @@ def multilabel(m: int) -> Task:
     return Task(MULTILABEL, m)
 
 
+def _check_probabilities(values: np.ndarray) -> None:
+    # written as "all inside" rather than "any outside" so that NaN fails too
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ValueError("probabilities must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class ProbEstimate:
-    """Sparse vector of per-label probabilities; unlisted labels have probability 0."""
+    """Sparse vector of per-label probabilities; unlisted labels have probability 0.
+
+    Direct construction, :meth:`from_dense`, :meth:`from_pairs` and :meth:`top`
+    check every estimate on its own.  :meth:`from_rows` checks a whole (n, m)
+    matrix once: its dense estimates are read-only views of one validated
+    matrix and share one read-only index array.
+    """
 
     m: int
     indices: np.ndarray
@@ -78,13 +90,37 @@ class ProbEstimate:
                 raise ValueError("label index out of range")
             if np.any(np.diff(idx) <= 0):
                 raise ValueError("indices must be strictly increasing")
-        if np.any(val < 0.0) or np.any(val > 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
+        _check_probabilities(val)
+
+    @classmethod
+    def _prechecked(cls, m: int, indices: np.ndarray, values: np.ndarray) -> "ProbEstimate":
+        """An estimate from arrays that already satisfy every condition of
+        ``__post_init__`` (int64 indices, float64 values); nothing is re-checked."""
+        est = object.__new__(cls)
+        est.__dict__.update(m=m, indices=indices, values=values)
+        return est
 
     @classmethod
     def from_dense(cls, vec: np.ndarray) -> "ProbEstimate":
         vec = np.asarray(vec, dtype=np.float64)
         return cls(vec.shape[0], np.arange(vec.shape[0], dtype=np.int64), vec.copy())
+
+    @classmethod
+    def from_rows(cls, matrix: np.ndarray) -> list["ProbEstimate"]:
+        """One dense estimate per row of an (n, m) matrix, checked once as a whole.
+
+        Equal to ``[from_dense(row) for row in matrix]``; the values are
+        read-only row views of one float64 copy of the matrix.
+        """
+        rows = np.array(matrix, dtype=np.float64)
+        if rows.ndim != 2:
+            raise ValueError("expected an (n, m) matrix of probabilities")
+        _check_probabilities(rows)
+        rows.flags.writeable = False
+        m = rows.shape[1]
+        indices = np.arange(m, dtype=np.int64)
+        indices.flags.writeable = False
+        return [cls._prechecked(m, indices, row) for row in rows]
 
     @classmethod
     def from_pairs(cls, m: int, pairs: list[tuple[int, float]]) -> "ProbEstimate":

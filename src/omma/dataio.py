@@ -100,7 +100,13 @@ def read_estimates(path, m: int, *, multiclass: bool = False) -> list[ProbEstima
                 if not 0 <= j < m:
                     raise DataFormatError(f"{path}:{lineno}: index {j} out of range")
                 pairs.append((j, p))
-            est = ProbEstimate.from_pairs(m, pairs)
+            # the checks above cover every condition of ProbEstimate: indices
+            # in range and distinct (so strictly increasing once sorted),
+            # probabilities in [0, 1] with NaN rejected
+            pairs.sort()
+            est = ProbEstimate._prechecked(
+                m, np.array([j for j, _ in pairs], dtype=np.int64),
+                np.array([p for _, p in pairs], dtype=np.float64))
             if multiclass:
                 total = est.total
                 if abs(total - 1.0) > _MC_SUM_SLACK:
@@ -153,6 +159,8 @@ class SynthModel:
             raise ValueError("priors must satisfy 0 < low <= high < 1")
         if self.d < 0:
             raise ValueError("latent dimension must be nonnegative")
+        if not math.isfinite(self.weight_scale):
+            raise ValueError("weight scale must be finite")
 
     def params(self) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic (priors, weights) drawn from the model seed."""
@@ -200,29 +208,42 @@ def parse_model_file(path) -> SynthModel:
         raise DataFormatError(f"{path}: bad model file ({exc})") from None
 
 
-def synth_generate(model: SynthModel, n: int, seed: int | None = None) -> InstanceStream:
-    """Draw n i.i.d. instances; estimates start out equal to the exact truth.
+def _latent_draw(model: SynthModel, n: int,
+                 seed: int | None) -> tuple[np.ndarray, np.random.Generator]:
+    """The (n, m) exact conditionals of n instances and the generator of their labels.
 
-    Latents and labels come from two independent child generators, so for a
-    fixed seed a shorter stream is an exact prefix of a longer one.
+    Latents and labels come from two independent child generators, so the
+    conditionals do not depend on whether labels are drawn.
     """
     entropy = model.seed if seed is None else seed
     ss_x, ss_y = np.random.SeedSequence([int(entropy), 0xDA7A]).spawn(2)
     rng_x = np.random.Generator(np.random.PCG64(ss_x))
-    rng_y = np.random.Generator(np.random.PCG64(ss_y))
-    m = model.task.m
     x = rng_x.standard_normal((n, model.d)) if model.d > 0 else np.zeros((n, 0))
-    eta = model.conditionals(x)
+    return model.conditionals(x), np.random.Generator(np.random.PCG64(ss_y))
+
+
+def synth_generate(model: SynthModel, n: int, seed: int | None = None) -> InstanceStream:
+    """Draw n i.i.d. instances; estimates start out equal to the exact truth.
+
+    Truth and estimates are the same list: read-only rows of one validated
+    (n, m) conditionals matrix.  For a fixed seed a shorter stream is an
+    exact prefix of a longer one.
+    """
+    eta, rng_y = _latent_draw(model, n, seed)
+    m = model.task.m
     labels: list[Labels]
     if model.task.is_multiclass:
         u = rng_y.random(n)
         cum = np.cumsum(eta, axis=1)
         cls = np.minimum((u[:, None] > cum).sum(axis=1), m - 1)
-        labels = [(int(c),) for c in cls]
+        labels = [(c,) for c in cls.tolist()]
     else:
         draws = rng_y.random((n, m)) < eta
-        labels = [tuple(np.nonzero(row)[0].tolist()) for row in draws]
-    truth = [ProbEstimate.from_dense(row) for row in eta]
+        # positives in row-major order, split at the cumulative row counts
+        cols = np.nonzero(draws)[1].tolist()
+        ends = np.cumsum(np.count_nonzero(draws, axis=1)).tolist()
+        labels = [tuple(cols[start:end]) for start, end in zip([0, *ends], ends)]
+    truth = ProbEstimate.from_rows(eta)
     estimates = list(truth)
     return InstanceStream(model.task, labels, estimates, truth=truth)
 
@@ -237,21 +258,17 @@ def perturb_estimates(stream: InstanceStream, sigma: float,
     if stream.truth is None:
         raise ValueError("perturbation requires exact conditionals in the stream")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 0x5E11])))
-    m = stream.task.m
-    new_estimates = []
-    err = 0.0
-    for true in stream.truth:
-        dense = true.dense()
-        noisy = np.clip(dense + rng.normal(0.0, sigma, size=m), 0.0, 1.0)
-        if stream.task.is_multiclass:
-            total = noisy.sum()
-            if total > 0:
-                noisy = noisy / total
-        new_estimates.append(ProbEstimate.from_dense(noisy))
-        err += float(np.linalg.norm(noisy - dense))
-    n = max(len(stream), 1)
-    return (InstanceStream(stream.task, list(stream.labels), new_estimates,
-                           truth=list(stream.truth)), err / n)
+    n, m = len(stream), stream.task.m
+    dense = np.array([true.dense() for true in stream.truth]).reshape(n, m)
+    # one (n, m) draw gives the same numbers as n draws of size m
+    noisy = np.clip(dense + rng.normal(0.0, sigma, size=(n, m)), 0.0, 1.0)
+    if stream.task.is_multiclass:
+        totals = noisy.sum(axis=1, keepdims=True)
+        np.divide(noisy, totals, out=noisy, where=totals > 0)
+    # row by row: norm(axis=1) can differ in the last bit from the 1-d norm
+    err = sum(float(np.linalg.norm(row)) for row in noisy - dense)
+    return (InstanceStream(stream.task, list(stream.labels), ProbEstimate.from_rows(noisy),
+                           truth=list(stream.truth)), err / max(n, 1))
 
 
 def sparsify_estimates(stream: InstanceStream, k: int) -> InstanceStream:

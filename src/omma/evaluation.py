@@ -19,7 +19,7 @@ import numpy as np
 
 from .algorithms import LearnerConfig, OfflineFWLearner, fw_fit, make_learner
 from .confusion import Labels, ProbEstimate, Task, init_state, multilabel
-from .dataio import InstanceStream, SynthModel, synth_generate
+from .dataio import InstanceStream, SynthModel, _latent_draw, synth_generate
 from .metrics import BINARY, MACRO, Metric, min_tn_tp
 
 
@@ -145,12 +145,13 @@ def estimate_optimal(metric: Metric, model: SynthModel, method: str = "both",
 
     ``threshold-grid`` scans per-label thresholds on the exact conditionals;
     ``fw`` runs the batch linearization fit on an oracle sample.  With
-    ``both`` the larger of the two estimates wins.
+    ``both`` the larger of the two estimates wins.  Both read only the (n_opt,
+    m) conditionals matrix of ``synth_generate(model, n_opt, seed)``; no
+    labels are drawn.
     """
     if method not in ("fw", "threshold-grid", "both"):
         raise ValueError(f"unknown estimation method: {method!r}")
-    stream = synth_generate(model, n_opt, seed=seed)
-    eta = np.vstack([t.dense() for t in stream.truth])
+    eta, _ = _latent_draw(model, n_opt, seed)
     values = []
     if method in ("threshold-grid", "both") and metric.averaging in (MACRO, BINARY) \
             and metric.budget_k is None and not model.task.is_multiclass:
@@ -268,7 +269,7 @@ def adversarial_run(algorithm: str, n: int, runs: int, seed: int = 0,
     seqs = adversarial_sequences(n)
     means, stds, gaps, sigmas = [], [], [], []
     for s, eta_seq in enumerate(seqs):
-        estimates = [ProbEstimate(1, np.array([0]), np.array([e])) for e in eta_seq]
+        estimates = ProbEstimate.from_rows(eta_seq[:, None])
         psis = []
         pred_mass = []
         var_mass = []

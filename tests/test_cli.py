@@ -216,6 +216,7 @@ def _report(tmp):
 
 RUN_M3 = ["run", "--metric", "macro-f1", "--alg", "omma", "--m", "3", "--n", "30",
           "--out", "{tmp}/o"]
+SYNTH_N3 = ["synth", "--out", "{tmp}/s", "--n", "3"]
 
 
 @pytest.mark.parametrize("argv, code, error, check", [
@@ -228,6 +229,11 @@ RUN_M3 = ["run", "--metric", "macro-f1", "--alg", "omma", "--m", "3", "--n", "30
     # no flag sets lambda or runs, so the report shows the file's values
     (["run", "--alg", "omma", "--out", "{tmp}/o", "--config={tmp}/exp.cfg"], 0, None,
      lambda out, tmp: (_report(tmp)["lambda"], _report(tmp)["runs"]) == (0.5, 2)),
+    ([*SYNTH_N3[:-1], "-5"], 2, "error: --n must be at least 1", None),
+    ([*SYNTH_N3, "--m", "0"], 2, "error: need at least one label", None),
+    ([*SYNTH_N3, "--prior-low", "0.9", "--prior-high", "0.1"], 2, "error: priors", None),
+    ([*SYNTH_N3, "--noise", "nan"], 2, "error: --noise must be", None),
+    ([*SYNTH_N3, "--weight-scale", "nan"], 2, "error: weight scale must be finite", None),
 ])
 def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, check):
     (tmp_path / "exp.cfg").write_text("metric=macro-f1\nm=3\nn=30\nlambda=0.5\nruns=2\n")

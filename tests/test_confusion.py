@@ -80,6 +80,14 @@ def test_expected_confusion_bad_probability():
         ProbEstimate.from_dense(np.array([1.2]))
 
 
+@pytest.mark.parametrize("vec", [[np.nan], [0.5, np.nan], [np.nan, 1.0]])
+def test_prob_estimate_rejects_nan(vec):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ProbEstimate.from_dense(np.array(vec))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ProbEstimate(len(vec), np.arange(len(vec)), np.array(vec))
+
+
 def test_update_single_tp():
     st = init_state(multilabel(1), 0.0)
     st.update((0,), (0,))

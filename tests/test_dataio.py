@@ -215,3 +215,9 @@ def test_parse_model_file(tmp_path):
     p.write_text("nonsense\n")
     with pytest.raises(DataFormatError):
         parse_model_file(p)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+def test_synth_model_rejects_non_finite_weight_scale(scale):
+    with pytest.raises(ValueError, match="weight scale"):
+        SynthModel(task=multilabel(3), weight_scale=scale)

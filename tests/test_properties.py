@@ -1,12 +1,19 @@
-"""Property tests of the decision kernel and the two accumulation shapes."""
+"""Property tests of the decision kernel, the two accumulation shapes and the
+batch-built estimate streams."""
+
+import os
+import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omma import policy
 from omma.confusion import (ProbEstimate, Task, batch_counts, expected_instance_confusion,
                             init_state, instance_confusion)
+from omma.dataio import (SynthModel, _latent_draw, perturb_estimates, read_estimates,
+                         synth_generate)
 
 # few distinct values, zero among them, so that ties and zero gains are common
 SCORES = st.sampled_from([-1.0, -0.25, 0.0, 0.0, 0.5, 1.0])
@@ -113,3 +120,121 @@ def test_batch_sum_matches_instance_references(stream):
                       for _, yhat, eta in seq)
     assert np.allclose(batch_counts(task, labels, dec), by_label)
     assert np.allclose(batch_counts(task, estimates, dec), by_estimate)
+
+
+# --- batch-built estimates against the per-row constructors
+
+
+@st.composite
+def prob_matrices(draw, min_n=0):
+    n = draw(st.integers(min_n, 6))
+    m = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(PROBS | st.floats(0.0, 1.0), min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    return np.array(rows, dtype=np.float64).reshape(n, m)
+
+
+@st.composite
+def synth_models(draw):
+    kind = draw(KINDS)
+    m = draw(st.integers(2 if kind == "multiclass" else 1, 6))
+    return SynthModel(task=Task(kind, m), d=draw(st.integers(0, 3)),
+                      seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def assert_same_estimate(got, want):
+    assert got.m == want.m
+    for name in ("indices", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(prob_matrices())
+def test_batch_estimates_equal_row_estimates(M):
+    batch = ProbEstimate.from_rows(M)
+    reference = [ProbEstimate.from_dense(row) for row in M]
+    M[...] = 0.5  # the batch holds its own copy
+    assert len(batch) == len(reference)
+    for got, want in zip(batch, reference):
+        assert_same_estimate(got, want)
+        assert not got.values.flags.writeable and not got.indices.flags.writeable
+        with pytest.raises(ValueError):
+            got.values[...] = 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(prob_matrices(min_n=1), st.sampled_from([-1e-12, -1.0, 1.0 + 1e-12, 2.0, np.nan,
+                                                np.inf, -np.inf]), st.data())
+def test_batch_and_row_estimates_reject_the_same_values(M, bad, data):
+    with pytest.raises(ValueError):
+        ProbEstimate.from_rows(M[0])  # a 1-d row is not a matrix
+    i = data.draw(st.integers(0, M.shape[0] - 1))
+    j = data.draw(st.integers(0, M.shape[1] - 1))
+    M[i, j] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ProbEstimate.from_rows(M)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ProbEstimate.from_dense(M[i])
+
+
+@settings(max_examples=50, deadline=None)
+@given(synth_models(), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_synth_labels_equal_row_by_row_draws(model, n, seed):
+    stream = synth_generate(model, n, seed=seed)
+    eta, rng_y = _latent_draw(model, n, seed)
+    if model.task.is_multiclass:
+        u = rng_y.random(n)
+        cls = np.minimum((u[:, None] > np.cumsum(eta, axis=1)).sum(axis=1), model.task.m - 1)
+        reference = [(int(c),) for c in cls]
+    else:
+        draws = rng_y.random((n, model.task.m)) < eta
+        reference = [tuple(np.nonzero(row)[0].tolist()) for row in draws]
+    assert stream.labels == reference
+    assert all(type(j) is int for y in stream.labels for j in y)
+    assert stream.estimates == stream.truth
+    for got, row in zip(stream.truth, eta):
+        assert_same_estimate(got, ProbEstimate.from_dense(row))
+
+
+@settings(max_examples=50, deadline=None)
+@given(synth_models(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_optimum_conditionals_equal_the_stream_truth(model, n, seed):
+    eta, _ = _latent_draw(model, n, seed)
+    truth = np.vstack([t.dense() for t in synth_generate(model, n, seed=seed).truth])
+    assert eta.tobytes() == truth.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(synth_models(), st.integers(0, 30), st.sampled_from([0.0, 0.05, 0.3]),
+       st.integers(0, 2**32 - 1))
+def test_perturbation_equals_row_by_row_noise(model, n, sigma, seed):
+    stream = synth_generate(model, n, seed=seed)
+    noisy, err = perturb_estimates(stream, sigma, seed)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x5E11])))
+    total_err = 0.0
+    for got, true in zip(noisy.estimates, stream.truth):
+        dense = true.dense()
+        row = np.clip(dense + rng.normal(0.0, sigma, size=model.task.m), 0.0, 1.0)
+        if model.task.is_multiclass and row.sum() > 0:
+            row = row / row.sum()
+        assert_same_estimate(got, ProbEstimate.from_dense(row))
+        total_err += float(np.linalg.norm(row - dense))
+    assert err == total_err / max(n, 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.lists(
+    st.dictionaries(st.integers(0, m - 1), PROBS | st.floats(0.0, 1.0)), max_size=5))))
+def test_read_estimates_equal_pair_estimates(case):
+    m, lines = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "e.probs")
+        with open(path, "w", encoding="utf-8") as fh:
+            for pairs in lines:  # unsorted, written with repr so they read back exactly
+                fh.write(" ".join(f"{j}:{p!r}" for j, p in pairs.items()) + "\n")
+        got = read_estimates(path, m)
+    assert len(got) == len(lines)
+    for est, pairs in zip(got, lines):
+        assert_same_estimate(est, ProbEstimate.from_pairs(m, list(pairs.items())))
