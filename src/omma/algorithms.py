@@ -50,6 +50,12 @@ class LearnerConfig:
     refit_mode: str = "interval"       # "interval" or "cumulative"
     deterministic_mixture: bool = False
 
+    def __post_init__(self) -> None:
+        if self.sparse_k is not None and self.sparse_k < 1:
+            raise ValueError("the sparse top-k' size must be at least 1")
+        if self.fw_iterations < 1:
+            raise ValueError("need at least one Frank-Wolfe iteration")
+
     @property
     def budget(self) -> int | None:
         return self.metric.budget_k
@@ -127,6 +133,9 @@ class OmmaEtaLearner(OmmaLearner):
         self.state.update_semi(eta, pred)
 
 
+_UNIT_CELLS = np.eye(4).reshape(4, 2, 2)
+
+
 class GreedyLearner(OnlineLearner):
     """Maximizes the expected utility including the current instance.
 
@@ -149,15 +158,11 @@ class GreedyLearner(OnlineLearner):
 
     def _gain_table(self, eta_dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Expected per-label utility for predicting 0 vs 1 on this instance."""
-        S = self._label_blocks()
-        tnext = self.state.t + 1
-        vals = {}
-        for (u, v) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            upd = S.copy()
-            upd[:, u, v] += 1.0
-            vals[(u, v)] = self.metric.block_values(upd / tnext)
-        gain0 = eta_dense * vals[(1, 0)] + (1.0 - eta_dense) * vals[(0, 0)]
-        gain1 = eta_dense * vals[(1, 1)] + (1.0 - eta_dense) * vals[(0, 1)]
+        # the blocks after one more instance, one stack per cell tn, fp, fn, tp
+        nxt = (self._label_blocks()[None] + _UNIT_CELLS[:, None]) / (self.state.t + 1)
+        v_tn, v_fp, v_fn, v_tp = self.metric.block_values(nxt)
+        gain0 = eta_dense * v_fn + (1.0 - eta_dense) * v_tn
+        gain1 = eta_dense * v_tp + (1.0 - eta_dense) * v_fp
         return gain0, gain1
 
     def _predict(self, eta: ProbEstimate) -> Labels:
@@ -237,7 +242,7 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     k = budget or (1 if task.is_multiclass else 0)
     cbar = batch_counts(task, ref.sum(axis=0)[None] / n, np.full((1, m), k / m))
     tensors: list[np.ndarray] = []
-    weights: list[float] = []
+    weights = np.empty(iterations)
     for q in range(iterations):
         G = metric.gradient(cbar)
         if task.is_multiclass:
@@ -248,11 +253,10 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
         cq = batch_counts(task, ref, dec) / n
         gamma = 2.0 / (q + 2.0)
         cbar = (1.0 - gamma) * cbar + gamma * cq
-        for i in range(len(weights)):
-            weights[i] *= 1.0 - gamma
+        weights[:q] *= 1.0 - gamma
+        weights[q] = gamma
         tensors.append(G)
-        weights.append(gamma)
-    return MixtureClassifier(tensors, np.asarray(weights), final_cm=cbar)
+    return MixtureClassifier(tensors, weights, final_cm=cbar)
 
 
 class _MixtureLearner(OnlineLearner):

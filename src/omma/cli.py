@@ -18,14 +18,21 @@ import sys
 import numpy as np
 
 from . import dataio, evaluation
-from .algorithms import ALGORITHMS, LearnerConfig, UnsupportedMetricError
+from .algorithms import ALGORITHMS, LearnerConfig
 from .confusion import Task
 from .dataio import DataFormatError, InstanceStream, SynthModel
-from .metrics import Metric, list_metrics, parse_metric
+from .metrics import list_metrics, parse_metric
 
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for ``main`` to map; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -43,7 +50,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process; parsing does not change it."""
-    p = argparse.ArgumentParser(prog="omma", description=__doc__.splitlines()[0])
+    p = _Parser(prog="omma", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an online experiment")
@@ -103,13 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _metric_or_die(name: str, epsilon: float) -> Metric:
-    try:
-        return parse_metric(name, epsilon=epsilon)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _task_from_args(args) -> Task:
     return Task(args.task, args.m)
 
@@ -117,12 +117,9 @@ def _task_from_args(args) -> Task:
 def _model_from_args(args) -> SynthModel:
     if args.model:
         return dataio.parse_model_file(args.model)
-    try:
-        return SynthModel(task=_task_from_args(args), d=args.d, prior_low=args.prior_low,
-                          prior_high=args.prior_high, weight_scale=args.weight_scale,
-                          seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return SynthModel(task=_task_from_args(args), d=args.d, prior_low=args.prior_low,
+                      prior_high=args.prior_high, weight_scale=args.weight_scale,
+                      seed=args.seed)
 
 
 def _load_or_synth(args) -> InstanceStream:
@@ -141,7 +138,9 @@ def _load_or_synth(args) -> InstanceStream:
 
 def _map(fn, payloads: list, jobs: int) -> list:
     """``fn`` over the payloads, in a pool of ``jobs`` processes when jobs > 1."""
-    if jobs <= 1:
+    if jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
+    if jobs == 1:
         return [fn(p) for p in payloads]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, payloads))
@@ -159,7 +158,9 @@ def _regret_single(payload):
 
 
 def cmd_run(args) -> int:
-    metric = _metric_or_die(args.metric, args.epsilon)
+    if args.runs < 1:
+        raise ConfigError("--runs must be at least 1")
+    metric = parse_metric(args.metric, epsilon=args.epsilon)
     stream = _load_or_synth(args)
     if metric.averaging == "multiclass" and not stream.task.is_multiclass:
         raise ConfigError(f"{args.metric} needs a multiclass stream")
@@ -206,8 +207,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_adversarial(args) -> int:
-    if args.n % 6 != 0:
-        raise ConfigError("sequence length must be divisible by 6")
     report = evaluation.adversarial_run(args.alg, args.n, args.runs,
                                         seed=args.seed, lam=args.lam)
     payload = {
@@ -219,7 +218,7 @@ def cmd_adversarial(args) -> int:
         "max_regret": report.max_regret,
         "note": "optimal values are lower bounds, so regrets underestimate truth",
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -228,7 +227,7 @@ def cmd_adversarial(args) -> int:
 
 
 def cmd_regret(args) -> int:
-    metric = _metric_or_die(args.metric, args.epsilon)
+    metric = parse_metric(args.metric, epsilon=args.epsilon)
     try:
         n_grid = [int(tok) for tok in args.n_grid.split(",") if tok]
     except ValueError:
@@ -241,11 +240,8 @@ def cmd_regret(args) -> int:
     else:
         lam_grid = [args.lam if args.lam is not None else 0.0]
     model = _model_from_args(args)
-    try:
-        psi_star = evaluation.estimate_optimal(metric, model, method=args.opt_method,
-                                               n_opt=args.n_opt, seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    psi_star = evaluation.estimate_optimal(metric, model, method=args.opt_method,
+                                           n_opt=args.n_opt, seed=args.seed)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     print(f"psi_star={psi_star:.6g} ({args.opt_method})")
@@ -329,12 +325,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(_inject_config(list(argv)))
         return _COMMANDS[args.command](args)
-    except (ConfigError, UnsupportedMetricError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # DataFormatError is a ValueError, so it is caught first
     except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

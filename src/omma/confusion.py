@@ -16,6 +16,7 @@ weight ``lam / t`` after normalization at step ``t``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,6 +300,6 @@ def batch_counts(task: Task, ref: np.ndarray, dec: np.ndarray) -> np.ndarray:
 
 
 def init_state(task: Task, lam: float) -> ConfusionState:
-    if lam < 0:
-        raise ValueError("regularizer must be nonnegative")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("regularizer must be finite and nonnegative")
     return ConfusionState(task, lam, np.full(task.shape, float(lam)))

@@ -177,7 +177,10 @@ class SynthModel:
         """eta(x) for a batch of latent vectors x of shape (n, d)."""
         priors, w = self.params()
         logits = np.log(priors / (1.0 - priors))[None, :] + x @ w.T
-        eta = 1.0 / (1.0 + np.exp(-logits))
+        # exp overflows to inf for logits below about -709; 1 / (1 + inf) = 0
+        # is the exact limit of the sigmoid there
+        with np.errstate(over="ignore"):
+            eta = 1.0 / (1.0 + np.exp(-logits))
         if self.task.is_multiclass:
             eta = eta / eta.sum(axis=1, keepdims=True)
         return eta

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +26,9 @@ from .metrics import BINARY, MACRO, Metric, min_tn_tp
 class RunTrace:
     """Per-checkpoint running utility of one online run."""
 
-    config: dict
     checkpoints: list[tuple[int, float]]
     final_psi: float
     n: int
-    wall_seconds: float = 0.0
 
 
 @dataclass
@@ -55,7 +52,7 @@ class RunReport:
     def to_json(self) -> str:
         payload = dataclasses.asdict(self)
         payload["lambda"] = payload.pop("lam")
-        return json.dumps(payload, sort_keys=True) + "\n"
+        return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _steps(cfg: LearnerConfig, labels: list[Labels], estimates: list[ProbEstimate]):
@@ -77,22 +74,17 @@ def run_online(stream: InstanceStream, cfg: LearnerConfig,
     """Drive step/observe over the stream and record the running utility."""
     if len(stream) == 0:
         raise ValueError("empty stream")
+    if checkpoint_stride is not None and checkpoint_stride < 1:
+        raise ValueError("checkpoint stride must be at least 1")
     metric = cfg.metric
     eval_state = init_state(stream.task, 0.0)
     stride = checkpoint_stride or len(stream)
     checkpoints: list[tuple[int, float]] = []
-    started = time.perf_counter()
     for t, y, pred in _steps(cfg, stream.labels, stream.estimates):
         eval_state.update(y, pred)
         if t % stride == 0 or t == len(stream):
             checkpoints.append((t, metric.value(eval_state.normalized())))
-    final = checkpoints[-1][1]
-    config = {
-        "metric": metric.name, "algorithm": cfg.algorithm, "lambda": cfg.lam,
-        "epsilon": metric.epsilon, "seed": cfg.seed, "budget_k": metric.budget_k,
-    }
-    return RunTrace(config, checkpoints, final, len(stream),
-                    time.perf_counter() - started)
+    return RunTrace(checkpoints, checkpoints[-1][1], len(stream))
 
 
 # --- optimal-utility estimation
@@ -151,6 +143,8 @@ def estimate_optimal(metric: Metric, model: SynthModel, method: str = "both",
     """
     if method not in ("fw", "threshold-grid", "both"):
         raise ValueError(f"unknown estimation method: {method!r}")
+    if n_opt < 1:
+        raise ValueError("the optimum needs a sample of n_opt >= 1 instances")
     eta, _ = _latent_draw(model, n_opt, seed)
     values = []
     if method in ("threshold-grid", "both") and metric.averaging in (MACRO, BINARY) \
@@ -182,19 +176,19 @@ class RegretReport:
         return self.psi_final_std / math.sqrt(max(self.runs, 1))
 
 
-def _final_psi(stream: InstanceStream, cfg: LearnerConfig) -> float:
-    return run_online(stream, cfg).final_psi
-
-
 def measure_regret(metric: Metric, model: SynthModel, algorithm: str,
                    n_grid: list[int], runs: int, lam: float = 0.0,
-                   base_seed: int = 0, psi_star: float | None = None,
-                   exact_eta: bool = True) -> list[RegretReport]:
+                   base_seed: int = 0,
+                   psi_star: float | None = None) -> list[RegretReport]:
     """Empirical regret of an algorithm across sequence lengths.
 
     Streams carry exact conditionals (the estimation-error term vanishes), so
     the measured gap isolates the optimization part of the regret.
     """
+    if runs < 1:
+        raise ValueError("need at least one run")
+    if any(n < 1 for n in n_grid):
+        raise ValueError("every sequence length must be at least 1")
     if psi_star is None:
         psi_star = estimate_optimal(metric, model, seed=base_seed)
     reports = []
@@ -207,7 +201,7 @@ def measure_regret(metric: Metric, model: SynthModel, algorithm: str,
             stream = synth_generate(model, n, seed=stream_seed)
             cfg = LearnerConfig(algorithm=algorithm, task=model.task, metric=metric,
                                 lam=lam, seed=stream_seed)
-            finals.append(_final_psi(stream, cfg))
+            finals.append(run_online(stream, cfg).final_psi)
         finals = np.asarray(finals)
         mean = float(finals.mean())
         std = float(finals.std(ddof=1)) if runs > 1 else 0.0
@@ -247,8 +241,8 @@ class AdversarialReport:
 
 
 def adversarial_sequences(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n % 6 != 0:
-        raise ValueError("sequence length must be divisible by 6")
+    if n < 1 or n % 6 != 0:
+        raise ValueError("sequence length must be positive and divisible by 6")
     half = n // 2
     seq1 = np.full(n, 2.0 / 3.0)
     seq2 = np.concatenate([np.full(half, 2.0 / 3.0), np.full(half, 1.0 / 3.0)])
@@ -263,10 +257,12 @@ def opt_bounds(n: int) -> tuple[float, float]:
 def adversarial_run(algorithm: str, n: int, runs: int, seed: int = 0,
                     lam: float = 0.0) -> AdversarialReport:
     """Run the algorithm on both sequences with exact conditionals."""
+    if runs < 1:
+        raise ValueError("need at least one run")
+    seqs = adversarial_sequences(n)
     task = multilabel(1)
     metric = min_tn_tp()
     bounds = opt_bounds(n)
-    seqs = adversarial_sequences(n)
     means, stds, gaps, sigmas = [], [], [], []
     for s, eta_seq in enumerate(seqs):
         estimates = ProbEstimate.from_rows(eta_seq[:, None])
@@ -299,7 +295,7 @@ def adversarial_run(algorithm: str, n: int, runs: int, seed: int = 0,
         emp = np.mean([p[0] for p in pred_mass])
         exp = np.mean([p[1] for p in pred_mass])
         gaps.append(float(emp - exp))
-        sigmas.append(float(math.sqrt(np.mean(var_mass) / max(runs, 1))))
+        sigmas.append(float(math.sqrt(np.mean(var_mass) / runs)))
     regrets = (bounds[0] - means[0], bounds[1] - means[1])
     return AdversarialReport(
         n=n, runs=runs, algorithm=algorithm,
@@ -320,5 +316,6 @@ def emit_trace(trace: RunTrace, path) -> None:
 
 
 def emit_report(report: RunReport, path) -> None:
+    text = report.to_json()  # raises on NaN before the file is created
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.to_json())
+        fh.write(text)

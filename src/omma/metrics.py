@@ -16,6 +16,7 @@ checks exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,10 +346,10 @@ class Metric:
             raise ValueError(f"unknown metric base: {self.base!r}")
         if self.averaging == MULTICLASS_NATIVE and self.base not in _NATIVE_BASES:
             raise ValueError(f"{self.base} has no native multiclass form; use macro/micro")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError("epsilon must be finite and nonnegative")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError("beta must be finite and positive")
         if self.budget_k is not None and self.budget_k < 1:
             raise ValueError("budget must be a positive integer")
 

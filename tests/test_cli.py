@@ -217,8 +217,12 @@ def _report(tmp):
 RUN_M3 = ["run", "--metric", "macro-f1", "--alg", "omma", "--m", "3", "--n", "30",
           "--out", "{tmp}/o"]
 SYNTH_N3 = ["synth", "--out", "{tmp}/s", "--n", "3"]
+REGRET_M3 = ["regret", "--metric", "macro-f1", "--alg", "omma", "--n-grid", "20",
+             "--runs", "1", "--m", "3", "--n-opt", "100"]
 
 
+# warnings are errors, so a row that prints a numpy warning to stderr fails
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, code, error, check", [
     (["adversarial", "--n", "60", "--runs", "2", "--alg", "topk"], 2, "error: topk",
      None),
@@ -234,6 +238,39 @@ SYNTH_N3 = ["synth", "--out", "{tmp}/s", "--n", "3"]
     ([*SYNTH_N3, "--prior-low", "0.9", "--prior-high", "0.1"], 2, "error: priors", None),
     ([*SYNTH_N3, "--noise", "nan"], 2, "error: --noise must be", None),
     ([*SYNTH_N3, "--weight-scale", "nan"], 2, "error: weight scale must be finite", None),
+    # errors raised by the library (a flag given again later wins)
+    ([*RUN_M3, "--metric", "macro-f1@9", "--m", "5"], 2, "error: budget 9 exceeds", None),
+    ([*RUN_M3, "--lambda", "-1"], 2, "error: regularizer must be", None),
+    ([*RUN_M3, "--alg", "ofw", "--fw-iters", "0"], 2, "error: need at least one", None),
+    ([*RUN_M3, "--metric", "f1", "--m", "5"], 2, "error: binary averaging", None),
+    ([*RUN_M3, "--m", "-1", "--n", "10"], 2, "error: need at least one label", None),
+    ([*REGRET_M3, "--n-grid", "0"], 2, "error: every sequence length", None),
+    # argparse errors
+    (["run", "--alg", "omma", "--m", "3", "--n", "30", "--out", "{tmp}/o"], 2,
+     "error: the following arguments are required: --metric", None),
+    ([*RUN_M3, "--runs", "abc"], 2, "error: argument --runs: invalid int value", None),
+    # out-of-range counts and non-finite numbers
+    ([*RUN_M3, "--epsilon", "nan"], 2, "error: epsilon must be finite", None),
+    ([*RUN_M3, "--epsilon", "inf"], 2, "error: epsilon must be finite", None),
+    ([*RUN_M3, "--metric", "macro-fbeta:nan"], 2, "error: beta must be finite", None),
+    ([*RUN_M3, "--lambda", "nan"], 2, "error: regularizer must be finite", None),
+    ([*RUN_M3, "--lambda", "inf"], 2, "error: regularizer must be finite", None),
+    ([*RUN_M3, "--kprime", "0"], 2, "error: the sparse top-k' size", None),
+    ([*RUN_M3, "--fw-iters", "0"], 2, "error: need at least one Frank-Wolfe", None),
+    ([*RUN_M3, "--stride", "0"], 2, "error: checkpoint stride", None),
+    ([*RUN_M3, "--runs", "0"], 2, "error: --runs must be at least 1", None),
+    ([*RUN_M3, "--jobs", "0"], 2, "error: --jobs must be at least 1", None),
+    ([*RUN_M3, "--jobs", "-2"], 2, "error: --jobs must be at least 1", None),
+    ([*REGRET_M3, "--jobs", "0"], 2, "error: --jobs must be at least 1", None),
+    ([*REGRET_M3, "--runs", "0"], 2, "error: need at least one run", None),
+    ([*REGRET_M3, "--n-opt", "0"], 2, "error: the optimum needs", None),
+    (["adversarial", "--n", "0"], 2, "error: sequence length must be positive", None),
+    (["adversarial", "--n", "-6"], 2, "error: sequence length must be positive", None),
+    (["adversarial", "--n", "60", "--runs", "0"], 2, "error: need at least one run",
+     None),
+    # the sigmoid overflows to its exact limit without a warning
+    ([*SYNTH_N3, "--m", "3", "--task", "multiclass", "--weight-scale", "1e300"], 0,
+     None, lambda out, tmp: out.startswith("wrote 3 instances")),
 ])
 def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, check):
     (tmp_path / "exp.cfg").write_text("metric=macro-f1\nm=3\nn=30\nlambda=0.5\nruns=2\n")

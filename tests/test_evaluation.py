@@ -180,3 +180,14 @@ def test_emit_report_keys_sorted(tmp_path):
                                 "regret_hat"}
     emit_report(report, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_report_with_nan_is_not_serialized(tmp_path):
+    report = RunReport(metric="macro-f1", algorithm="omma", averaging="macro",
+                       budget_k=None, lam=0.0, epsilon=1e-9, seed=0, n=10,
+                       runs=1, psi_final_mean=float("nan"), psi_final_std=0.0)
+    with pytest.raises(ValueError):
+        report.to_json()
+    with pytest.raises(ValueError):
+        emit_report(report, tmp_path / "report.json")
+    assert not (tmp_path / "report.json").exists()
