@@ -24,7 +24,7 @@ import numpy as np
 
 from . import policy
 from .confusion import (Labels, ProbEstimate, Task, batch_counts, init_state,
-                        multiclass_to_multilabel)
+                        label_rows, multiclass_to_multilabel)
 from .metrics import BINARY, MACRO, Metric
 
 
@@ -292,7 +292,7 @@ class FrankWolfeLearner(_MixtureLearner):
         super().__init__(cfg)
         self.use_labels = use_labels
         self._est_rows: list[np.ndarray] = []
-        self._label_rows: list = []
+        self._labels: list[Labels] = []
         self._schedule = refit_thresholds(cfg.refit_mode)
         self._next_refit = next(self._schedule)
         self._fallback = _fallback_learner(cfg)
@@ -304,26 +304,20 @@ class FrankWolfeLearner(_MixtureLearner):
 
     def _update(self, y: Labels, eta: ProbEstimate, pred: Labels) -> None:
         self._est_rows.append(eta.dense())
-        if self.task.is_multiclass:
-            self._label_rows.append(y[0])
-        else:
-            row = np.zeros(self.task.m, dtype=bool)
-            row[list(y)] = True
-            self._label_rows.append(row)
+        self._labels.append(y)
         if len(self._est_rows) >= self._next_refit:
             self._refit()
             while self._next_refit <= len(self._est_rows):
                 self._next_refit = next(self._schedule)
 
     def _refit(self) -> None:
-        estimates = np.vstack(self._est_rows)
-        if self.task.is_multiclass:
-            labels = np.asarray(self._label_rows, dtype=np.int64)
-        else:
-            labels = np.vstack(self._label_rows)
-        self.mixture = fw_fit(estimates, labels if self.use_labels else None,
-                              self.task, self.metric, self.cfg.fw_iterations,
-                              self.use_labels)
+        labels = None
+        if self.use_labels and self.task.is_multiclass:
+            labels = np.array([y[0] for y in self._labels], dtype=np.int64)
+        elif self.use_labels:
+            labels = label_rows(self.task, self._labels)
+        self.mixture = fw_fit(np.vstack(self._est_rows), labels, self.task, self.metric,
+                              self.cfg.fw_iterations, self.use_labels)
 
 
 class OfflineFWLearner(_MixtureLearner):

@@ -136,10 +136,13 @@ def _load_or_synth(args) -> InstanceStream:
     return dataio.load_stream(args.labels, args.probs, _task_from_args(args))
 
 
-def _map(fn, payloads: list, jobs: int) -> list:
-    """``fn`` over the payloads, in a pool of ``jobs`` processes when jobs > 1."""
+def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ConfigError("--jobs must be at least 1")
+
+
+def _map(fn, payloads: list, jobs: int) -> list:
+    """``fn`` over the payloads, in a pool of ``jobs`` processes when jobs > 1."""
     if jobs == 1:
         return [fn(p) for p in payloads]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -160,6 +163,7 @@ def _regret_single(payload):
 def cmd_run(args) -> int:
     if args.runs < 1:
         raise ConfigError("--runs must be at least 1")
+    _check_jobs(args.jobs)
     metric = parse_metric(args.metric, epsilon=args.epsilon)
     stream = _load_or_synth(args)
     if metric.averaging == "multiclass" and not stream.task.is_multiclass:
@@ -232,11 +236,18 @@ def cmd_regret(args) -> int:
         n_grid = [int(tok) for tok in args.n_grid.split(",") if tok]
     except ValueError:
         raise ConfigError(f"bad --n-grid: {args.n_grid!r}") from None
+    if not n_grid:
+        raise ConfigError("--n-grid needs at least one sequence length")
+    # every count is checked before estimate_optimal runs
+    evaluation.check_regret_grid(n_grid, args.runs)
+    _check_jobs(args.jobs)
     if args.lambda_grid is not None:
         try:
             lam_grid = [float(tok) for tok in args.lambda_grid.split(",") if tok]
         except ValueError:
             raise ConfigError(f"bad --lambda-grid: {args.lambda_grid!r}") from None
+        if not lam_grid:
+            raise ConfigError("--lambda-grid needs at least one value")
     else:
         lam_grid = [args.lam if args.lam is not None else 0.0]
     model = _model_from_args(args)

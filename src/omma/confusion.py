@@ -282,11 +282,26 @@ class ConfusionState:
         return self.counts[indices] / max(self.t, 1)
 
 
+def label_rows(task: Task, labels: list[Labels]) -> np.ndarray:
+    """(n, m) float64 0/1 rows of n label tuples (one-hot for multiclass labels).
+
+    Predictions are label tuples too, so this builds both arguments of
+    :func:`batch_counts`.
+    """
+    rows = np.zeros((len(labels), task.m))
+    sizes = [len(y) for y in labels]
+    rows[np.repeat(np.arange(len(labels)), sizes),
+         [j for y in labels for j in y]] = 1.0
+    return rows
+
+
 def batch_counts(task: Task, ref: np.ndarray, dec: np.ndarray) -> np.ndarray:
     """Summed confusion of n reference rows against n decision rows, both (n, m).
 
     Reference rows hold 0/1 labels (one-hot for multiclass) or probabilities;
-    decision rows hold 0/1 predictions or prediction probabilities.
+    decision rows hold 0/1 predictions or prediction probabilities.  Sums of
+    0/1 rows are exact integers in float64, so they do not depend on how a
+    sequence of rows is split into batches.
     """
     if task.is_multiclass:
         return ref.T @ dec

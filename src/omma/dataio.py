@@ -176,13 +176,21 @@ class SynthModel:
     def conditionals(self, x: np.ndarray) -> np.ndarray:
         """eta(x) for a batch of latent vectors x of shape (n, d)."""
         priors, w = self.params()
-        logits = np.log(priors / (1.0 - priors))[None, :] + x @ w.T
-        # exp overflows to inf for logits below about -709; 1 / (1 + inf) = 0
-        # is the exact limit of the sigmoid there
-        with np.errstate(over="ignore"):
+        # a huge weight scale overflows x @ w.T to +-inf, and exp overflows to
+        # inf for logits below about -709; the sigmoid's exact limits there
+        # are 1 and 1 / (1 + inf) = 0.  Only inf - inf (a NaN logit) has none.
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = np.log(priors / (1.0 - priors))[None, :] + x @ w.T
             eta = 1.0 / (1.0 + np.exp(-logits))
+        if np.isnan(logits).any():
+            raise ValueError(f"weight scale too large: {self.weight_scale:g} "
+                             "gives an undefined logit (inf - inf)")
         if self.task.is_multiclass:
-            eta = eta / eta.sum(axis=1, keepdims=True)
+            totals = eta.sum(axis=1, keepdims=True)
+            if not totals.all():
+                raise ValueError(f"weight scale too large: {self.weight_scale:g} "
+                                 "underflows every class probability of an instance to 0")
+            eta = eta / totals
         return eta
 
 

@@ -1,10 +1,12 @@
 """Online protocol runner, optimal-utility estimation, regret measurement.
 
 Running utilities are always reported on the unregularized empirical confusion
-matrix (a parallel accumulator with zero regularizer), whatever the algorithm
-uses internally.  Regret is measured against the population-optimal utility,
-which upper-bounds any achievable expected empirical utility for concave
-metrics, so the reported regret is a conservative over-estimate.
+matrix, whatever the algorithm uses internally.  The run loop keeps the
+predictions; at every checkpoint it adds the exact batch count of the
+instances since the previous count (``confusion.batch_counts``) to its totals.
+Regret is measured against the population-optimal utility, which upper-bounds
+any achievable expected empirical utility for concave metrics, so the reported
+regret is a conservative over-estimate.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import LearnerConfig, OfflineFWLearner, fw_fit, make_learner
-from .confusion import Labels, ProbEstimate, Task, init_state, multilabel
+from .confusion import (Labels, ProbEstimate, Task, batch_counts, check_labels,
+                        label_rows, multilabel)
 from .dataio import InstanceStream, SynthModel, _latent_draw, synth_generate
 from .metrics import BINARY, MACRO, Metric, min_tn_tp
 
@@ -69,6 +72,11 @@ def _steps(cfg: LearnerConfig, labels: list[Labels], estimates: list[ProbEstimat
         yield t, y, pred
 
 
+# the most predictions a run holds before counting them, so that memory stays
+# bounded however far apart its checkpoints are
+_FLUSH = 1024
+
+
 def run_online(stream: InstanceStream, cfg: LearnerConfig,
                checkpoint_stride: int | None = None) -> RunTrace:
     """Drive step/observe over the stream and record the running utility."""
@@ -76,15 +84,25 @@ def run_online(stream: InstanceStream, cfg: LearnerConfig,
         raise ValueError("empty stream")
     if checkpoint_stride is not None and checkpoint_stride < 1:
         raise ValueError("checkpoint stride must be at least 1")
-    metric = cfg.metric
-    eval_state = init_state(stream.task, 0.0)
-    stride = checkpoint_stride or len(stream)
+    task, metric, n = stream.task, cfg.metric, len(stream)
+    stride = checkpoint_stride or n
+    counts = np.zeros(task.shape)
+    pending: list[Labels] = []  # predictions of instances start + 1 .. t
+    start = 0
     checkpoints: list[tuple[int, float]] = []
     for t, y, pred in _steps(cfg, stream.labels, stream.estimates):
-        eval_state.update(y, pred)
-        if t % stride == 0 or t == len(stream):
-            checkpoints.append((t, metric.value(eval_state.normalized())))
-    return RunTrace(checkpoints, checkpoints[-1][1], len(stream))
+        check_labels(task, y)
+        check_labels(task, pred, prediction=True)
+        pending.append(pred)
+        checkpoint = t % stride == 0 or t == n
+        if checkpoint or len(pending) == _FLUSH:
+            counts += batch_counts(task, label_rows(task, stream.labels[start:t]),
+                                   label_rows(task, pending))
+            pending.clear()
+            start = t
+        if checkpoint:
+            checkpoints.append((t, metric.value(counts / t)))
+    return RunTrace(checkpoints, checkpoints[-1][1], n)
 
 
 # --- optimal-utility estimation
@@ -176,6 +194,14 @@ class RegretReport:
         return self.psi_final_std / math.sqrt(max(self.runs, 1))
 
 
+def check_regret_grid(n_grid: list[int], runs: int) -> None:
+    """The counts :func:`measure_regret` needs: runs >= 1 and every n >= 1."""
+    if runs < 1:
+        raise ValueError("need at least one run")
+    if any(n < 1 for n in n_grid):
+        raise ValueError("every sequence length must be at least 1")
+
+
 def measure_regret(metric: Metric, model: SynthModel, algorithm: str,
                    n_grid: list[int], runs: int, lam: float = 0.0,
                    base_seed: int = 0,
@@ -185,10 +211,7 @@ def measure_regret(metric: Metric, model: SynthModel, algorithm: str,
     Streams carry exact conditionals (the estimation-error term vanishes), so
     the measured gap isolates the optimization part of the regret.
     """
-    if runs < 1:
-        raise ValueError("need at least one run")
-    if any(n < 1 for n in n_grid):
-        raise ValueError("every sequence length must be at least 1")
+    check_regret_grid(n_grid, runs)
     if psi_star is None:
         psi_star = estimate_optimal(metric, model, seed=base_seed)
     reports = []

@@ -271,6 +271,15 @@ REGRET_M3 = ["regret", "--metric", "macro-f1", "--alg", "omma", "--n-grid", "20"
     # the sigmoid overflows to its exact limit without a warning
     ([*SYNTH_N3, "--m", "3", "--task", "multiclass", "--weight-scale", "1e300"], 0,
      None, lambda out, tmp: out.startswith("wrote 3 instances")),
+    # so do the latent logits; only inf - inf and an all-zero class row have no limit
+    ([*SYNTH_N3, "--n", "50", "--m", "3", "--weight-scale", "1e308"], 0, None,
+     lambda out, tmp: out.startswith("wrote 50 instances")),
+    ([*SYNTH_N3, "--n", "50", "--m", "3", "--task", "multiclass", "--weight-scale",
+      "1e300"], 2, "error: weight scale too large: 1e+300 underflows", None),
+    ([*SYNTH_N3, "--n", "50", "--m", "3", "--task", "multiclass", "--weight-scale",
+      "1e308"], 2, "error: weight scale too large: 1e+308 underflows", None),
+    ([*SYNTH_N3, "--n", "50", "--m", "3", "--d", "2", "--seed", "1", "--weight-scale",
+      "1.7e308"], 2, "error: weight scale too large: 1.7e+308 gives an undefined", None),
 ])
 def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, check):
     (tmp_path / "exp.cfg").write_text("metric=macro-f1\nm=3\nn=30\nlambda=0.5\nruns=2\n")
@@ -280,3 +289,21 @@ def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, chec
         assert err == "" and check(out, tmp_path)
     else:
         assert err.startswith(error) and err.count("\n") == 1
+
+
+# the default --n-opt makes estimate_optimal take seconds: a count that is
+# checked only after it has run prints psi_star to stdout first
+@pytest.mark.parametrize("flags, error", [
+    (["--n-grid", "0"], "error: every sequence length"),
+    (["--n-grid", "20,-3"], "error: every sequence length"),
+    (["--n-grid", ","], "error: --n-grid needs at least one"),
+    (["--lambda-grid", ","], "error: --lambda-grid needs at least one"),
+    (["--runs", "0"], "error: need at least one run"),
+    (["--jobs", "0"], "error: --jobs must be at least 1"),
+])
+def test_regret_rejects_counts_before_any_work(capsys, flags, error):
+    code, out, err = run_cli(capsys, "regret", "--metric", "macro-f1", "--alg", "omma",
+                             "--n-grid", "20", "--runs", "1", "--m", "3", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(error) and err.count("\n") == 1

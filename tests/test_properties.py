@@ -1,19 +1,22 @@
-"""Property tests of the decision kernel, the two accumulation shapes and the
-batch-built estimate streams."""
+"""Property tests of the decision kernel, the two accumulation shapes, the
+batch-built estimate streams and the run loop's checkpoints."""
 
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from omma import policy
+from omma import evaluation, policy
+from omma.algorithms import (ALGORITHMS, LearnerConfig, OfflineFWLearner,
+                             UnsupportedMetricError, make_learner)
 from omma.confusion import (ProbEstimate, Task, batch_counts, expected_instance_confusion,
                             init_state, instance_confusion)
-from omma.dataio import (SynthModel, _latent_draw, perturb_estimates, read_estimates,
-                         synth_generate)
+from omma.dataio import (InstanceStream, SynthModel, _latent_draw, perturb_estimates,
+                         read_estimates, synth_generate)
+from omma.metrics import parse_metric
 
 # few distinct values, zero among them, so that ties and zero gains are common
 SCORES = st.sampled_from([-1.0, -0.25, 0.0, 0.0, 0.5, 1.0])
@@ -238,3 +241,106 @@ def test_read_estimates_equal_pair_estimates(case):
     assert len(got) == len(lines)
     for est, pairs in zip(got, lines):
         assert_same_estimate(est, ProbEstimate.from_pairs(m, list(pairs.items())))
+
+
+# --- the run loop's checkpoints against a per-step evaluation accumulator
+
+
+def reference_checkpoints(stream, cfg, stride):
+    """The online protocol with its own ``ConfusionState`` updated at every step."""
+    learner = make_learner(cfg)
+    if isinstance(learner, OfflineFWLearner):
+        learner.prefit(stream.estimates)
+    state = init_state(stream.task, 0.0)
+    n = len(stream)
+    checkpoints = []
+    for t, (y, eta) in enumerate(stream, start=1):
+        pred = learner.step(eta)
+        learner.observe(y)
+        state.update(y, pred)
+        if t % (stride or n) == 0 or t == n:
+            checkpoints.append((t, cfg.metric.value(state.normalized())))
+    return checkpoints
+
+
+def exact(checkpoints):
+    return [(t, float(psi).hex()) for t, psi in checkpoints]
+
+
+# metric bases that each task supports; the budget is drawn separately
+BASES = {"multilabel": ["macro-f1", "micro-gmean"], "multiclass": ["macro-f1", "mc-qmean"]}
+
+
+@st.composite
+def runs(draw, algorithms=ALGORITHMS, max_n=40):
+    """A synthetic stream and a learner configuration for it (n up to 40 covers
+    the first three Frank-Wolfe refits, at 10, 21 and 33 instances)."""
+    kind = draw(KINDS)
+    m = draw(st.integers(2, 5))
+    task = Task(kind, m)
+    n = draw(st.integers(1, max_n))
+    stream = synth_generate(SynthModel(task=task, seed=draw(st.integers(0, 99))), n,
+                            seed=draw(st.integers(0, 2**32 - 1)))
+    budget = draw(st.none() | st.integers(1, m))
+    name = draw(st.sampled_from(BASES[kind])) + (f"@{budget}" if budget else "")
+    cfg = LearnerConfig(algorithm=draw(st.sampled_from(algorithms)), task=task,
+                        metric=parse_metric(name), lam=draw(st.sampled_from([0.0, 1e-3])),
+                        seed=draw(st.integers(0, 99)), fw_iterations=3)
+    try:
+        make_learner(cfg)
+    except UnsupportedMetricError:
+        assume(False)
+    return stream, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs(), st.data())
+def test_checkpoints_equal_a_per_step_accumulator(run, data):
+    stream, cfg = run
+    stride = data.draw(st.none() | st.integers(1, len(stream) + 1))
+    got = evaluation.run_online(stream, cfg, stride)
+    want = reference_checkpoints(stream, cfg, stride)
+    assert exact(got.checkpoints) == exact(want)
+    assert float(got.final_psi).hex() == float(want[-1][1]).hex()
+    assert got.n == len(stream)
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs(algorithms=[a for a in ALGORITHMS if a != "offline-fw"]), st.data())
+def test_stream_prefix_gives_trace_prefix(run, data):
+    # offline-fw is fitted on the whole estimate sequence, so it is not causal
+    stream, cfg = run
+    k = data.draw(st.integers(1, len(stream)))
+    stride = data.draw(st.none() | st.integers(1, k + 1))
+    full = evaluation.run_online(stream, cfg, 1).checkpoints
+    prefix = InstanceStream(stream.task, stream.labels[:k], stream.estimates[:k])
+    got = evaluation.run_online(prefix, cfg, stride).checkpoints
+    assert exact(got) == exact([(t, psi) for t, psi in full[:k]
+                                if t % (stride or k) == 0 or t == k])
+
+
+@pytest.mark.parametrize("kind, alg, name, stride", [
+    ("multilabel", "omma", "macro-f1", None),
+    ("multiclass", "omma", "mc-qmean", None),
+    ("multilabel", "thresh05", "macro-f1", 1500),
+])
+def test_long_run_counts_in_bounded_batches(monkeypatch, kind, alg, name, stride):
+    n, flush = 2500, evaluation._FLUSH
+    task = Task(kind, 5)
+    stream = synth_generate(SynthModel(task=task, seed=7), n, seed=11)
+    cfg = LearnerConfig(algorithm=alg, task=task, metric=parse_metric(name), seed=3)
+    sizes = []
+
+    def counted(task, ref, dec):
+        sizes.append(len(ref))
+        return batch_counts(task, ref, dec)
+
+    monkeypatch.setattr(evaluation, "batch_counts", counted)
+    got = evaluation.run_online(stream, cfg, stride)
+    # the pending predictions are counted at every 1024th one and at checkpoints
+    if stride is None:
+        assert sizes == [flush, flush, n - 2 * flush]
+    else:
+        assert sizes == [flush, stride - flush, n - stride]
+    assert exact(got.checkpoints) == exact(reference_checkpoints(stream, cfg, stride))
+
