@@ -9,16 +9,15 @@ from .confusion import (ConfusionState, ProbEstimate, Task,
                         multilabel)
 from .dataio import InstanceStream, SynthModel, load_stream, perturb_estimates, \
     shuffle, synth_generate
-from .evaluation import (AdversarialReport, RegretReport, RunReport, RunTrace,
-                         adversarial_run, estimate_optimal, measure_regret,
-                         run_online)
+from .evaluation import (AdversarialReport, RunReport, RunTrace, adversarial_run,
+                         estimate_optimal, measure_regret, run_online)
 from .metrics import Metric, MetricInfo, list_metrics, lookup, parse_metric
 
 __all__ = [
     "ALGORITHMS", "AdversarialReport", "ConfusionState", "InstanceStream",
     "LearnerConfig", "Metric", "MetricInfo", "MixtureClassifier", "ProbEstimate",
-    "ProtocolError", "RegretReport", "RunReport", "RunTrace", "SynthModel",
-    "Task", "UnsupportedMetricError", "adversarial_run", "estimate_optimal",
+    "ProtocolError", "RunReport", "RunTrace", "SynthModel", "Task",
+    "UnsupportedMetricError", "adversarial_run", "estimate_optimal",
     "expected_instance_confusion", "fw_fit", "init_state", "instance_confusion",
     "list_metrics", "load_stream", "lookup", "make_learner", "measure_regret",
     "multiclass", "multiclass_to_multilabel", "multilabel", "parse_metric",

@@ -55,6 +55,8 @@ class LearnerConfig:
             raise ValueError("the sparse top-k' size must be at least 1")
         if self.fw_iterations < 1:
             raise ValueError("need at least one Frank-Wolfe iteration")
+        if self.budget is not None and self.budget > self.task.m:
+            raise ValueError(f"budget {self.budget} exceeds the {self.task.m} labels")
 
     @property
     def budget(self) -> int | None:
@@ -341,8 +343,7 @@ class TopKLearner(OnlineLearner):
         super().__init__(cfg)
         if cfg.budget is None and not cfg.task.is_multiclass:
             raise UnsupportedMetricError("topk needs a budget on multilabel tasks")
-        # a budget above m predicts every label
-        self.k = min(cfg.budget or 1, cfg.task.m)
+        self.k = cfg.budget or 1
 
     def _predict(self, eta: ProbEstimate) -> Labels:
         return policy.decide_one(eta.dense(), self.k)

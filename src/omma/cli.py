@@ -47,6 +47,31 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+# the flags of ``run`` by name; each name is also a ``--config`` key
+_RUN_FLAGS = {
+    "metric": dict(required=True),
+    "alg": dict(required=True, choices=ALGORITHMS),
+    "labels": {},
+    "probs": {},
+    "task": dict(choices=["multilabel", "multiclass"], default="multilabel"),
+    "m": dict(type=int, help="label count for file streams"),
+    "model": dict(help="synthetic model file instead of label/prob files"),
+    "n": dict(type=int, help="synthetic stream length"),
+    "out": dict(required=True),
+    "lambda": dict(dest="lam", type=float, default=0.0),
+    "epsilon": dict(type=float, default=1e-9),
+    "seed": dict(type=int, default=0),
+    "runs": dict(type=int, default=1),
+    "stride": dict(type=int, default=None),
+    "kprime": dict(type=int, default=None, help="sparse top-k' prediction path"),
+    "fw-iters": dict(type=int, default=100),
+    "schedule": dict(choices=["interval", "cumulative"], default="interval"),
+    "fw-deterministic": dict(action="store_true",
+                             help="always apply the last mixture component"),
+    "jobs": dict(type=int, default=1),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process; parsing does not change it."""
@@ -55,27 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an online experiment")
     run.add_argument("--config", help="flat key=value defaults; flags override")
-    run.add_argument("--metric", required=True)
-    run.add_argument("--alg", required=True, choices=ALGORITHMS)
-    run.add_argument("--labels")
-    run.add_argument("--probs")
-    run.add_argument("--task", choices=["multilabel", "multiclass"], default="multilabel")
-    run.add_argument("--m", type=int, help="label count for file streams")
-    run.add_argument("--model", help="synthetic model file instead of label/prob files")
-    run.add_argument("--n", type=int, help="synthetic stream length")
-    run.add_argument("--out", required=True)
-    run.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    run.add_argument("--epsilon", type=float, default=1e-9)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--runs", type=int, default=1)
-    run.add_argument("--stride", type=int, default=None)
-    run.add_argument("--kprime", type=int, default=None,
-                     help="sparse top-k' prediction path")
-    run.add_argument("--fw-iters", type=int, default=100)
-    run.add_argument("--schedule", choices=["interval", "cumulative"], default="interval")
-    run.add_argument("--fw-deterministic", action="store_true",
-                     help="always apply the last mixture component")
-    run.add_argument("--jobs", type=int, default=1)
+    for name, kwargs in _RUN_FLAGS.items():
+        run.add_argument("--" + name, **kwargs)
 
     synth = sub.add_parser("synth", help="write a synthetic stream to files")
     _add_model_flags(synth)
@@ -97,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--alg", required=True, choices=ALGORITHMS)
     reg.add_argument("--n-grid", required=True)
     reg.add_argument("--runs", type=int, default=20)
-    reg.add_argument("--lambda", dest="lam", type=float, default=None)
+    reg.add_argument("--lambda", dest="lam", type=float, default=0.0)
     reg.add_argument("--lambda-grid", default=None)
     reg.add_argument("--epsilon", type=float, default=1e-9)
     reg.add_argument("--opt-method", choices=["fw", "threshold-grid", "both"],
@@ -110,14 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _task_from_args(args) -> Task:
-    return Task(args.task, args.m)
-
-
 def _model_from_args(args) -> SynthModel:
     if args.model:
         return dataio.parse_model_file(args.model)
-    return SynthModel(task=_task_from_args(args), d=args.d, prior_low=args.prior_low,
+    return SynthModel(task=Task(args.task, args.m), d=args.d, prior_low=args.prior_low,
                       prior_high=args.prior_high, weight_scale=args.weight_scale,
                       seed=args.seed)
 
@@ -127,13 +129,13 @@ def _load_or_synth(args) -> InstanceStream:
         if not (args.model and args.n) and not (args.n and args.m):
             raise ConfigError("synthetic runs need --model (or --m) and --n")
         model = (dataio.parse_model_file(args.model) if args.model
-                 else SynthModel(task=_task_from_args(args), seed=args.seed))
+                 else SynthModel(task=Task(args.task, args.m), seed=args.seed))
         return dataio.synth_generate(model, args.n, seed=args.seed)
     if not (args.labels and args.probs):
         raise ConfigError("provide --labels and --probs, or --model/--m with --n")
     if not args.m:
         raise ConfigError("file streams need --m (label count)")
-    return dataio.load_stream(args.labels, args.probs, _task_from_args(args))
+    return dataio.load_stream(args.labels, args.probs, Task(args.task, args.m))
 
 
 def _check_jobs(jobs: int) -> None:
@@ -141,23 +143,18 @@ def _check_jobs(jobs: int) -> None:
         raise ConfigError("--jobs must be at least 1")
 
 
-def _map(fn, payloads: list, jobs: int) -> list:
-    """``fn`` over the payloads, in a pool of ``jobs`` processes when jobs > 1."""
+# floating-point errors a command raises instead of printing a numpy warning
+_FP_ERRORS = dict(divide="raise", over="raise", invalid="raise")
+
+
+def _map(fn, *iterables, jobs: int) -> list:
+    """``map(fn, *iterables)`` as a list, in a pool of ``jobs`` processes when
+    jobs > 1; the workers raise the same floating-point errors as ``main``."""
     if jobs == 1:
-        return [fn(p) for p in payloads]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, payloads))
-
-
-def _run_single(payload):
-    stream, cfg, stride = payload
-    return evaluation.run_online(stream, cfg, stride)
-
-
-def _regret_single(payload):
-    metric, model, alg, n_grid, runs, lam, seed, psi_star = payload
-    return evaluation.measure_regret(metric, model, alg, n_grid, runs, lam=lam,
-                                     base_seed=seed, psi_star=psi_star)
+        return list(map(fn, *iterables))
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, initializer=functools.partial(np.seterr, **_FP_ERRORS)) as pool:
+        return list(pool.map(fn, *iterables))
 
 
 def cmd_run(args) -> int:
@@ -168,26 +165,25 @@ def cmd_run(args) -> int:
     stream = _load_or_synth(args)
     if metric.averaging == "multiclass" and not stream.task.is_multiclass:
         raise ConfigError(f"{args.metric} needs a multiclass stream")
-    os.makedirs(args.out, exist_ok=True)
-    jobs = []
-    for r in range(args.runs):
-        shuffled = dataio.shuffle(stream, args.seed + r)
-        cfg = LearnerConfig(algorithm=args.alg, task=stream.task, metric=metric,
-                            lam=args.lam, seed=args.seed + r, sparse_k=args.kprime,
-                            fw_iterations=args.fw_iters, refit_mode=args.schedule,
-                            deterministic_mixture=args.fw_deterministic)
-        jobs.append((shuffled, cfg, args.stride))
-    traces = _map(_run_single, jobs, args.jobs)
-    finals = np.array([t.final_psi for t in traces])
-    for r, trace in enumerate(traces):
-        evaluation.emit_trace(trace, os.path.join(args.out, f"trace-run{r}.csv"))
+    seeds = range(args.seed, args.seed + args.runs)
+    cfgs = [LearnerConfig(algorithm=args.alg, task=stream.task, metric=metric,
+                          lam=args.lam, seed=seed, sparse_k=args.kprime,
+                          fw_iterations=args.fw_iters, refit_mode=args.schedule,
+                          deterministic_mixture=args.fw_deterministic)
+            for seed in seeds]
+    traces = _map(evaluation.run_online, [dataio.shuffle(stream, seed) for seed in seeds],
+                  cfgs, [args.stride] * args.runs, jobs=args.jobs)
+    mean, std = evaluation.mean_std([t.final_psi for t in traces])
     report = evaluation.RunReport(
         metric=metric.name, algorithm=args.alg, averaging=metric.averaging,
         budget_k=metric.budget_k, lam=args.lam, epsilon=metric.epsilon,
         seed=args.seed, n=len(stream), runs=args.runs,
-        psi_final_mean=float(finals.mean()),
-        psi_final_std=float(finals.std(ddof=1)) if args.runs > 1 else 0.0)
+        psi_final_mean=mean, psi_final_std=std)
+    # runs first, then the report, which rejects NaN: a failed run writes no file
+    os.makedirs(args.out, exist_ok=True)
     evaluation.emit_report(report, os.path.join(args.out, "report.json"))
+    for r, trace in enumerate(traces):
+        evaluation.emit_trace(trace, os.path.join(args.out, f"trace-run{r}.csv"))
     print(f"wrote {args.runs} trace(s) and report.json to {args.out}")
     print(f"psi_final_mean={report.psi_final_mean:.6g}")
     return 0
@@ -215,13 +211,11 @@ def cmd_adversarial(args) -> int:
                                         seed=args.seed, lam=args.lam)
     payload = {
         "algorithm": report.algorithm, "n": report.n, "runs": report.runs,
-        "psi_mean_seq1": report.psi_mean[0], "psi_mean_seq2": report.psi_mean[1],
-        "psi_std_seq1": report.psi_std[0], "psi_std_seq2": report.psi_std[1],
-        "opt_bound_seq1": report.opt_bound[0], "opt_bound_seq2": report.opt_bound[1],
-        "regret_seq1": report.regret[0], "regret_seq2": report.regret[1],
         "max_regret": report.max_regret,
         "note": "optimal values are lower bounds, so regrets underestimate truth",
     }
+    for key in ("psi_mean", "psi_std", "opt_bound", "regret"):
+        payload[f"{key}_seq1"], payload[f"{key}_seq2"] = getattr(report, key)
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -230,26 +224,25 @@ def cmd_adversarial(args) -> int:
     return 0
 
 
+def _grid(flag: str, text: str, convert) -> list:
+    """The comma-separated values of a grid flag; at least one is required."""
+    try:
+        values = [convert(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ConfigError(f"bad {flag}: {text!r}") from None
+    if not values:
+        raise ConfigError(f"{flag} needs at least one value")
+    return values
+
+
 def cmd_regret(args) -> int:
     metric = parse_metric(args.metric, epsilon=args.epsilon)
-    try:
-        n_grid = [int(tok) for tok in args.n_grid.split(",") if tok]
-    except ValueError:
-        raise ConfigError(f"bad --n-grid: {args.n_grid!r}") from None
-    if not n_grid:
-        raise ConfigError("--n-grid needs at least one sequence length")
+    n_grid = _grid("--n-grid", args.n_grid, int)
     # every count is checked before estimate_optimal runs
     evaluation.check_regret_grid(n_grid, args.runs)
     _check_jobs(args.jobs)
-    if args.lambda_grid is not None:
-        try:
-            lam_grid = [float(tok) for tok in args.lambda_grid.split(",") if tok]
-        except ValueError:
-            raise ConfigError(f"bad --lambda-grid: {args.lambda_grid!r}") from None
-        if not lam_grid:
-            raise ConfigError("--lambda-grid needs at least one value")
-    else:
-        lam_grid = [args.lam if args.lam is not None else 0.0]
+    lam_grid = ([args.lam] if args.lambda_grid is None
+                else _grid("--lambda-grid", args.lambda_grid, float))
     model = _model_from_args(args)
     psi_star = evaluation.estimate_optimal(metric, model, method=args.opt_method,
                                            n_opt=args.n_opt, seed=args.seed)
@@ -257,23 +250,17 @@ def cmd_regret(args) -> int:
         os.makedirs(args.out, exist_ok=True)
     print(f"psi_star={psi_star:.6g} ({args.opt_method})")
     print("lambda,n,psi_mean,psi_std,regret_hat,regret*n/ln(n)")
-    payloads = [(metric, model, args.alg, n_grid, args.runs, lam, args.seed, psi_star)
-                for lam in lam_grid]
-    per_lam = _map(_regret_single, payloads, args.jobs)
-    for lam, reports in zip(lam_grid, per_lam):
+    regret = functools.partial(evaluation.measure_regret, metric, model, args.alg,
+                               n_grid, args.runs, base_seed=args.seed, psi_star=psi_star)
+    for reports in _map(regret, lam_grid, jobs=args.jobs):
         for rep in reports:
-            print(f"{lam:g},{rep.n},{rep.psi_final_mean:.6g},{rep.psi_final_std:.6g},"
-                  f"{rep.regret_hat:.6g},{rep.trend_ratio:.6g}")
+            # the decay law: regret * n / ln n stays bounded for O(ln n / n) regret
+            trend = rep.regret_hat * rep.n / math.log(rep.n) if rep.n > 1 else float("nan")
+            print(f"{rep.lam:g},{rep.n},{rep.psi_final_mean:.6g},{rep.psi_final_std:.6g},"
+                  f"{rep.regret_hat:.6g},{trend:.6g}")
             if args.out:
-                out = evaluation.RunReport(
-                    metric=metric.name, algorithm=args.alg,
-                    averaging=metric.averaging, budget_k=metric.budget_k,
-                    lam=lam, epsilon=metric.epsilon, seed=args.seed, n=rep.n,
-                    runs=rep.runs, psi_final_mean=rep.psi_final_mean,
-                    psi_final_std=rep.psi_final_std, psi_star=rep.psi_star,
-                    regret_hat=rep.regret_hat)
                 evaluation.emit_report(
-                    out, os.path.join(args.out, f"report-lam{lam:g}-n{rep.n}.json"))
+                    rep, os.path.join(args.out, f"report-lam{rep.lam:g}-n{rep.n}.json"))
     return 0
 
 
@@ -292,11 +279,6 @@ _COMMANDS = {
     "regret": cmd_regret,
     "metrics": cmd_metrics,
 }
-
-
-_CONFIG_KEYS = ("metric", "alg", "labels", "probs", "task", "m", "model", "n",
-                "out", "lambda", "epsilon", "seed", "runs", "stride", "kprime",
-                "fw-iters", "schedule", "fw-deterministic", "jobs")
 
 
 def _inject_config(argv: list[str]) -> list[str]:
@@ -320,11 +302,11 @@ def _inject_config(argv: list[str]) -> list[str]:
                 continue
             key, sep, val = line.partition("=")
             key, val = key.strip().replace("_", "-"), val.strip()
-            if not sep or key not in _CONFIG_KEYS:
+            if not sep or key not in _RUN_FLAGS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key == "fw-deterministic":
+            if _RUN_FLAGS[key].get("action") == "store_true":
                 if val.lower() in ("1", "true", "yes"):
-                    injected.append("--fw-deterministic")
+                    injected.append("--" + key)
             else:
                 injected.extend(["--" + key, val])
     return argv[:1] + injected + argv[1:]
@@ -335,12 +317,13 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = _build_parser().parse_args(_inject_config(list(argv)))
-        return _COMMANDS[args.command](args)
+        with np.errstate(**_FP_ERRORS):
+            return _COMMANDS[args.command](args)
     # DataFormatError is a ValueError, so it is caught first
     except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -176,11 +176,16 @@ class SynthModel:
     def conditionals(self, x: np.ndarray) -> np.ndarray:
         """eta(x) for a batch of latent vectors x of shape (n, d)."""
         priors, w = self.params()
+        n, m = len(x), len(w)
+        # with one row on either side x @ w.T would take numpy's matrix-vector
+        # path, which rounds differently: pad to two rows so that a stream's
+        # conditionals stay an exact prefix of a longer stream's
+        x2, w2 = (np.pad(a, ((0, 2 - len(a)), (0, 0))) if len(a) < 2 else a for a in (x, w))
         # a huge weight scale overflows x @ w.T to +-inf, and exp overflows to
         # inf for logits below about -709; the sigmoid's exact limits there
         # are 1 and 1 / (1 + inf) = 0.  Only inf - inf (a NaN logit) has none.
         with np.errstate(over="ignore", invalid="ignore"):
-            logits = np.log(priors / (1.0 - priors))[None, :] + x @ w.T
+            logits = np.log(priors / (1.0 - priors))[None, :] + (x2 @ w2.T)[:n, :m]
             eta = 1.0 / (1.0 + np.exp(-logits))
         if np.isnan(logits).any():
             raise ValueError(f"weight scale too large: {self.weight_scale:g} "

@@ -4,9 +4,11 @@ Running utilities are always reported on the unregularized empirical confusion
 matrix, whatever the algorithm uses internally.  The run loop keeps the
 predictions; at every checkpoint it adds the exact batch count of the
 instances since the previous count (``confusion.batch_counts``) to its totals.
-Regret is measured against the population-optimal utility, which upper-bounds
-any achievable expected empirical utility for concave metrics, so the reported
-regret is a conservative over-estimate.
+Checkpoints are a stride or any set of t values, so one run of a causal
+learner scores every length of a regret grid.  Regret is measured against the
+population-optimal utility, which upper-bounds any achievable expected
+empirical utility for concave metrics, so the reported regret is a
+conservative over-estimate.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +60,15 @@ class RunReport:
         payload["lambda"] = payload.pop("lam")
         return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
+    def standard_error(self) -> float:
+        return self.psi_final_std / math.sqrt(max(self.runs, 1))
+
+
+def mean_std(values) -> tuple[float, float]:
+    """Mean and sample standard deviation of per-run values (0 for one run)."""
+    values = np.asarray(values, dtype=float)
+    return float(values.mean()), float(values.std(ddof=1)) if len(values) > 1 else 0.0
+
 
 def _steps(cfg: LearnerConfig, labels: list[Labels], estimates: list[ProbEstimate]):
     """The online protocol: yield (t, y, prediction) for every instance in turn.
@@ -78,14 +90,22 @@ _FLUSH = 1024
 
 
 def run_online(stream: InstanceStream, cfg: LearnerConfig,
-               checkpoint_stride: int | None = None) -> RunTrace:
-    """Drive step/observe over the stream and record the running utility."""
+               checkpoints: int | Collection[int] | None = None) -> RunTrace:
+    """Drive step/observe over the stream and record the running utility.
+
+    ``checkpoints`` is a stride (every t it divides) or a collection of t
+    values in 1..n; the last instance is always a checkpoint.
+    """
     if len(stream) == 0:
         raise ValueError("empty stream")
-    if checkpoint_stride is not None and checkpoint_stride < 1:
-        raise ValueError("checkpoint stride must be at least 1")
     task, metric, n = stream.task, cfg.metric, len(stream)
-    stride = checkpoint_stride or n
+    if isinstance(checkpoints, int):
+        if checkpoints < 1:
+            raise ValueError("checkpoint stride must be at least 1")
+        checkpoints = range(checkpoints, n + 1, checkpoints)
+    marks = {*(checkpoints or ()), n}
+    if not all(1 <= t <= n for t in marks):
+        raise ValueError(f"checkpoints must lie in 1..{n}")
     counts = np.zeros(task.shape)
     pending: list[Labels] = []  # predictions of instances start + 1 .. t
     start = 0
@@ -94,7 +114,7 @@ def run_online(stream: InstanceStream, cfg: LearnerConfig,
         check_labels(task, y)
         check_labels(task, pred, prediction=True)
         pending.append(pred)
-        checkpoint = t % stride == 0 or t == n
+        checkpoint = t in marks
         if checkpoint or len(pending) == _FLUSH:
             counts += batch_counts(task, label_rows(task, stream.labels[start:t]),
                                    label_rows(task, pending))
@@ -178,22 +198,6 @@ def estimate_optimal(metric: Metric, model: SynthModel, method: str = "both",
 # --- regret measurement
 
 
-@dataclass
-class RegretReport:
-    metric: str
-    algorithm: str
-    n: int
-    runs: int
-    psi_star: float
-    psi_final_mean: float
-    psi_final_std: float
-    regret_hat: float
-    trend_ratio: float  # regret_hat * n / ln n, for inspecting the decay law
-
-    def standard_error(self) -> float:
-        return self.psi_final_std / math.sqrt(max(self.runs, 1))
-
-
 def check_regret_grid(n_grid: list[int], runs: int) -> None:
     """The counts :func:`measure_regret` needs: runs >= 1 and every n >= 1."""
     if runs < 1:
@@ -205,8 +209,9 @@ def check_regret_grid(n_grid: list[int], runs: int) -> None:
 def measure_regret(metric: Metric, model: SynthModel, algorithm: str,
                    n_grid: list[int], runs: int, lam: float = 0.0,
                    base_seed: int = 0,
-                   psi_star: float | None = None) -> list[RegretReport]:
-    """Empirical regret of an algorithm across sequence lengths.
+                   psi_star: float | None = None) -> list[RunReport]:
+    """Empirical regret of an algorithm across sequence lengths, one report per
+    entry of ``n_grid`` in its order.
 
     Streams carry exact conditionals (the estimation-error term vanishes), so
     the measured gap isolates the optimization part of the regret.
@@ -214,24 +219,29 @@ def measure_regret(metric: Metric, model: SynthModel, algorithm: str,
     check_regret_grid(n_grid, runs)
     if psi_star is None:
         psi_star = estimate_optimal(metric, model, seed=base_seed)
+    # seeds depend on the run index only, so a run's stream at one n is a
+    # prefix of its stream at every longer n.  A causal learner's psi at t
+    # reads instances 1..t only, so one run at the longest n scores every n;
+    # offline-fw is fitted on the whole sequence and needs a run per n.
+    passes = ([(n, [n]) for n in set(n_grid)] if algorithm == "offline-fw"
+              else [(max(n_grid), n_grid)])
+    finals: dict[int, list[float]] = {n: [] for n in n_grid}
+    for r in range(runs):
+        stream_seed = int(np.random.SeedSequence([base_seed, r]).generate_state(1)[0])
+        cfg = LearnerConfig(algorithm=algorithm, task=model.task, metric=metric,
+                            lam=lam, seed=stream_seed)
+        for length, marks in passes:
+            stream = synth_generate(model, length, seed=stream_seed)
+            for t, psi in run_online(stream, cfg, marks).checkpoints:
+                finals[t].append(psi)
     reports = []
     for n in n_grid:
-        finals = []
-        for r in range(runs):
-            # seeds depend on the run index only, so runs at different n share
-            # stream prefixes and their utilities pair up across the grid
-            stream_seed = int(np.random.SeedSequence([base_seed, r]).generate_state(1)[0])
-            stream = synth_generate(model, n, seed=stream_seed)
-            cfg = LearnerConfig(algorithm=algorithm, task=model.task, metric=metric,
-                                lam=lam, seed=stream_seed)
-            finals.append(run_online(stream, cfg).final_psi)
-        finals = np.asarray(finals)
-        mean = float(finals.mean())
-        std = float(finals.std(ddof=1)) if runs > 1 else 0.0
-        regret = psi_star - mean
-        reports.append(RegretReport(metric.name, algorithm, n, runs, psi_star,
-                                    mean, std, regret,
-                                    regret * n / math.log(n) if n > 1 else float("nan")))
+        mean, std = mean_std(finals[n])
+        reports.append(RunReport(
+            metric=metric.name, algorithm=algorithm, averaging=metric.averaging,
+            budget_k=metric.budget_k, lam=lam, epsilon=metric.epsilon, seed=base_seed,
+            n=n, runs=runs, psi_final_mean=mean, psi_final_std=std, psi_star=psi_star,
+            regret_hat=psi_star - mean))
     return reports
 
 
@@ -286,7 +296,8 @@ def adversarial_run(algorithm: str, n: int, runs: int, seed: int = 0,
     task = multilabel(1)
     metric = min_tn_tp()
     bounds = opt_bounds(n)
-    means, stds, gaps, sigmas = [], [], [], []
+    # driven by _steps, not run_online: the c11 sums read every decision
+    stats, gaps, sigmas = [], [], []
     for s, eta_seq in enumerate(seqs):
         estimates = ProbEstimate.from_rows(eta_seq[:, None])
         psis = []
@@ -312,17 +323,15 @@ def adversarial_run(algorithm: str, n: int, runs: int, seed: int = 0,
             psis.append(min(tp, tn) / n)
             pred_mass.append((tp / n, swe / n))
             var_mass.append(svar / n**2)
-        psis = np.asarray(psis)
-        means.append(float(psis.mean()))
-        stds.append(float(psis.std(ddof=1)) if runs > 1 else 0.0)
+        stats.append(mean_std(psis))
         emp = np.mean([p[0] for p in pred_mass])
         exp = np.mean([p[1] for p in pred_mass])
         gaps.append(float(emp - exp))
         sigmas.append(float(math.sqrt(np.mean(var_mass) / runs)))
+    means, stds = zip(*stats)
     regrets = (bounds[0] - means[0], bounds[1] - means[1])
     return AdversarialReport(
-        n=n, runs=runs, algorithm=algorithm,
-        psi_mean=(means[0], means[1]), psi_std=(stds[0], stds[1]),
+        n=n, runs=runs, algorithm=algorithm, psi_mean=means, psi_std=stds,
         opt_bound=bounds, regret=regrets, max_regret=max(regrets),
         c11_gap=(gaps[0], gaps[1]), c11_sigma=(sigmas[0], sigmas[1]))
 

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from omma.cli import main
+from omma.cli import _build_parser, _inject_config, main
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +281,16 @@ REGRET_M3 = ["regret", "--metric", "macro-f1", "--alg", "omma", "--n-grid", "20"
       "1e308"], 2, "error: weight scale too large: 1e+308 underflows", None),
     ([*SYNTH_N3, "--n", "50", "--m", "3", "--d", "2", "--seed", "1", "--weight-scale",
       "1.7e308"], 2, "error: weight scale too large: 1.7e+308 gives an undefined", None),
+    # 0 / 0 raises in the command and in pool workers alike
+    ([*RUN_M3, "--metric", "macro-precision", "--epsilon", "0"], 2,
+     "error: invalid value encountered in divide", None),
+    ([*RUN_M3, "--metric", "macro-precision", "--epsilon", "0", "--runs", "2", "--jobs",
+      "2"], 2, "error: invalid value encountered in divide", None),
+    ([*REGRET_M3, "--metric", "macro-precision", "--epsilon", "0"], 2,
+     "error: invalid value encountered in divide", None),
+    # a budget above m is rejected for every algorithm, topk included
+    ([*RUN_M3, "--metric", "macro-f1@9", "--alg", "topk", "--m", "5"], 2,
+     "error: budget 9 exceeds", None),
 ])
 def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, check):
     (tmp_path / "exp.cfg").write_text("metric=macro-f1\nm=3\nn=30\nlambda=0.5\nruns=2\n")
@@ -307,3 +318,28 @@ def test_regret_rejects_counts_before_any_work(capsys, flags, error):
     assert code == 2
     assert out == ""
     assert err.startswith(error) and err.count("\n") == 1
+
+
+def test_failed_run_writes_no_file(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "run", "--metric", "macro-precision", "--alg", "omma",
+                           "--m", "3", "--n", "30", "--epsilon", "0",
+                           "--out", str(tmp_path / "o"))
+    assert code == 2 and err.count("\n") == 1
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+def test_every_run_flag_is_a_config_key(tmp_path, capsys):
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = [opt for action in sub.choices["run"]._actions for opt in action.option_strings
+             if opt.startswith("--") and opt not in ("--help", "--config")]
+    assert {"--metric", "--lambda", "--fw-deterministic", "--jobs"} <= set(flags)
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{flag[2:]}=1\n" for flag in flags))
+    argv = _inject_config(["run", f"--config={cfg}"])
+    assert all(flag in argv for flag in flags)
+    (tmp_path / "help.cfg").write_text("help=1\n")
+    code, out, err = run_cli(capsys, "run", f"--config={tmp_path / 'help.cfg'}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "unknown config key 'help'" in err
+    assert err.count("\n") == 1

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from omma import evaluation
 from omma.algorithms import LearnerConfig
 from omma.confusion import init_state, multilabel
 from omma.dataio import SynthModel, synth_generate
@@ -191,3 +192,37 @@ def test_report_with_nan_is_not_serialized(tmp_path):
     with pytest.raises(ValueError):
         emit_report(report, tmp_path / "report.json")
     assert not (tmp_path / "report.json").exists()
+
+
+def test_run_online_checkpoint_set_equals_stride():
+    stream = _stream(n=30)
+    cfg = LearnerConfig("omma", stream.task, parse_metric("macro-f1"))
+    by_stride = run_online(stream, cfg, 7)
+    assert [t for t, _ in by_stride.checkpoints] == [7, 14, 21, 28, 30]
+    # any order, repeats allowed; the last instance is added
+    assert run_online(stream, cfg, [28, 7, 21, 14, 7]) == by_stride
+    assert run_online(stream, cfg, (30,)) == run_online(stream, cfg)
+    for bad in ([0], [31], [5, -1]):
+        with pytest.raises(ValueError, match=r"checkpoints must lie in 1\.\.30"):
+            run_online(stream, cfg, bad)
+
+
+@pytest.mark.parametrize("alg", ["omma", "ofw", "offline-fw"])
+def test_measure_regret_runs_each_run_index_once(monkeypatch, alg):
+    calls = []
+
+    def counted(stream, cfg, checkpoints=None):
+        trace = run_online(stream, cfg, checkpoints)
+        calls.append(trace.n)
+        return trace
+
+    monkeypatch.setattr(evaluation, "run_online", counted)
+    grid = [40, 10, 40, 25]
+    reports = measure_regret(parse_metric("macro-f1"), SynthModel(task=multilabel(3), seed=5),
+                             alg, grid, runs=3, psi_star=0.5)
+    assert [r.n for r in reports] == grid
+    if alg == "offline-fw":
+        # fitted on the whole sequence, so every distinct length is its own run
+        assert sorted(calls) == sorted([10, 25, 40] * 3)
+    else:
+        assert calls == [40] * 3

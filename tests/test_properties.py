@@ -344,3 +344,69 @@ def test_long_run_counts_in_bounded_batches(monkeypatch, kind, alg, name, stride
         assert sizes == [flush, stride - flush, n - stride]
     assert exact(got.checkpoints) == exact(reference_checkpoints(stream, cfg, stride))
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(KINDS, st.integers(0, 16), st.integers(1, 40), st.data())
+def test_shorter_stream_is_a_prefix(kind, d, n, data):
+    # a one-row or one-column latent product once took numpy's matrix-vector
+    # path and rounded differently from the same rows of a longer stream
+    m = data.draw(st.integers(2 if kind == "multiclass" else 1, 6))
+    k = data.draw(st.integers(1, n))
+    model = SynthModel(task=Task(kind, m), d=d, seed=data.draw(st.integers(0, 2**32 - 1)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    short, full = synth_generate(model, k, seed=seed), synth_generate(model, n, seed=seed)
+    assert short.labels == full.labels[:k]
+    for got, want in zip(short.truth, full.truth[:k]):
+        assert_same_estimate(got, want)
+
+
+def reference_regret(metric, model, algorithm, n_grid, runs, lam, base_seed, psi_star):
+    """(n, mean, std, regret) from one fresh run per grid length and run index."""
+    rows = []
+    for n in n_grid:
+        finals = []
+        for r in range(runs):
+            seed = int(np.random.SeedSequence([base_seed, r]).generate_state(1)[0])
+            cfg = LearnerConfig(algorithm=algorithm, task=model.task, metric=metric,
+                                lam=lam, seed=seed)
+            stream = synth_generate(model, n, seed=seed)
+            finals.append(evaluation.run_online(stream, cfg).final_psi)
+        finals = np.asarray(finals)
+        mean = float(finals.mean())
+        std = float(finals.std(ddof=1)) if runs > 1 else 0.0
+        rows.append((n, mean.hex(), std.hex(), (psi_star - mean).hex()))
+    return rows
+
+
+@st.composite
+def regret_cases(draw):
+    """measure_regret's arguments; grids are unsorted and may repeat a length."""
+    kind = draw(KINDS)
+    m = draw(st.integers(2 if kind == "multiclass" else 1, 4))
+    task = Task(kind, m)
+    budget = draw(st.none() | st.integers(1, m))
+    metric = parse_metric(draw(st.sampled_from(BASES[kind])) + (f"@{budget}" if budget else ""))
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    try:
+        make_learner(LearnerConfig(algorithm=algorithm, task=task, metric=metric))
+    except UnsupportedMetricError:
+        assume(False)
+    model = SynthModel(task=task, seed=draw(st.integers(0, 99)))
+    return (metric, model, algorithm, draw(st.lists(st.integers(1, 30), min_size=1, max_size=4)),
+            draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 1e-3])), draw(st.integers(0, 99)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(regret_cases())
+def test_regret_equals_one_run_per_length(case):
+    metric, model, algorithm, n_grid, runs, lam, base_seed = case
+    reports = evaluation.measure_regret(metric, model, algorithm, n_grid, runs, lam=lam,
+                                        base_seed=base_seed, psi_star=0.5)
+    assert [(r.n, r.psi_final_mean.hex(), r.psi_final_std.hex(), r.regret_hat.hex())
+            for r in reports] == reference_regret(metric, model, algorithm, n_grid, runs,
+                                                  lam, base_seed, 0.5)
+    for r in reports:
+        assert (r.metric, r.algorithm, r.averaging, r.budget_k, r.epsilon) == (
+            metric.name, algorithm, metric.averaging, metric.budget_k, metric.epsilon)
+        assert (r.lam, r.seed, r.runs, r.psi_star) == (lam, base_seed, runs, 0.5)
