@@ -116,13 +116,17 @@ class OmmaLearner(OnlineLearner):
     def _predict(self, eta: ProbEstimate) -> Labels:
         if self.cfg.sparse_k is not None:
             return self._predict_sparse(eta)
-        return self._decide(self.metric.gradient(self.state.normalized()), eta)
+        if self.task.is_multiclass:
+            return self._decide(self.metric.gradient(self.state.normalized()), eta)
+        # multilabel: (alpha, beta) straight from the metric, no gradient tensor
+        coeffs = self.metric.coefficients(self.state.normalized(), self.task.m)
+        return policy.decide_multilabel(policy.gains(coeffs, eta), self.cfg.budget)
 
     def _predict_sparse(self, eta: ProbEstimate) -> Labels:
         est = eta.top(self.cfg.sparse_k)
         blocks = self.state.normalized_blocks(est.indices)
-        G = self.metric.block_gradient(blocks, self.task.m)
-        return policy.decide_sparse(policy.cost_coefficients(G), est, self.cfg.budget)
+        coeffs = self.metric.coefficients(blocks, self.task.m)
+        return policy.decide_sparse(coeffs, est, self.cfg.budget)
 
     def _update(self, y: Labels, eta: ProbEstimate, pred: Labels) -> None:
         self.state.update(y, pred)

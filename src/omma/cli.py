@@ -143,17 +143,13 @@ def _check_jobs(jobs: int) -> None:
         raise ConfigError("--jobs must be at least 1")
 
 
-# floating-point errors a command raises instead of printing a numpy warning
-_FP_ERRORS = dict(divide="raise", over="raise", invalid="raise")
-
-
 def _map(fn, *iterables, jobs: int) -> list:
     """``map(fn, *iterables)`` as a list, in a pool of ``jobs`` processes when
     jobs > 1; the workers raise the same floating-point errors as ``main``."""
     if jobs == 1:
         return list(map(fn, *iterables))
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, initializer=functools.partial(np.seterr, **_FP_ERRORS)) as pool:
+    init = functools.partial(np.seterr, **evaluation.FP_ERRORS)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, initializer=init) as pool:
         return list(pool.map(fn, *iterables))
 
 
@@ -317,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = _build_parser().parse_args(_inject_config(list(argv)))
-        with np.errstate(**_FP_ERRORS):
+        with np.errstate(**evaluation.FP_ERRORS):
             return _COMMANDS[args.command](args)
     # DataFormatError is a ValueError, so it is caught first
     except (DataFormatError, OSError) as exc:

@@ -235,6 +235,8 @@ class ConfusionState:
     def __post_init__(self) -> None:
         # the per-instance add writes through a flat view of the counts
         self.counts = np.ascontiguousarray(self.counts, dtype=np.float64)
+        # flat index of every multilabel tn cell [j, 0, 0]
+        self._tn_cells = np.arange(0, 4 * self.task.m, 4)
 
     def update(self, y: Labels, yhat: Labels) -> None:
         """Fold in one observed (label, prediction) pair."""
@@ -265,7 +267,7 @@ class ConfusionState:
             pred = np.zeros(self.task.m, dtype=np.intp)
             pred.put(yhat, 1)
             # flat index of cell [j, 0, pred_j]; cell [j, 1, pred_j] is 2 further on
-            cells = np.arange(0, 4 * self.task.m, 4) + pred
+            cells = self._tn_cells + pred
             flat = self.counts.reshape(-1)
             flat[cells] += 1.0 - ref
             flat[cells + 2] += ref

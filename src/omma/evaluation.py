@@ -84,17 +84,24 @@ def _steps(cfg: LearnerConfig, labels: list[Labels], estimates: list[ProbEstimat
         yield t, y, pred
 
 
+# floating-point errors a run raises instead of printing a numpy warning and
+# scoring NaN; ``cli.main`` and its pool workers use the same state
+FP_ERRORS = dict(divide="raise", over="raise", invalid="raise")
+
+
 # the most predictions a run holds before counting them, so that memory stays
 # bounded however far apart its checkpoints are
 _FLUSH = 1024
 
 
+@np.errstate(**FP_ERRORS)
 def run_online(stream: InstanceStream, cfg: LearnerConfig,
                checkpoints: int | Collection[int] | None = None) -> RunTrace:
     """Drive step/observe over the stream and record the running utility.
 
     ``checkpoints`` is a stride (every t it divides) or a collection of t
-    values in 1..n; the last instance is always a checkpoint.
+    values in 1..n; the last instance is always a checkpoint.  A division by
+    zero, overflow or invalid value raises ``FloatingPointError``.
     """
     if len(stream) == 0:
         raise ValueError("empty stream")
@@ -287,6 +294,7 @@ def opt_bounds(n: int) -> tuple[float, float]:
     return 2.0 / 9.0 - slack, 1.0 / 3.0 - slack
 
 
+@np.errstate(**FP_ERRORS)
 def adversarial_run(algorithm: str, n: int, runs: int, seed: int = 0,
                     lam: float = 0.0) -> AdversarialReport:
     """Run the algorithm on both sequences with exact conditionals."""

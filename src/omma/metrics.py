@@ -6,6 +6,14 @@ averaging (mean of per-block values) and micro averaging (value of the mean
 block).  A handful of metrics additionally have native ``(m, m)`` multiclass
 forms built from per-class recalls.
 
+Each binary base has a value function and a gradient function; the gradient
+function returns the four partials ``(dtn, dfp, dfn, dtp)`` per block, a
+structural zero as the scalar 0.0.  :meth:`Metric.gradient` packs them into the
+gradient tensor (divided by m for macro and micro averaging), and
+:meth:`Metric.coefficients` forms the multilabel rule's per-label ``alpha =
+dtp + dtn - dfp - dfn`` and ``beta = dtn - dfp`` from them directly, bit for
+bit equal to ``policy.cost_coefficients`` of the tensor.
+
 All denominators are stabilized by adding ``epsilon``, and the ratio factors of
 the mean-family metrics (G/H/Q-mean) are stabilized as ``(num + eps) /
 (den + eps)`` so values and gradients stay finite on every nonnegative matrix,
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +53,25 @@ def _pack(dtn, dfp, dfn, dtp, shape):
     return out
 
 
+class CostCoefficients(NamedTuple):
+    """Per-label weights of the multilabel rule: predict j when alpha_j eta_j >= beta_j."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+
+
+def _coefficients(dtn, dfp, dfn, dtp, k: int) -> CostCoefficients:
+    """(alpha, beta) of k labels from the four partials; a scalar is shared by all."""
+    alpha = dtp + dtn - dfp - dfn
+    beta = dtn - dfp
+    # python floats have no ndim; numpy scalars and 0-d arrays have ndim 0
+    if getattr(alpha, "ndim", 0) == 0:
+        alpha = np.full(k, alpha)
+    if getattr(beta, "ndim", 0) == 0:
+        beta = np.full(k, beta)
+    return CostCoefficients(alpha, beta)
+
+
 def _safe_div(num, den):
     """num / den with 0/0 -> 0 (used only where num vanishes with den)."""
     den = np.asarray(den, dtype=np.float64)
@@ -54,7 +82,8 @@ def _safe_div(num, den):
     return num / den
 
 
-# --- binary bases: value(blocks) and gradient(blocks), vectorized over leading axes
+# --- binary bases: value(blocks) and the gradient's four partials (dtn, dfp,
+# dfn, dtp), vectorized over leading axes; a structural zero is a scalar 0.0
 
 
 def _acc_v(blocks, eps, beta):
@@ -63,10 +92,7 @@ def _acc_v(blocks, eps, beta):
 
 
 def _acc_g(blocks, eps, beta):
-    tn, fp, fn, tp = _cells(blocks)
-    one = np.ones_like(tp)
-    zero = np.zeros_like(tp)
-    return _pack(one, zero, zero, one, blocks.shape)
+    return 1.0, 0.0, 0.0, 1.0
 
 
 def _bacc_v(blocks, eps, beta):
@@ -76,10 +102,9 @@ def _bacc_v(blocks, eps, beta):
 
 def _bacc_g(blocks, eps, beta):
     tn, fp, fn, tp = _cells(blocks)
-    d1 = 2.0 * (tp + fn) + eps
-    d2 = 2.0 * (tn + fp) + eps
-    return _pack((2.0 * fp + eps) / d2**2, -2.0 * tn / d2**2,
-                 -2.0 * tp / d1**2, (2.0 * fn + eps) / d1**2, blocks.shape)
+    d1 = (2.0 * (tp + fn) + eps) ** 2
+    d2 = (2.0 * (tn + fp) + eps) ** 2
+    return (2.0 * fp + eps) / d2, -2.0 * tn / d2, -2.0 * tp / d1, (2.0 * fn + eps) / d1
 
 
 def _recall_v(blocks, eps, beta):
@@ -89,9 +114,8 @@ def _recall_v(blocks, eps, beta):
 
 def _recall_g(blocks, eps, beta):
     tn, fp, fn, tp = _cells(blocks)
-    d = tp + fn + eps
-    zero = np.zeros_like(tp)
-    return _pack(zero, zero, -tp / d**2, (fn + eps) / d**2, blocks.shape)
+    d2 = (tp + fn + eps) ** 2
+    return 0.0, 0.0, -tp / d2, (fn + eps) / d2
 
 
 def _precision_v(blocks, eps, beta):
@@ -101,9 +125,8 @@ def _precision_v(blocks, eps, beta):
 
 def _precision_g(blocks, eps, beta):
     tn, fp, fn, tp = _cells(blocks)
-    d = tp + fp + eps
-    zero = np.zeros_like(tp)
-    return _pack(zero, -tp / d**2, zero, (fp + eps) / d**2, blocks.shape)
+    d2 = (tp + fp + eps) ** 2
+    return 0.0, -tp / d2, 0.0, (fp + eps) / d2
 
 
 def _fbeta_v(blocks, eps, beta):
@@ -115,10 +138,10 @@ def _fbeta_v(blocks, eps, beta):
 def _fbeta_g(blocks, eps, beta):
     tn, fp, fn, tp = _cells(blocks)
     b2 = beta * beta
-    d = (1.0 + b2) * tp + b2 * fn + fp + eps
-    zero = np.zeros_like(tp)
-    return _pack(zero, -(1.0 + b2) * tp / d**2, -(1.0 + b2) * b2 * tp / d**2,
-                 (1.0 + b2) * (b2 * fn + fp + eps) / d**2, blocks.shape)
+    b2fn = b2 * fn
+    d2 = ((1.0 + b2) * tp + b2fn + fp + eps) ** 2
+    return (0.0, -(1.0 + b2) * tp / d2, -(1.0 + b2) * b2 * tp / d2,
+            (1.0 + b2) * (b2fn + fp + eps) / d2)
 
 
 def _jaccard_v(blocks, eps, beta):
@@ -128,9 +151,9 @@ def _jaccard_v(blocks, eps, beta):
 
 def _jaccard_g(blocks, eps, beta):
     tn, fp, fn, tp = _cells(blocks)
-    d = tp + fp + fn + eps
-    zero = np.zeros_like(tp)
-    return _pack(zero, -tp / d**2, -tp / d**2, (fp + fn + eps) / d**2, blocks.shape)
+    d2 = (tp + fp + fn + eps) ** 2
+    dfp = -tp / d2
+    return 0.0, dfp, dfp, (fp + fn + eps) / d2
 
 
 def _rates(blocks, eps):
@@ -141,19 +164,25 @@ def _rates(blocks, eps):
     return (tp + eps) / dp, (tn + eps) / dn, dp, dn
 
 
+def _rate_partials(blocks, eps, dv_drp, dv_drn, dp, dn):
+    """Chain dv/drp and dv/drn through the two stabilized rates to the cells."""
+    tn, fp, fn, tp = _cells(blocks)
+    dp2 = dp**2
+    dn2 = dn**2
+    return (dv_drn * fp / dn2, dv_drn * (-(tn + eps)) / dn2,
+            dv_drp * (-(tp + eps)) / dp2, dv_drp * fn / dp2)
+
+
 def _gmean_v(blocks, eps, beta):
     rp, rn, _, _ = _rates(blocks, eps)
     return np.sqrt(rp * rn)
 
 
 def _gmean_g(blocks, eps, beta):
-    tn, fp, fn, tp = _cells(blocks)
     rp, rn, dp, dn = _rates(blocks, eps)
     v = np.sqrt(rp * rn)
-    dv_drp = _safe_div(rn, 2.0 * v)
-    dv_drn = _safe_div(rp, 2.0 * v)
-    return _pack(dv_drn * fp / dn**2, dv_drn * (-(tn + eps)) / dn**2,
-                 dv_drp * (-(tp + eps)) / dp**2, dv_drp * fn / dp**2, blocks.shape)
+    return _rate_partials(blocks, eps, _safe_div(rn, 2.0 * v), _safe_div(rp, 2.0 * v),
+                          dp, dn)
 
 
 def _hmean_v(blocks, eps, beta):
@@ -162,13 +191,9 @@ def _hmean_v(blocks, eps, beta):
 
 
 def _hmean_g(blocks, eps, beta):
-    tn, fp, fn, tp = _cells(blocks)
     rp, rn, dp, dn = _rates(blocks, eps)
-    s = rp + rn
-    dv_drp = 2.0 * rn**2 / s**2
-    dv_drn = 2.0 * rp**2 / s**2
-    return _pack(dv_drn * fp / dn**2, dv_drn * (-(tn + eps)) / dn**2,
-                 dv_drp * (-(tp + eps)) / dp**2, dv_drp * fn / dp**2, blocks.shape)
+    s2 = (rp + rn) ** 2
+    return _rate_partials(blocks, eps, 2.0 * rn**2 / s2, 2.0 * rp**2 / s2, dp, dn)
 
 
 def _qmean_v(blocks, eps, beta):
@@ -177,13 +202,10 @@ def _qmean_v(blocks, eps, beta):
 
 
 def _qmean_g(blocks, eps, beta):
-    tn, fp, fn, tp = _cells(blocks)
     rp, rn, dp, dn = _rates(blocks, eps)
     root = np.sqrt(0.5 * ((1.0 - rp) ** 2 + (1.0 - rn) ** 2))
-    dv_drp = _safe_div(0.5 * (1.0 - rp), root)
-    dv_drn = _safe_div(0.5 * (1.0 - rn), root)
-    return _pack(dv_drn * fp / dn**2, dv_drn * (-(tn + eps)) / dn**2,
-                 dv_drp * (-(tp + eps)) / dp**2, dv_drp * fn / dp**2, blocks.shape)
+    return _rate_partials(blocks, eps, _safe_div(0.5 * (1.0 - rp), root),
+                          _safe_div(0.5 * (1.0 - rn), root), dp, dn)
 
 
 def _matthews_v(blocks, eps, beta):
@@ -204,7 +226,7 @@ def _matthews_g(blocks, eps, beta):
     dtn = _safe_div(tp, den) - 0.5 * v * (1.0 / f3 + 1.0 / f4)
     dfp = _safe_div(-fn, den) - 0.5 * v * (1.0 / f1 + 1.0 / f3)
     dfn = _safe_div(-fp, den) - 0.5 * v * (1.0 / f2 + 1.0 / f4)
-    return _pack(dtn, dfp, dfn, dtp, blocks.shape)
+    return dtn, dfp, dfn, dtp
 
 
 _TIE_WIDTH = 1e-12
@@ -221,8 +243,7 @@ def _min_tn_tp_g(blocks, eps, beta):
     tie = np.abs(tn - tp) <= _TIE_WIDTH
     dtn = np.where(tie, 0.5, (tn < tp).astype(float))
     dtp = np.where(tie, 0.5, (tp < tn).astype(float))
-    zero = np.zeros_like(tn)
-    return _pack(dtn, zero, zero, dtp, blocks.shape)
+    return dtn, 0.0, 0.0, dtp
 
 
 _BINARY_BASES = {
@@ -392,12 +413,12 @@ class Metric:
         gfn = _BINARY_BASES[self.base][1]
         m = blocks.shape[0]
         if self.averaging == MICRO:
-            Gt = np.broadcast_to(gfn(blocks.mean(axis=0), self.epsilon, self.beta) / m,
-                                 blocks.shape).copy()
+            Gt = np.broadcast_to(_pack(*gfn(blocks.mean(axis=0), self.epsilon, self.beta),
+                                       (2, 2)) / m, blocks.shape).copy()
         elif self.averaging == MACRO:
-            Gt = gfn(blocks, self.epsilon, self.beta) / m
+            Gt = _pack(*gfn(blocks, self.epsilon, self.beta), blocks.shape) / m
         else:
-            Gt = gfn(blocks, self.epsilon, self.beta)
+            Gt = _pack(*gfn(blocks, self.epsilon, self.beta), blocks.shape)
         if C.ndim == 2 and self.averaging != BINARY:
             return _tensor_grad_to_matrix(Gt)
         if C.ndim == 2:
@@ -405,15 +426,38 @@ class Metric:
         return Gt
 
     def block_gradient(self, blocks: np.ndarray, m: int) -> np.ndarray:
-        """Gradient of selected per-label blocks (macro/binary), incl. the 1/m factor.
-
-        Used by the sparse prediction path, which only materializes the blocks
-        of labels in the estimate's support.
-        """
+        """Gradient of selected per-label blocks (macro/binary), incl. the 1/m factor."""
         if self.averaging not in (MACRO, BINARY):
             raise ValueError("per-block gradients exist only for macro/binary averaging")
         scale = m if self.averaging == MACRO else 1
-        return _BINARY_BASES[self.base][1](blocks, self.epsilon, self.beta) / scale
+        return _pack(*_BINARY_BASES[self.base][1](blocks, self.epsilon, self.beta),
+                     blocks.shape) / scale
+
+    def coefficients(self, blocks: np.ndarray, m: int) -> CostCoefficients:
+        """Per-label (alpha, beta) of the multilabel rule at normalized blocks.
+
+        ``blocks`` is a (k, 2, 2) float array of the blocks of k of the m
+        labels (all m for micro averaging, m = 1 for binary).  The result
+        equals ``cost_coefficients`` of the gradient's rows for those labels
+        bit for bit, without building the gradient tensor: each partial is
+        divided by m on its own (macro and micro), then combined.
+        """
+        gfn = _BINARY_BASES[self.base][1]
+        # the same division as by the int m, without numpy's int-scalar path
+        scale = float(m)
+        if self.averaging == MACRO:
+            parts = [p / scale for p in gfn(blocks, self.epsilon, self.beta)]
+        elif self.averaging == MICRO:
+            if blocks.shape[0] != m:
+                raise ValueError("micro averaging needs the blocks of all m labels")
+            parts = [p / scale for p in gfn(blocks.mean(axis=0), self.epsilon, self.beta)]
+        elif self.averaging == BINARY:
+            if m != 1:
+                raise ValueError("binary averaging expects a single block")
+            parts = gfn(blocks, self.epsilon, self.beta)
+        else:
+            raise ValueError("native multiclass metrics have no per-label coefficients")
+        return _coefficients(*parts, blocks.shape[0])
 
     def block_values(self, blocks: np.ndarray) -> np.ndarray:
         """Base-formula values of individual blocks, without the macro 1/m factor."""

@@ -11,26 +11,22 @@ positive.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .confusion import Labels, ProbEstimate
-
-
-class CostCoefficients(NamedTuple):
-    alpha: np.ndarray
-    beta: np.ndarray
+from .metrics import CostCoefficients, _coefficients
 
 
 def cost_coefficients(G: np.ndarray) -> CostCoefficients:
-    """Per-label (alpha, beta) from a multilabel gradient tensor."""
+    """Per-label (alpha, beta) from a multilabel gradient tensor.
+
+    ``Metric.coefficients`` forms the same pair from the metric's partials
+    without the tensor; this form serves callers that hold a tensor.
+    """
     G = np.asarray(G, dtype=np.float64)
     if G.ndim != 3 or G.shape[1:] != (2, 2):
         raise ValueError("expected an (m, 2, 2) gradient tensor")
-    alpha = G[:, 1, 1] + G[:, 0, 0] - G[:, 0, 1] - G[:, 1, 0]
-    beta = G[:, 0, 0] - G[:, 0, 1]
-    return CostCoefficients(alpha, beta)
+    return _coefficients(G[:, 0, 0], G[:, 0, 1], G[:, 1, 0], G[:, 1, 1], G.shape[0])
 
 
 def gains(coeffs: CostCoefficients, eta: ProbEstimate | np.ndarray) -> np.ndarray:

@@ -157,6 +157,34 @@ def test_run_online_empty_stream():
         run_online(stream, LearnerConfig("omma", stream.task, parse_metric("macro-f1")))
 
 
+def test_run_online_raises_floating_point_errors():
+    """Epsilon 0 divides 0 by 0 at the first checkpoint; the run raises instead
+    of warning and scoring NaN, and leaves the caller's error state alone."""
+    stream = _stream(m=3, n=30)
+    cfg = LearnerConfig("omma", stream.task, parse_metric("macro-precision", epsilon=0.0))
+    before = np.geterr()
+    with pytest.raises(FloatingPointError):
+        run_online(stream, cfg, 10)
+    assert np.geterr() == before
+
+
+def test_runs_step_under_raising_floating_point_errors(monkeypatch):
+    seen = []
+
+    def steps(*args):
+        seen.append(np.geterr())
+        yield from original(*args)
+
+    original = evaluation._steps
+    monkeypatch.setattr(evaluation, "_steps", steps)
+    stream = _stream(m=2, n=12)
+    run_online(stream, LearnerConfig("omma", stream.task, parse_metric("macro-f1")))
+    adversarial_run("omma", 6, 1)
+    raising = {key: "raise" for key in ("divide", "over", "invalid")}
+    assert len(seen) == 3
+    assert all(state.items() >= raising.items() for state in seen)
+
+
 def test_run_online_offline_fw_prefits():
     stream = _stream(n=60)
     metric = parse_metric("macro-f1")

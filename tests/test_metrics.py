@@ -257,3 +257,19 @@ def test_value_shape_mismatch():
     binary = parse_metric("f1")
     with pytest.raises(ValueError):
         binary.value(np.zeros((3, 2, 2)))
+
+
+def test_coefficients_reject_what_has_no_per_label_rule():
+    with pytest.raises(ValueError, match="native"):
+        parse_metric("mc-gmean").coefficients(np.zeros((3, 2, 2)), 3)
+    with pytest.raises(ValueError, match="single block"):
+        parse_metric("f1").coefficients(np.zeros((1, 2, 2)), 3)
+    with pytest.raises(ValueError, match="all m labels"):
+        parse_metric("micro-f1").coefficients(np.zeros((2, 2, 2)), 3)
+
+
+def test_constant_partials_broadcast_to_every_label():
+    alpha, beta = parse_metric("macro-accuracy").coefficients(np.ones((4, 2, 2)), 4)
+    assert np.array_equal(alpha, np.full(4, 0.5)) and np.array_equal(beta, np.full(4, 0.25))
+    alpha, beta = parse_metric("macro-recall").coefficients(np.ones((3, 2, 2)), 3)
+    assert alpha.shape == beta.shape == (3,) and np.array_equal(beta, np.zeros(3))

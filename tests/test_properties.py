@@ -1,5 +1,6 @@
 """Property tests of the decision kernel, the two accumulation shapes, the
-batch-built estimate streams and the run loop's checkpoints."""
+batch-built estimate streams, the run loop's checkpoints and the per-label
+coefficients of the multilabel rule."""
 
 import os
 import tempfile
@@ -16,7 +17,7 @@ from omma.confusion import (ProbEstimate, Task, batch_counts, expected_instance_
                             init_state, instance_confusion)
 from omma.dataio import (InstanceStream, SynthModel, _latent_draw, perturb_estimates,
                          read_estimates, synth_generate)
-from omma.metrics import parse_metric
+from omma.metrics import BINARY, MACRO, MULTICLASS_NATIVE, list_metrics, parse_metric
 
 # few distinct values, zero among them, so that ties and zero gains are common
 SCORES = st.sampled_from([-1.0, -0.25, 0.0, 0.0, 0.5, 1.0])
@@ -410,3 +411,106 @@ def test_regret_equals_one_run_per_length(case):
         assert (r.metric, r.algorithm, r.averaging, r.budget_k, r.epsilon) == (
             metric.name, algorithm, metric.averaging, metric.budget_k, metric.epsilon)
         assert (r.lam, r.seed, r.runs, r.psi_star) == (lam, base_seed, runs, 0.5)
+
+
+# --- per-label coefficients: fused, tensor and sparse forms, and finiteness
+
+NON_NATIVE = [i.name for i in list_metrics() if i.averaging != MULTICLASS_NATIVE]
+PER_LABEL = [i.name for i in list_metrics() if i.averaging in (BINARY, MACRO)]
+# entry magnitudes: zero, tiny, ordinary and large counts side by side
+MAGNITUDES = np.array([0.0, 1e-300, 1e-12, 1.0, 1e6])
+
+
+@st.composite
+def metric_blocks(draw, name):
+    """The named metric and an (m, 2, 2) nonnegative matrix mixing entry magnitudes."""
+    metric = parse_metric(name, epsilon=draw(st.sampled_from([1e-9, 1e-3, 0.5])))
+    m = 1 if metric.averaging == BINARY else draw(st.integers(1, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    C = rng.random((m, 2, 2)) * rng.choice(MAGNITUDES, size=(m, 2, 2))
+    return metric, C
+
+
+def same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def tensor_coefficients(G):
+    """(alpha, beta) of a gradient tensor, written out as the reference."""
+    return G[:, 1, 1] + G[:, 0, 0] - G[:, 0, 1] - G[:, 1, 0], G[:, 0, 0] - G[:, 0, 1]
+
+
+@pytest.mark.parametrize("name", NON_NATIVE)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fused_coefficients_equal_the_gradient_tensor_form(name, data):
+    metric, C = data.draw(metric_blocks(name))
+    G = metric.gradient(C)
+    alpha, beta = tensor_coefficients(G)
+    for coeffs in (metric.coefficients(C, C.shape[0]), policy.cost_coefficients(G)):
+        assert same_bits(coeffs.alpha, alpha)
+        assert same_bits(coeffs.beta, beta)
+
+
+@pytest.mark.parametrize("name", PER_LABEL)
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_block_gradient_and_coefficients_on_a_support(name, data):
+    metric, C = data.draw(metric_blocks(name))
+    m = C.shape[0]
+    support = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1)))), dtype=np.int64)
+    G = metric.gradient(C)
+    assert same_bits(metric.block_gradient(C[support], m), G[support])
+    dense = metric.coefficients(C, m)
+    sparse = metric.coefficients(C[support], m)
+    assert same_bits(sparse.alpha, dense.alpha[support])
+    assert same_bits(sparse.beta, dense.beta[support])
+@st.composite
+def sparse_cases(draw):
+    """A macro/binary metric, a multilabel state after a few updates, and an
+    estimate on a random support."""
+    metric = parse_metric(draw(st.sampled_from(PER_LABEL)))
+    m = 1 if metric.averaging == BINARY else draw(st.integers(1, 12))
+    state = init_state(Task("multilabel", m), draw(st.sampled_from([0.0, 1e-3, 0.5])))
+    labels = st.sets(st.integers(0, m - 1)).map(lambda s: tuple(sorted(s)))
+    for y, yhat in draw(st.lists(st.tuples(labels, labels), max_size=8)):
+        state.update(y, yhat)
+    support = draw(st.sets(st.integers(0, m - 1)))
+    values = draw(st.lists(PROBS, min_size=len(support), max_size=len(support)))
+    return metric, state, ProbEstimate(m, sorted(support), values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_cases())
+def test_sparse_coefficients_and_decisions_match_the_dense_rule(case):
+    metric, state, est = case
+    m = state.task.m
+    dense = metric.coefficients(state.normalized(), m)
+    sparse = metric.coefficients(state.normalized_blocks(est.indices), m)
+    assert same_bits(sparse.alpha, dense.alpha[est.indices])
+    assert same_bits(sparse.beta, dense.beta[est.indices])
+    off = np.setdiff1d(np.arange(m), est.indices)
+    # off-support gains are -beta; below zero, the dense rule never predicts them
+    assume(np.all(dense.beta[off] > 0.0))
+    assert policy.decide_sparse(sparse, est) == policy.decide_multilabel(
+        policy.gains(dense, est))
+
+
+@pytest.mark.parametrize("info", list_metrics(), ids=lambda i: i.name)
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1e-12, 1e-9, 1e-3, 1.0]), st.integers(2, 12),
+       st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6]),
+       st.integers(0, 2**32 - 1))
+def test_values_gradients_and_coefficients_are_finite(info, eps, m, scale, seed):
+    metric = parse_metric(info.name, epsilon=eps)
+    shape = {MULTICLASS_NATIVE: (m, m), BINARY: (1, 2, 2)}.get(info.averaging, (m, 2, 2))
+    rng = np.random.default_rng(seed)
+    # some entries exactly zero, the rest uniform at the drawn scale
+    C = rng.random(shape) * (rng.random(shape) < 0.7) * scale
+    with np.errstate(**evaluation.FP_ERRORS):
+        assert np.isfinite(metric.value(C))
+        assert np.all(np.isfinite(metric.gradient(C)))
+        if info.averaging != MULTICLASS_NATIVE:
+            alpha, beta = metric.coefficients(C, shape[0])
+            assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
