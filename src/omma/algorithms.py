@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import policy
-from .confusion import (Labels, ProbEstimate, Task, batch_counts, init_state,
-                        label_rows, multiclass_to_multilabel)
+from .confusion import (Labels, ProbEstimate, Task, batch_counts, check_regularizer,
+                        init_state, label_rows, multiclass_to_multilabel)
 from .metrics import BINARY, MACRO, Metric
 
 
@@ -51,6 +51,7 @@ class LearnerConfig:
     deterministic_mixture: bool = False
 
     def __post_init__(self) -> None:
+        check_regularizer(self.lam)
         if self.sparse_k is not None and self.sparse_k < 1:
             raise ValueError("the sparse top-k' size must be at least 1")
         if self.fw_iterations < 1:
@@ -219,28 +220,27 @@ def refit_thresholds(mode: str = "interval", base: float = 10.0, ratio: float = 
 
 
 def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
-           metric: Metric, iterations: int, use_labels: bool) -> MixtureClassifier:
+           metric: Metric, iterations: int) -> MixtureClassifier:
     """Frank-Wolfe over the reachable confusion polytope of a buffer.
 
     Each iteration linearizes the utility at the current averaged confusion,
     builds the corresponding cost-sensitive classifier, measures its confusion
-    on the buffer (from labels, or expected via the estimates), and moves with
-    step size 2 / (q + 2).  Returns the induced classifier mixture; the first
-    step has weight one, so the trivial initial classifier never survives.
+    on the buffer (from ``labels`` when given, else expected via the
+    estimates), and moves with step size 2 / (q + 2).  Returns the induced
+    classifier mixture; the first step has weight one, so the trivial initial
+    classifier never survives.
     """
     estimates = np.asarray(estimates, dtype=np.float64)
     if estimates.ndim != 2 or estimates.shape[0] == 0:
         raise ValueError("need a nonempty (n, m) estimate buffer")
-    if use_labels and labels is None:
-        raise ValueError("use_labels requires a label buffer")
     if iterations < 1:
         raise ValueError("need at least one iteration")
     n, m = estimates.shape
     ref = estimates
-    if use_labels and task.is_multiclass:
+    if labels is not None and task.is_multiclass:
         ref = np.zeros((n, m))
         ref[np.arange(n), labels] = 1.0
-    elif use_labels:
+    elif labels is not None:
         ref = labels.astype(np.float64)
     budget = metric.budget_k
     # the trivial start predicts every label with probability k / m: the
@@ -323,7 +323,7 @@ class FrankWolfeLearner(_MixtureLearner):
         elif self.use_labels:
             labels = label_rows(self.task, self._labels)
         self.mixture = fw_fit(np.vstack(self._est_rows), labels, self.task, self.metric,
-                              self.cfg.fw_iterations, self.use_labels)
+                              self.cfg.fw_iterations)
 
 
 class OfflineFWLearner(_MixtureLearner):
@@ -331,8 +331,7 @@ class OfflineFWLearner(_MixtureLearner):
 
     def prefit(self, estimates: list[ProbEstimate]) -> None:
         rows = np.vstack([e.dense() for e in estimates])
-        self.mixture = fw_fit(rows, None, self.task, self.metric,
-                              self.cfg.fw_iterations, use_labels=False)
+        self.mixture = fw_fit(rows, None, self.task, self.metric, self.cfg.fw_iterations)
 
     def _predict(self, eta: ProbEstimate) -> Labels:
         if self.mixture is None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dataio, evaluation
 from .algorithms import ALGORITHMS, LearnerConfig
-from .confusion import Task
+from .confusion import Task, check_regularizer
 from .dataio import DataFormatError, InstanceStream, SynthModel
 from .metrics import list_metrics, parse_metric
 
@@ -169,12 +169,8 @@ def cmd_run(args) -> int:
             for seed in seeds]
     traces = _map(evaluation.run_online, [dataio.shuffle(stream, seed) for seed in seeds],
                   cfgs, [args.stride] * args.runs, jobs=args.jobs)
-    mean, std = evaluation.mean_std([t.final_psi for t in traces])
-    report = evaluation.RunReport(
-        metric=metric.name, algorithm=args.alg, averaging=metric.averaging,
-        budget_k=metric.budget_k, lam=args.lam, epsilon=metric.epsilon,
-        seed=args.seed, n=len(stream), runs=args.runs,
-        psi_final_mean=mean, psi_final_std=std)
+    report = evaluation.RunReport.from_finals(metric, args.alg, args.lam, args.seed,
+                                              len(stream), [t.final_psi for t in traces])
     # runs first, then the report, which rejects NaN: a failed run writes no file
     os.makedirs(args.out, exist_ok=True)
     evaluation.emit_report(report, os.path.join(args.out, "report.json"))
@@ -239,6 +235,8 @@ def cmd_regret(args) -> int:
     _check_jobs(args.jobs)
     lam_grid = ([args.lam] if args.lambda_grid is None
                 else _grid("--lambda-grid", args.lambda_grid, float))
+    for lam in lam_grid:
+        check_regularizer(lam)
     model = _model_from_args(args)
     psi_star = evaluation.estimate_optimal(metric, model, method=args.opt_method,
                                            n_opt=args.n_opt, seed=args.seed)

@@ -316,7 +316,12 @@ def batch_counts(task: Task, ref: np.ndarray, dec: np.ndarray) -> np.ndarray:
     return out
 
 
-def init_state(task: Task, lam: float) -> ConfusionState:
+def check_regularizer(lam: float) -> None:
+    """The regularizer ``lam`` of a confusion state: finite and >= 0."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("regularizer must be finite and nonnegative")
+
+
+def init_state(task: Task, lam: float) -> ConfusionState:
+    check_regularizer(lam)
     return ConfusionState(task, lam, np.full(task.shape, float(lam)))

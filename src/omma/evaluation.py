@@ -5,7 +5,9 @@ matrix, whatever the algorithm uses internally.  The run loop keeps the
 predictions; at every checkpoint it adds the exact batch count of the
 instances since the previous count (``confusion.batch_counts``) to its totals.
 Checkpoints are a stride or any set of t values, so one run of a causal
-learner scores every length of a regret grid.  Regret is measured against the
+learner scores every length of a regret grid.  :func:`run_online` is the only
+place that builds and steps a learner: the regret measurement and the
+adversarial lower-bound scenario both run it.  Regret is measured against the
 population-optimal utility, which upper-bounds any achievable expected
 empirical utility for concave metrics, so the reported regret is a
 conservative over-estimate.
@@ -30,11 +32,17 @@ from .metrics import BINARY, MACRO, Metric, min_tn_tp
 
 @dataclass
 class RunTrace:
-    """Per-checkpoint running utility of one online run."""
+    """Per-checkpoint running utility of one online run; the last mark is n."""
 
     checkpoints: list[tuple[int, float]]
-    final_psi: float
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.checkpoints[-1][0]
+
+    @property
+    def final_psi(self) -> float:
+        return self.checkpoints[-1][1]
 
 
 @dataclass
@@ -63,25 +71,23 @@ class RunReport:
     def standard_error(self) -> float:
         return self.psi_final_std / math.sqrt(max(self.runs, 1))
 
+    @classmethod
+    def from_finals(cls, metric: Metric, algorithm: str, lam: float, seed: int, n: int,
+                    finals: list[float], psi_star: float | None = None) -> RunReport:
+        """The report of the final utilities of ``len(finals)`` runs of length n;
+        with ``psi_star`` it also holds the regret of their mean."""
+        mean, std = mean_std(finals)
+        return cls(metric=metric.name, algorithm=algorithm, averaging=metric.averaging,
+                   budget_k=metric.budget_k, lam=lam, epsilon=metric.epsilon, seed=seed,
+                   n=n, runs=len(finals), psi_final_mean=mean, psi_final_std=std,
+                   psi_star=psi_star,
+                   regret_hat=None if psi_star is None else psi_star - mean)
+
 
 def mean_std(values) -> tuple[float, float]:
     """Mean and sample standard deviation of per-run values (0 for one run)."""
     values = np.asarray(values, dtype=float)
     return float(values.mean()), float(values.std(ddof=1)) if len(values) > 1 else 0.0
-
-
-def _steps(cfg: LearnerConfig, labels: list[Labels], estimates: list[ProbEstimate]):
-    """The online protocol: yield (t, y, prediction) for every instance in turn.
-
-    ``offline-fw`` is first fitted on the whole estimate sequence.
-    """
-    learner = make_learner(cfg)
-    if isinstance(learner, OfflineFWLearner):
-        learner.prefit(estimates)
-    for t, (y, eta) in enumerate(zip(labels, estimates), start=1):
-        pred = learner.step(eta)
-        learner.observe(y)
-        yield t, y, pred
 
 
 # floating-point errors a run raises instead of printing a numpy warning and
@@ -99,6 +105,7 @@ def run_online(stream: InstanceStream, cfg: LearnerConfig,
                checkpoints: int | Collection[int] | None = None) -> RunTrace:
     """Drive step/observe over the stream and record the running utility.
 
+    ``offline-fw`` is first fitted on the whole estimate sequence.
     ``checkpoints`` is a stride (every t it divides) or a collection of t
     values in 1..n; the last instance is always a checkpoint.  A division by
     zero, overflow or invalid value raises ``FloatingPointError``.
@@ -113,11 +120,16 @@ def run_online(stream: InstanceStream, cfg: LearnerConfig,
     marks = {*(checkpoints or ()), n}
     if not all(1 <= t <= n for t in marks):
         raise ValueError(f"checkpoints must lie in 1..{n}")
+    learner = make_learner(cfg)
+    if isinstance(learner, OfflineFWLearner):
+        learner.prefit(stream.estimates)
     counts = np.zeros(task.shape)
     pending: list[Labels] = []  # predictions of instances start + 1 .. t
     start = 0
     checkpoints: list[tuple[int, float]] = []
-    for t, y, pred in _steps(cfg, stream.labels, stream.estimates):
+    for t, (y, eta) in enumerate(stream, start=1):
+        pred = learner.step(eta)
+        learner.observe(y)
         check_labels(task, y)
         check_labels(task, pred, prediction=True)
         pending.append(pred)
@@ -129,7 +141,7 @@ def run_online(stream: InstanceStream, cfg: LearnerConfig,
             start = t
         if checkpoint:
             checkpoints.append((t, metric.value(counts / t)))
-    return RunTrace(checkpoints, checkpoints[-1][1], n)
+    return RunTrace(checkpoints)
 
 
 # --- optimal-utility estimation
@@ -171,7 +183,7 @@ def _grid_optimal(metric: Metric, eta: np.ndarray) -> float:
 
 
 def _fw_optimal(metric: Metric, task: Task, eta: np.ndarray, iterations: int) -> float:
-    mix = fw_fit(eta, None, task, metric, iterations, use_labels=False)
+    mix = fw_fit(eta, None, task, metric, iterations)
     return float(metric.value(mix.final_cm))
 
 
@@ -241,15 +253,8 @@ def measure_regret(metric: Metric, model: SynthModel, algorithm: str,
             stream = synth_generate(model, length, seed=stream_seed)
             for t, psi in run_online(stream, cfg, marks).checkpoints:
                 finals[t].append(psi)
-    reports = []
-    for n in n_grid:
-        mean, std = mean_std(finals[n])
-        reports.append(RunReport(
-            metric=metric.name, algorithm=algorithm, averaging=metric.averaging,
-            budget_k=metric.budget_k, lam=lam, epsilon=metric.epsilon, seed=base_seed,
-            n=n, runs=runs, psi_final_mean=mean, psi_final_std=std, psi_star=psi_star,
-            regret_hat=psi_star - mean))
-    return reports
+    return [RunReport.from_finals(metric, algorithm, lam, base_seed, n, finals[n], psi_star)
+            for n in n_grid]
 
 
 # --- adversarial lower-bound scenario
@@ -275,9 +280,6 @@ class AdversarialReport:
     opt_bound: tuple[float, float]
     regret: tuple[float, float]
     max_regret: float
-    # mean empirical tp mass vs its prediction-weighted expectation, per sequence
-    c11_gap: tuple[float, float] = (0.0, 0.0)
-    c11_sigma: tuple[float, float] = (0.0, 0.0)
 
 
 def adversarial_sequences(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +296,6 @@ def opt_bounds(n: int) -> tuple[float, float]:
     return 2.0 / 9.0 - slack, 1.0 / 3.0 - slack
 
 
-@np.errstate(**FP_ERRORS)
 def adversarial_run(algorithm: str, n: int, runs: int, seed: int = 0,
                     lam: float = 0.0) -> AdversarialReport:
     """Run the algorithm on both sequences with exact conditionals."""
@@ -304,44 +305,23 @@ def adversarial_run(algorithm: str, n: int, runs: int, seed: int = 0,
     task = multilabel(1)
     metric = min_tn_tp()
     bounds = opt_bounds(n)
-    # driven by _steps, not run_online: the c11 sums read every decision
-    stats, gaps, sigmas = [], [], []
+    stats = []
     for s, eta_seq in enumerate(seqs):
         estimates = ProbEstimate.from_rows(eta_seq[:, None])
         psis = []
-        pred_mass = []
-        var_mass = []
         for r in range(runs):
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence([seed, s, r, 0xADE])))
             labels = [(0,) if yt else () for yt in rng.random(n) < eta_seq]
             cfg = LearnerConfig(algorithm=algorithm, task=task, metric=metric,
                                 lam=lam, seed=seed + r)
-            tp = tn = 0
-            swe = 0.0   # sum of eta over positively-predicted steps
-            svar = 0.0  # its binomial variance
-            for t, y, pred in _steps(cfg, labels, estimates):
-                if pred:
-                    p = eta_seq[t - 1]
-                    swe += p
-                    svar += p * (1.0 - p)
-                    tp += len(y)
-                else:
-                    tn += 1 - len(y)
-            psis.append(min(tp, tn) / n)
-            pred_mass.append((tp / n, swe / n))
-            var_mass.append(svar / n**2)
+            psis.append(run_online(InstanceStream(task, labels, estimates), cfg).final_psi)
         stats.append(mean_std(psis))
-        emp = np.mean([p[0] for p in pred_mass])
-        exp = np.mean([p[1] for p in pred_mass])
-        gaps.append(float(emp - exp))
-        sigmas.append(float(math.sqrt(np.mean(var_mass) / runs)))
     means, stds = zip(*stats)
     regrets = (bounds[0] - means[0], bounds[1] - means[1])
     return AdversarialReport(
         n=n, runs=runs, algorithm=algorithm, psi_mean=means, psi_std=stds,
-        opt_bound=bounds, regret=regrets, max_regret=max(regrets),
-        c11_gap=(gaps[0], gaps[1]), c11_sigma=(sigmas[0], sigmas[1]))
+        opt_bound=bounds, regret=regrets, max_regret=max(regrets))
 
 
 # --- serialization

@@ -17,7 +17,10 @@ bit equal to ``policy.cost_coefficients`` of the tensor.
 All denominators are stabilized by adding ``epsilon``, and the ratio factors of
 the mean-family metrics (G/H/Q-mean) are stabilized as ``(num + eps) /
 (den + eps)`` so values and gradients stay finite on every nonnegative matrix,
-including the all-zero one.  Gradients differentiate exactly the stabilized
+including the all-zero one.  Gradients square the stabilized denominators,
+and for epsilon below about 1e-154 that square leaves the normal float64
+range, so a positive epsilon is at least ``EPSILON_FLOOR``; 0 turns the
+stabilizer off.  Gradients differentiate exactly the stabilized
 expression that the value computes, which is what makes finite-difference
 checks exact.
 """
@@ -38,6 +41,10 @@ MICRO = "micro"
 MULTICLASS_NATIVE = "multiclass"
 
 _AVERAGINGS = (BINARY, MACRO, MICRO, MULTICLASS_NATIVE)
+
+# the smallest positive stabilizer; its square and products with 1e6-scale
+# counts stay well inside the float64 range
+EPSILON_FLOOR = 1e-100
 
 
 def _cells(blocks):
@@ -369,6 +376,8 @@ class Metric:
             raise ValueError(f"{self.base} has no native multiclass form; use macro/micro")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError("epsilon must be finite and nonnegative")
+        if 0 < self.epsilon < EPSILON_FLOOR:
+            raise ValueError(f"epsilon must be 0 or at least {EPSILON_FLOOR:g}")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError("beta must be finite and positive")
         if self.budget_k is not None and self.budget_k < 1:

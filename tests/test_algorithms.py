@@ -254,7 +254,7 @@ def test_fw_weights_sum_to_one():
     estimates = rng.random((50, 4))
     labels = rng.random((50, 4)) < 0.4
     mix = fw_fit(estimates, labels, multilabel(4), parse_metric("macro-hmean"),
-                 iterations=25, use_labels=True)
+                 iterations=25)
     assert mix.weights.sum() == pytest.approx(1.0)
     assert len(mix.tensors) == 25
     # gamma-product coefficients: w_q = gamma_q * prod_{r>q} (1 - gamma_r)
@@ -271,7 +271,7 @@ def test_fw_linear_metric_single_step_plugin():
     rng = np.random.default_rng(1)
     estimates = rng.random((40, 3))
     mix = fw_fit(estimates, None, multilabel(3), parse_metric("macro-accuracy"),
-                 iterations=1, use_labels=False)
+                 iterations=1)
     assert len(mix.tensors) == 1 and mix.weights[0] == 1.0
     from omma import policy
     coeffs = policy.cost_coefficients(mix.tensors[0])
@@ -284,15 +284,15 @@ def test_fw_self_consistency_doubling():
     stream = synth_generate(model, 400, seed=10)
     eta = np.vstack([e.dense() for e in stream.estimates])
     metric = parse_metric("macro-hmean")
-    m1 = fw_fit(eta, None, multilabel(4), metric, iterations=50, use_labels=False)
-    m2 = fw_fit(eta, None, multilabel(4), metric, iterations=100, use_labels=False)
+    m1 = fw_fit(eta, None, multilabel(4), metric, iterations=50)
+    m2 = fw_fit(eta, None, multilabel(4), metric, iterations=100)
     assert abs(metric.value(m1.final_cm) - metric.value(m2.final_cm)) <= 1e-3
 
 
 def test_fw_empty_buffer():
     with pytest.raises(ValueError):
         fw_fit(np.zeros((0, 3)), None, multilabel(3), parse_metric("macro-f1"),
-               iterations=5, use_labels=False)
+               iterations=5)
 
 
 def test_ofw_prefit_fallback_then_mixture():
@@ -421,7 +421,7 @@ def test_fw_fit_multiclass():
     eta = np.vstack([e.dense() for e in stream.estimates])
     labels = np.array([y[0] for y in stream.labels])
     metric = parse_metric("mc-gmean")
-    mix = fw_fit(eta, labels, multiclass(4), metric, iterations=40, use_labels=True)
+    mix = fw_fit(eta, labels, multiclass(4), metric, iterations=40)
     assert mix.weights.sum() == pytest.approx(1.0)
     assert mix.final_cm.shape == (4, 4)
     assert metric.value(mix.final_cm) > 0.0

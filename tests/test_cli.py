@@ -291,6 +291,20 @@ REGRET_M3 = ["regret", "--metric", "macro-f1", "--alg", "omma", "--n-grid", "20"
     # a budget above m is rejected for every algorithm, topk included
     ([*RUN_M3, "--metric", "macro-f1@9", "--alg", "topk", "--m", "5"], 2,
      "error: budget 9 exceeds", None),
+    # the regularizer is checked for every algorithm, not only those that keep
+    # a confusion state
+    ([*RUN_M3, "--alg", "thresh05", "--lambda", "-5"], 2, "error: regularizer must be",
+     None),
+    ([*RUN_M3, "--alg", "ofw", "--lambda", "inf"], 2, "error: regularizer must be", None),
+    (["adversarial", "--n", "12", "--runs", "1", "--alg", "thresh05", "--lambda", "-1"],
+     2, "error: regularizer must be", None),
+    (["adversarial", "--n", "12", "--runs", "1", "--alg", "ofw", "--lambda", "nan"], 2,
+     "error: regularizer must be", None),
+    ([*REGRET_M3, "--alg", "ofw-eta", "--n-grid", "10", "--lambda", "-2"], 2,
+     "error: regularizer must be", None),
+    # a positive epsilon below the floor would underflow when squared
+    ([*RUN_M3, "--epsilon", "1e-200"], 2, "error: epsilon must be 0 or at least 1e-100",
+     None),
 ])
 def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, check):
     (tmp_path / "exp.cfg").write_text("metric=macro-f1\nm=3\nn=30\nlambda=0.5\nruns=2\n")
@@ -311,6 +325,9 @@ def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, chec
     (["--lambda-grid", ","], "error: --lambda-grid needs at least one"),
     (["--runs", "0"], "error: need at least one run"),
     (["--jobs", "0"], "error: --jobs must be at least 1"),
+    (["--lambda", "-2"], "error: regularizer must be"),
+    (["--lambda-grid", "0,-2"], "error: regularizer must be"),
+    (["--epsilon", "1e-200"], "error: epsilon must be 0 or at least 1e-100"),
 ])
 def test_regret_rejects_counts_before_any_work(capsys, flags, error):
     code, out, err = run_cli(capsys, "regret", "--metric", "macro-f1", "--alg", "omma",

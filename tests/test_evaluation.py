@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omma import evaluation
-from omma.algorithms import LearnerConfig
-from omma.confusion import init_state, multilabel
+from omma.algorithms import (ALGORITHMS, LearnerConfig, OfflineFWLearner,
+                             UnsupportedMetricError, make_learner)
+from omma.confusion import ProbEstimate, init_state, multilabel
 from omma.dataio import SynthModel, synth_generate
 from omma.evaluation import (RunReport, adversarial_run, adversarial_sequences,
                              emit_report, emit_trace, estimate_optimal,
                              measure_regret, opt_bounds, run_online)
-from omma.metrics import parse_metric
+from omma.metrics import min_tn_tp, parse_metric
 
 
 def _stream(m=3, n=60, seed=1, **kw):
@@ -126,14 +129,88 @@ def test_opt_bounds_values():
     assert b2 == pytest.approx(0.33056, abs=1e-5)
 
 
+def _accepts_the_scenario(algorithm):
+    try:
+        make_learner(LearnerConfig(algorithm, multilabel(1), min_tn_tp()))
+    except UnsupportedMetricError:
+        return False
+    return True
+
+
+ADVERSARIAL_ALGORITHMS = [a for a in ALGORITHMS if _accepts_the_scenario(a)]
+
+
+def adversarial_steps(algorithm, n, runs, seed=0, lam=0.0):
+    """The scenario's protocol by hand: for each sequence, for each run, the
+    (eta, y, prediction) of every step."""
+    task = multilabel(1)
+    out = []
+    for s, eta_seq in enumerate(adversarial_sequences(n)):
+        estimates = ProbEstimate.from_rows(eta_seq[:, None])
+        per_run = []
+        for r in range(runs):
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence([seed, s, r, 0xADE])))
+            labels = [(0,) if yt else () for yt in rng.random(n) < eta_seq]
+            learner = make_learner(LearnerConfig(algorithm, task, min_tn_tp(), lam=lam,
+                                                 seed=seed + r))
+            if isinstance(learner, OfflineFWLearner):
+                learner.prefit(estimates)
+            steps = []
+            for p, y, eta in zip(eta_seq, labels, estimates):
+                pred = learner.step(eta)
+                learner.observe(y)
+                steps.append((p, y, pred))
+            per_run.append(steps)
+        out.append(per_run)
+    return out
+
+
+def reference_psis(per_run, n):
+    """min(tp, tn) / n of each run."""
+    psis = []
+    for steps in per_run:
+        tp = sum(len(y) for _, y, pred in steps if pred)
+        tn = sum(1 - len(y) for _, y, pred in steps if not pred)
+        psis.append(min(tp, tn) / n)
+    return np.asarray(psis)
+
+
 def test_adversarial_run_deterministic_and_consistent():
-    rep1 = adversarial_run("omma", 600, runs=3, seed=4)
-    rep2 = adversarial_run("omma", 600, runs=3, seed=4)
+    n, runs = 600, 3
+    rep1 = adversarial_run("omma", n, runs=runs, seed=4)
+    rep2 = adversarial_run("omma", n, runs=runs, seed=4)
     assert rep1.psi_mean == rep2.psi_mean
     assert rep1.max_regret == max(rep1.regret)
-    # empirical tp mass tracks its prediction-weighted expectation
-    for gap, sigma in zip(rep1.c11_gap, rep1.c11_sigma):
+    for per_run, psi_mean in zip(adversarial_steps("omma", n, runs, seed=4), rep1.psi_mean):
+        assert float(reference_psis(per_run, n).mean()).hex() == psi_mean.hex()
+        # empirical tp mass tracks its prediction-weighted expectation
+        emp, exp, var = [], [], []
+        for steps in per_run:
+            emp.append(sum(len(y) for _, y, pred in steps if pred) / n)
+            exp.append(sum(p for p, _, pred in steps if pred) / n)
+            var.append(sum(p * (1.0 - p) for p, _, pred in steps if pred) / n**2)
+        gap = float(np.mean(emp) - np.mean(exp))
+        sigma = math.sqrt(np.mean(var) / runs)
         assert abs(gap) <= 3 * sigma + 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ADVERSARIAL_ALGORITHMS), st.integers(1, 10), st.integers(1, 3),
+       st.integers(0, 99), st.sampled_from([0.0, 1e-3]))
+def test_adversarial_run_equals_a_per_run_reference(algorithm, k, runs, seed, lam):
+    n = 6 * k
+    got = adversarial_run(algorithm, n, runs, seed=seed, lam=lam)
+    stats = []
+    for per_run in adversarial_steps(algorithm, n, runs, seed=seed, lam=lam):
+        psis = reference_psis(per_run, n)
+        stats.append((float(psis.mean()), float(psis.std(ddof=1)) if runs > 1 else 0.0))
+    bounds = opt_bounds(n)
+    regret = [b - mean for b, (mean, _) in zip(bounds, stats)]
+    assert [x.hex() for x in got.psi_mean] == [mean.hex() for mean, _ in stats]
+    assert [x.hex() for x in got.psi_std] == [std.hex() for _, std in stats]
+    assert [x.hex() for x in got.regret] == [x.hex() for x in regret]
+    assert got.max_regret.hex() == max(regret).hex()
 
 
 def test_emit_trace_format(tmp_path):
@@ -171,12 +248,12 @@ def test_run_online_raises_floating_point_errors():
 def test_runs_step_under_raising_floating_point_errors(monkeypatch):
     seen = []
 
-    def steps(*args):
+    def learner(cfg):
         seen.append(np.geterr())
-        yield from original(*args)
+        return original(cfg)
 
-    original = evaluation._steps
-    monkeypatch.setattr(evaluation, "_steps", steps)
+    original = evaluation.make_learner
+    monkeypatch.setattr(evaluation, "make_learner", learner)
     stream = _stream(m=2, n=12)
     run_online(stream, LearnerConfig("omma", stream.task, parse_metric("macro-f1")))
     adversarial_run("omma", 6, 1)

@@ -17,7 +17,8 @@ from omma.confusion import (ProbEstimate, Task, batch_counts, expected_instance_
                             init_state, instance_confusion)
 from omma.dataio import (InstanceStream, SynthModel, _latent_draw, perturb_estimates,
                          read_estimates, synth_generate)
-from omma.metrics import BINARY, MACRO, MULTICLASS_NATIVE, list_metrics, parse_metric
+from omma.metrics import (BINARY, EPSILON_FLOOR, MACRO, MULTICLASS_NATIVE, list_metrics,
+                          parse_metric)
 
 # few distinct values, zero among them, so that ties and zero gains are common
 SCORES = st.sampled_from([-1.0, -0.25, 0.0, 0.0, 0.5, 1.0])
@@ -499,7 +500,7 @@ def test_sparse_coefficients_and_decisions_match_the_dense_rule(case):
 
 @pytest.mark.parametrize("info", list_metrics(), ids=lambda i: i.name)
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from([1e-12, 1e-9, 1e-3, 1.0]), st.integers(2, 12),
+@given(st.sampled_from([EPSILON_FLOOR, 1e-12, 1e-9, 1e-3, 1.0]), st.integers(2, 12),
        st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6]),
        st.integers(0, 2**32 - 1))
 def test_values_gradients_and_coefficients_are_finite(info, eps, m, scale, seed):
