@@ -1,7 +1,10 @@
 """Online learners over probability-estimate streams.
 
-Every learner exposes ``step(eta) -> prediction`` followed by ``observe(y)``;
-the two must strictly alternate.  Available algorithms:
+Every learner decides from an (m,) estimate row and returns an (m,) boolean
+decision row (``step_row``), then learns from the (m,) 0/1 label row
+(``observe_row``); the two must strictly alternate.  ``step(eta) ->
+prediction`` and ``observe(y)`` are the same protocol on a
+:class:`ProbEstimate` and label tuples.  Available algorithms:
 
 * ``omma`` - predicts the argmax of the gradient-linearized utility at the
   current confusion matrix (a cost-sensitive rule), updates with true labels;
@@ -23,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import policy
-from .confusion import (Labels, ProbEstimate, Task, batch_counts, check_regularizer,
-                        init_state, label_rows, multiclass_to_multilabel)
+from .confusion import (Labels, ProbEstimate, Task, batch_counts, check_labels,
+                        check_regularizer, indicator_row, init_state,
+                        multiclass_to_multilabel, top_entries)
 from .metrics import BINARY, MACRO, Metric
 
 
@@ -71,33 +75,54 @@ class OnlineLearner:
         self.cfg = cfg
         self.task = cfg.task
         self.metric = cfg.metric
-        self._pending: tuple[ProbEstimate, Labels] | None = None
+        self._pending: tuple[np.ndarray, np.ndarray] | None = None
 
-    def step(self, eta: ProbEstimate) -> Labels:
+    def step_row(self, eta: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+        """The (m,) boolean decision for an (m,) estimate row.
+
+        ``support`` marks the labels a sparse estimate lists (None: all of
+        them); only the sparse top-k' rule reads it.  Nothing is checked.
+        """
         if self._pending is not None:
             raise ProtocolError("step called twice without observe")
-        pred = self._predict(eta)
-        self._pending = (eta, pred)
-        return pred
+        dec = self._predict(eta, support)
+        self._pending = (eta, dec)
+        return dec
 
-    def observe(self, y: Labels) -> None:
+    def observe_row(self, y: np.ndarray) -> None:
+        """Learn from the (m,) 0/1 label row of the pending step; nothing is checked."""
         if self._pending is None:
             raise ProtocolError("observe called without a pending step")
-        eta, pred = self._pending
+        eta, dec = self._pending
         self._pending = None
-        self._update(y, eta, pred)
+        self._update(y, eta, dec)
 
-    def _predict(self, eta: ProbEstimate) -> Labels:
+    def step(self, eta: ProbEstimate) -> Labels:
+        """:meth:`step_row` on an estimate, as a sorted tuple of predicted labels."""
+        if eta.m != self.task.m:
+            raise ValueError("estimate size does not match the task")
+        support = None
+        if eta.indices.size < eta.m:
+            support = np.zeros(eta.m, dtype=bool)
+            support[eta.indices] = True
+        return tuple(self.step_row(eta.dense(), support).nonzero()[0].tolist())
+
+    def observe(self, y: Labels) -> None:
+        """:meth:`observe_row` on a checked label tuple."""
+        check_labels(self.task, y)
+        self.observe_row(indicator_row(self.task.m, y, np.float64))
+
+    def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
         raise NotImplementedError
 
-    def _decide(self, G: np.ndarray, eta: ProbEstimate) -> Labels:
-        """The cost-sensitive prediction of the classifier with gradient ``G``."""
+    def _decide(self, G: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """The cost-sensitive decision of the classifier with gradient ``G``."""
         if self.task.is_multiclass:
-            return policy.decide_multiclass(G, eta, self.cfg.budget)
+            return policy.decide_classes(G, eta, self.cfg.budget)
         g = policy.gains(policy.cost_coefficients(G), eta)
-        return policy.decide_multilabel(g, self.cfg.budget)
+        return policy.decide(g, self.cfg.budget)
 
-    def _update(self, y: Labels, eta: ProbEstimate, pred: Labels) -> None:
+    def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
         pass
 
 
@@ -113,31 +138,33 @@ class OmmaLearner(OnlineLearner):
             if cfg.metric.averaging not in (MACRO, BINARY):
                 raise UnsupportedMetricError(
                     "sparse prediction needs per-label (macro) gradients")
+        self._all_labels = np.arange(cfg.task.m, dtype=np.int64)
 
-    def _predict(self, eta: ProbEstimate) -> Labels:
+    def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
         if self.cfg.sparse_k is not None:
-            return self._predict_sparse(eta)
+            return self._predict_sparse(eta, support)
         if self.task.is_multiclass:
             return self._decide(self.metric.gradient(self.state.normalized()), eta)
         # multilabel: (alpha, beta) straight from the metric, no gradient tensor
         coeffs = self.metric.coefficients(self.state.normalized(), self.task.m)
-        return policy.decide_multilabel(policy.gains(coeffs, eta), self.cfg.budget)
+        return policy.decide(policy.gains(coeffs, eta), self.cfg.budget)
 
-    def _predict_sparse(self, eta: ProbEstimate) -> Labels:
-        est = eta.top(self.cfg.sparse_k)
-        blocks = self.state.normalized_blocks(est.indices)
-        coeffs = self.metric.coefficients(blocks, self.task.m)
-        return policy.decide_sparse(coeffs, est, self.cfg.budget)
+    def _predict_sparse(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
+        """The gain rule on the top-k' listed labels; no other label is predicted."""
+        listed = self._all_labels if support is None else np.flatnonzero(support)
+        indices, values = top_entries(listed, eta[listed], self.cfg.sparse_k)
+        coeffs = self.metric.coefficients(self.state.normalized_blocks(indices), self.task.m)
+        return policy.decide_support(coeffs, indices, values, self.task.m, self.cfg.budget)
 
-    def _update(self, y: Labels, eta: ProbEstimate, pred: Labels) -> None:
-        self.state.update(y, pred)
+    def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
+        self.state._add(y, dec)
 
 
 class OmmaEtaLearner(OmmaLearner):
     """Same rule, but the internal matrix accumulates expected confusions."""
 
-    def _update(self, y: Labels, eta: ProbEstimate, pred: Labels) -> None:
-        self.state.update_semi(eta, pred)
+    def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
+        self.state._add(eta, dec)
 
 
 _UNIT_CELLS = np.eye(4).reshape(4, 2, 2)
@@ -172,13 +199,12 @@ class GreedyLearner(OnlineLearner):
         gain1 = eta_dense * v_tp + (1.0 - eta_dense) * v_fp
         return gain0, gain1
 
-    def _predict(self, eta: ProbEstimate) -> Labels:
-        gain0, gain1 = self._gain_table(eta.dense())
-        return policy.decide_one(gain1 - gain0, self.cfg.budget,
-                                 argmax=self.task.is_multiclass)
+    def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
+        gain0, gain1 = self._gain_table(eta)
+        return policy.decide(gain1 - gain0, self.cfg.budget, argmax=self.task.is_multiclass)
 
-    def _update(self, y: Labels, eta: ProbEstimate, pred: Labels) -> None:
-        self.state.update(y, pred)
+    def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
+        self.state._add(y, dec)
 
 
 @dataclass
@@ -226,7 +252,8 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     Each iteration linearizes the utility at the current averaged confusion,
     builds the corresponding cost-sensitive classifier, measures its confusion
     on the buffer (from ``labels`` when given, else expected via the
-    estimates), and moves with step size 2 / (q + 2).  Returns the induced
+    estimates), and moves with step size 2 / (q + 2).  ``labels`` are (n, m)
+    0/1 rows, one-hot for multiclass.  Returns the induced
     classifier mixture; the first step has weight one, so the trivial initial
     classifier never survives.
     """
@@ -236,12 +263,9 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     if iterations < 1:
         raise ValueError("need at least one iteration")
     n, m = estimates.shape
-    ref = estimates
-    if labels is not None and task.is_multiclass:
-        ref = np.zeros((n, m))
-        ref[np.arange(n), labels] = 1.0
-    elif labels is not None:
-        ref = labels.astype(np.float64)
+    ref = estimates if labels is None else np.asarray(labels, dtype=np.float64)
+    if ref.shape != estimates.shape:
+        raise ValueError("labels must be (n, m) rows aligned with the estimates")
     budget = metric.budget_k
     # the trivial start predicts every label with probability k / m: the
     # all-negative classifier, or a uniformly random class or k-subset
@@ -279,7 +303,7 @@ class _MixtureLearner(OnlineLearner):
         self._rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(cfg.seed)))
 
-    def _predict(self, eta: ProbEstimate) -> Labels:
+    def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
         if self.cfg.deterministic_mixture:
             G = self.mixture.tensors[-1]
         else:
@@ -298,30 +322,26 @@ class FrankWolfeLearner(_MixtureLearner):
         super().__init__(cfg)
         self.use_labels = use_labels
         self._est_rows: list[np.ndarray] = []
-        self._labels: list[Labels] = []
+        self._label_rows: list[np.ndarray] = []
         self._schedule = refit_thresholds(cfg.refit_mode)
         self._next_refit = next(self._schedule)
         self._fallback = _fallback_learner(cfg)
 
-    def _predict(self, eta: ProbEstimate) -> Labels:
+    def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
         if self.mixture is None:
-            return self._fallback._predict(eta)
-        return super()._predict(eta)
+            return self._fallback._predict(eta, support)
+        return super()._predict(eta, support)
 
-    def _update(self, y: Labels, eta: ProbEstimate, pred: Labels) -> None:
-        self._est_rows.append(eta.dense())
-        self._labels.append(y)
+    def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
+        self._est_rows.append(eta)
+        self._label_rows.append(y)
         if len(self._est_rows) >= self._next_refit:
             self._refit()
             while self._next_refit <= len(self._est_rows):
                 self._next_refit = next(self._schedule)
 
     def _refit(self) -> None:
-        labels = None
-        if self.use_labels and self.task.is_multiclass:
-            labels = np.array([y[0] for y in self._labels], dtype=np.int64)
-        elif self.use_labels:
-            labels = label_rows(self.task, self._labels)
+        labels = np.vstack(self._label_rows) if self.use_labels else None
         self.mixture = fw_fit(np.vstack(self._est_rows), labels, self.task, self.metric,
                               self.cfg.fw_iterations)
 
@@ -329,14 +349,17 @@ class FrankWolfeLearner(_MixtureLearner):
 class OfflineFWLearner(_MixtureLearner):
     """Frank-Wolfe mixture fitted once on the estimate sequence, then frozen."""
 
-    def prefit(self, estimates: list[ProbEstimate]) -> None:
-        rows = np.vstack([e.dense() for e in estimates])
-        self.mixture = fw_fit(rows, None, self.task, self.metric, self.cfg.fw_iterations)
+    def prefit(self, estimates: np.ndarray | list[ProbEstimate]) -> None:
+        """Fit on an (n, m) estimate matrix or a list of estimates."""
+        if not isinstance(estimates, np.ndarray):
+            estimates = np.vstack([e.dense() for e in estimates])
+        self.mixture = fw_fit(estimates, None, self.task, self.metric,
+                              self.cfg.fw_iterations)
 
-    def _predict(self, eta: ProbEstimate) -> Labels:
+    def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
         if self.mixture is None:
             raise ProtocolError("offline-fw must be prefit on the estimate sequence")
-        return super()._predict(eta)
+        return super()._predict(eta, support)
 
 
 class TopKLearner(OnlineLearner):
@@ -348,8 +371,8 @@ class TopKLearner(OnlineLearner):
             raise UnsupportedMetricError("topk needs a budget on multilabel tasks")
         self.k = cfg.budget or 1
 
-    def _predict(self, eta: ProbEstimate) -> Labels:
-        return policy.decide_one(eta.dense(), self.k)
+    def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
+        return policy.decide(eta, self.k)
 
 
 class ThresholdLearner(OnlineLearner):
@@ -360,8 +383,8 @@ class ThresholdLearner(OnlineLearner):
         if cfg.task.is_multiclass:
             raise UnsupportedMetricError("thresh05 applies to multilabel tasks only")
 
-    def _predict(self, eta: ProbEstimate) -> Labels:
-        return tuple(int(j) for j in eta.indices[eta.values > 0.5])
+    def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
+        return eta > 0.5
 
 
 def _fallback_learner(cfg: LearnerConfig) -> OnlineLearner:

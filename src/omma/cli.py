@@ -94,7 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--runs", type=int, default=20)
     adv.add_argument("--seed", type=int, default=0)
     adv.add_argument("--alg", default="omma", choices=ALGORITHMS)
-    adv.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    adv.add_argument("--lambda", dest="lam", type=float, default=0.0,
+                     help="learner regularizer; it changes no output, since it adds "
+                          "the same amount to tn and tp and min(tn, tp) compares them")
     adv.add_argument("--out")
 
     reg = sub.add_parser("regret", help="regret against the estimated optimum")

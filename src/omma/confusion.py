@@ -7,7 +7,9 @@ Storage conventions used throughout the package:
   ``[label, true, predicted]``, so within a block ``tn = [0, 0]``,
   ``fp = [0, 1]``, ``fn = [1, 0]``, ``tp = [1, 1]``.
 
-Labels and predictions are sorted tuples of positive label indices.  A
+At the public boundary labels and predictions are sorted tuples of positive
+label indices; inside a run they are (m,) rows: 0/1 float64 label rows
+(one-hot for multiclass) and boolean decision rows.  A
 :class:`ConfusionState` keeps unnormalized counts plus the instance count so
 that repeated updates stay exact (no recursive rescaling); its regularizer
 ``lam`` is added once to every entry at initialization and therefore carries
@@ -17,6 +19,7 @@ weight ``lam / t`` after normalization at step ``t``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,10 +121,27 @@ class ProbEstimate:
             raise ValueError("expected an (n, m) matrix of probabilities")
         _check_probabilities(rows)
         rows.flags.writeable = False
+        return cls._row_views(rows)
+
+    @classmethod
+    def _row_views(cls, rows: np.ndarray,
+                   support: np.ndarray | None = None) -> list["ProbEstimate"]:
+        """The estimates of a checked, read-only (n, m) matrix; nothing is re-checked.
+
+        ``support`` is an (n, m) boolean matrix of the labels each row lists,
+        or None when every row lists all m labels; then the values are row
+        views of ``rows`` and share one read-only index array.
+        """
         m = rows.shape[1]
-        indices = np.arange(m, dtype=np.int64)
-        indices.flags.writeable = False
-        return [cls._prechecked(m, indices, row) for row in rows]
+        if support is None:
+            indices = np.arange(m, dtype=np.int64)
+            indices.flags.writeable = False
+            return [cls._prechecked(m, indices, row) for row in rows]
+        out = []
+        for row, listed in zip(rows, support):
+            indices = np.flatnonzero(listed).astype(np.int64, copy=False)
+            out.append(cls._prechecked(m, indices, row[indices]))
+        return out
 
     @classmethod
     def from_pairs(cls, m: int, pairs: list[tuple[int, float]]) -> "ProbEstimate":
@@ -139,14 +159,23 @@ class ProbEstimate:
         """Keep the k largest-probability entries (ties: smaller label index)."""
         if self.indices.size <= k:
             return self
-        order = np.argsort(-self.values, kind="stable")[:k]
-        keep = np.sort(self.indices[order])
-        pos = np.searchsorted(self.indices, keep)
-        return ProbEstimate(self.m, keep, self.values[pos])
+        return ProbEstimate(self.m, *top_entries(self.indices, self.values, k))
 
     @property
     def total(self) -> float:
         return float(self.values.sum())
+
+
+def top_entries(indices: np.ndarray, values: np.ndarray,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest of the listed ``values``, as sorted (indices, values).
+
+    Ties go to the smaller label index; with k or fewer entries all are kept.
+    """
+    if indices.size <= k:
+        return indices, values
+    keep = np.sort(indices[np.argsort(-values, kind="stable")[:k]])
+    return keep, values[np.searchsorted(indices, keep)]
 
 
 def check_labels(task: Task, labels: Labels, *, prediction: bool = False) -> Labels:
@@ -241,33 +270,31 @@ class ConfusionState:
     def update(self, y: Labels, yhat: Labels) -> None:
         """Fold in one observed (label, prediction) pair."""
         check_labels(self.task, y)
-        ref = np.zeros(self.task.m)
-        ref.put(y, 1.0)
-        self._add(ref, yhat)
+        check_labels(self.task, yhat, prediction=True)
+        self._add(indicator_row(self.task.m, y, np.float64),
+                  indicator_row(self.task.m, yhat, bool))
 
     def update_semi(self, eta: ProbEstimate, yhat: Labels) -> None:
         """Fold in one expected (estimate, prediction) pair instead of a label."""
         if eta.m != self.task.m:
             raise ValueError("estimate size does not match the task")
-        self._add(eta.dense(), yhat)
+        check_labels(self.task, yhat, prediction=True)
+        self._add(eta.dense(), indicator_row(self.task.m, yhat, bool))
 
-    def _add(self, ref: np.ndarray, yhat: Labels) -> None:
-        """Add a dense reference row (0/1 labels or probabilities) against ``yhat``.
+    def _add(self, ref: np.ndarray, dec: np.ndarray) -> None:
+        """Add a dense reference row (0/1 labels or probabilities) against the
+        (m,) boolean decision row ``dec``; neither is checked.
 
         Multiclass: every predicted column receives the row.  Multilabel: label
         j adds ref_j to its true-positive row and 1 - ref_j to its true-negative
         row, in the column of its prediction.  Adding 0.0 is exact, so a 0/1
         row gives the same counts as counting label pairs.
         """
-        check_labels(self.task, yhat, prediction=True)
         if self.task.is_multiclass:
-            for col in yhat:
-                self.counts[:, col] += ref
+            self.counts[:, dec] += ref[:, None]
         else:
-            pred = np.zeros(self.task.m, dtype=np.intp)
-            pred.put(yhat, 1)
-            # flat index of cell [j, 0, pred_j]; cell [j, 1, pred_j] is 2 further on
-            cells = self._tn_cells + pred
+            # flat index of cell [j, 0, dec_j]; cell [j, 1, dec_j] is 2 further on
+            cells = self._tn_cells + dec
             flat = self.counts.reshape(-1)
             flat[cells] += 1.0 - ref
             flat[cells + 2] += ref
@@ -284,17 +311,49 @@ class ConfusionState:
         return self.counts[indices] / max(self.t, 1)
 
 
-def label_rows(task: Task, labels: list[Labels]) -> np.ndarray:
-    """(n, m) float64 0/1 rows of n label tuples (one-hot for multiclass labels).
+def indicator_row(m: int, labels: Labels, dtype) -> np.ndarray:
+    """The (m,) row with a one at each listed label and zeros elsewhere."""
+    row = np.zeros(m, dtype=dtype)
+    row[list(labels)] = 1
+    return row
 
-    Predictions are label tuples too, so this builds both arguments of
-    :func:`batch_counts`.
+
+def label_rows(task: Task, labels: Sequence[Labels]) -> np.ndarray:
+    """(n, m) float64 0/1 rows of n label tuples (one-hot for multiclass labels),
+    checked as a whole with the rule of :func:`check_labels`.
+
+    A ``ValueError`` names the first bad tuple: an index that is not an int in
+    0..m-1, indices not strictly increasing (unsorted or repeated), or a
+    multiclass tuple without exactly one class.
     """
-    rows = np.zeros((len(labels), task.m))
-    sizes = [len(y) for y in labels]
-    rows[np.repeat(np.arange(len(labels)), sizes),
-         [j for y in labels for j in y]] = 1.0
+    n = len(labels)
+    sizes = np.fromiter(map(len, labels), dtype=np.intp, count=n)
+    flat = np.array([j for y in labels for j in y])
+    if flat.size and flat.dtype.kind not in "iu":
+        raise ValueError(f"label indices must be integers in 0..{task.m - 1}")
+    owner = np.repeat(np.arange(n), sizes)
+    # a bad element: out of range, or not above its predecessor in the same row
+    wrong = (flat < 0) | (flat >= task.m)
+    wrong[1:] |= (flat[1:] <= flat[:-1]) & (owner[1:] == owner[:-1])
+    if wrong.any():
+        y = labels[owner[wrong.argmax()]]
+        raise ValueError(f"bad label set {y!r} for m={task.m}")
+    if task.is_multiclass and np.any(sizes != 1):
+        y = labels[int(np.argmax(sizes != 1))]
+        raise ValueError(f"multiclass labels must contain exactly one class, got {y!r}")
+    rows = np.zeros((n, task.m))
+    rows[owner, flat.astype(np.intp, copy=False)] = 1.0
     return rows
+
+
+def check_label_rows(task: Task, rows: np.ndarray) -> None:
+    """An (n, m) label matrix: 0/1 entries, one-hot rows for multiclass."""
+    if rows.ndim != 2 or rows.shape[1] != task.m:
+        raise ValueError(f"expected an (n, {task.m}) matrix of label rows")
+    if not np.all((rows == 0.0) | (rows == 1.0)):
+        raise ValueError("label rows must hold 0/1 values")
+    if task.is_multiclass and np.any(rows.sum(axis=1) != 1.0):
+        raise ValueError("multiclass label rows must contain exactly one class")
 
 
 def batch_counts(task: Task, ref: np.ndarray, dec: np.ndarray) -> np.ndarray:
@@ -305,9 +364,9 @@ def batch_counts(task: Task, ref: np.ndarray, dec: np.ndarray) -> np.ndarray:
     0/1 rows are exact integers in float64, so they do not depend on how a
     sequence of rows is split into batches.
     """
-    if task.is_multiclass:
-        return ref.T @ dec
     d = np.asarray(dec, dtype=np.float64)
+    if task.is_multiclass:
+        return ref.T @ d
     out = np.empty(task.shape)
     out[:, 1, 1] = (ref * d).sum(axis=0)
     out[:, 1, 0] = (ref * (1.0 - d)).sum(axis=0)

@@ -1,4 +1,12 @@
-"""Instance streams: file formats, a synthetic oracle, perturbation, shuffling.
+"""Instance streams: columns, file formats, a synthetic oracle, perturbation, shuffling.
+
+A stream is stored as columns: one read-only (n, m) float64 matrix of
+estimates, one read-only (n, m) matrix of 0/1 label rows (one-hot for
+multiclass), an optional (n, m) boolean support of the labels each sparse
+estimate lists, and, for synthetic streams, the exact conditionals (the
+estimate matrix itself until the estimates are perturbed or cut).  The
+builders below index or fill these matrices directly; label tuples and
+:class:`ProbEstimate` objects exist only as list views for readers.
 
 Text formats are line-oriented (one instance per line) so streams never need
 to be loaded wholesale:
@@ -13,10 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .confusion import Labels, ProbEstimate, Task, check_labels
+from .confusion import (Labels, ProbEstimate, Task, _check_probabilities, check_label_rows,
+                        check_labels, label_rows)
 
 _MC_SUM_SLACK = 1e-3
 
@@ -25,31 +35,128 @@ class DataFormatError(ValueError):
     """Malformed stream file; message carries the offending line number."""
 
 
-@dataclass
-class InstanceStream:
-    """Aligned per-instance labels and probability estimates.
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    ``truth`` carries exact conditional probabilities and is only present for
-    synthetic / oracle streams.
+
+def _listed_columns(n: int, m: int, owner, cols, vals) -> tuple[np.ndarray, np.ndarray | None]:
+    """(rows, support) of n estimates given as (row, label, probability)
+    entries with distinct (row, label); support is None when all are listed."""
+    rows = np.zeros((n, m))
+    rows[owner, cols] = vals
+    if len(cols) == n * m:
+        return rows, None
+    support = np.zeros((n, m), dtype=bool)
+    support[owner, cols] = True
+    return rows, support
+
+
+def _estimate_columns(task: Task, estimates) -> tuple[np.ndarray, np.ndarray | None]:
+    """(rows, support) of an (n, m) probability matrix or a list of estimates."""
+    m = task.m
+    if isinstance(estimates, np.ndarray):
+        rows = np.array(estimates, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != m:
+            raise ValueError(f"expected an (n, {m}) matrix of probabilities")
+        _check_probabilities(rows)
+        return rows, None
+    if any(est.m != m for est in estimates):
+        raise ValueError("estimate size does not match the task")
+    n = len(estimates)
+    owner = np.repeat(np.arange(n), [est.indices.size for est in estimates])
+    return _listed_columns(
+        n, m, owner, np.concatenate([est.indices for est in estimates] or [np.empty(0, int)]),
+        np.concatenate([est.values for est in estimates] or [np.empty(0)]))
+
+
+def _row_labels(rows: np.ndarray) -> list[Labels]:
+    """The sorted label tuple of every 0/1 row, with Python int indices."""
+    # positives in row-major order, split at the cumulative row counts
+    cols = np.nonzero(rows)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+    return [tuple(cols[start:end]) for start, end in zip([0, *ends], ends)]
+
+
+class InstanceStream:
+    """Aligned per-instance labels and probability estimates, stored as columns.
+
+    * ``label_rows``: read-only (n, m) float64 0/1 rows, one-hot for multiclass;
+    * ``estimate_rows``: read-only (n, m) float64 probabilities, 0 wherever an
+      estimate lists no probability;
+    * ``support``: None when every estimate lists all m labels, else a
+      read-only (n, m) boolean matrix of the labels each estimate lists (a
+      listed label may have probability 0);
+    * ``truth_rows``: exact conditionals, only for synthetic / oracle streams,
+      else None; a synthetic stream's truth is its estimate matrix itself.
+
+    The constructor takes label tuples or an (n, m) 0/1 matrix, and lists of
+    :class:`ProbEstimate` or (n, m) probability matrices, copies them into
+    columns and checks each once as a whole.  ``labels``, ``estimates`` and
+    ``truth`` are list views for readers, built on first use (or the lists
+    given to the constructor); the run loop never reads them.
     """
 
-    task: Task
-    labels: list[Labels]
-    estimates: list[ProbEstimate]
-    truth: list[ProbEstimate] | None = None
+    def __init__(self, task: Task, labels, estimates, truth=None):
+        if isinstance(labels, np.ndarray):
+            y = np.array(labels, dtype=np.float64)
+            check_label_rows(task, y)
+        else:
+            y = label_rows(task, labels)
+            self.__dict__["labels"] = list(labels)
+        eta, support = _estimate_columns(task, estimates)
+        if not isinstance(estimates, np.ndarray):
+            self.__dict__["estimates"] = list(estimates)
+        true = None
+        if truth is not None:
+            true, _ = _estimate_columns(task, truth)
+            if not isinstance(truth, np.ndarray):
+                self.__dict__["truth"] = list(truth)
+        self._set_columns(task, y, eta, support, true)
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.estimates):
+    @classmethod
+    def _of_columns(cls, task: Task, label_rows: np.ndarray, estimate_rows: np.ndarray,
+                    support: np.ndarray | None = None,
+                    truth_rows: np.ndarray | None = None) -> InstanceStream:
+        """A stream over columns that already hold valid values; only their
+        alignment is checked, and the arrays are made read-only, not copied."""
+        stream = cls.__new__(cls)
+        stream._set_columns(task, label_rows, estimate_rows, support, truth_rows)
+        return stream
+
+    def _set_columns(self, task, label_rows, estimate_rows, support, truth_rows) -> None:
+        if len(label_rows) != len(estimate_rows):
             raise DataFormatError(
-                f"label/estimate length mismatch: {len(self.labels)} vs {len(self.estimates)}")
-        if self.truth is not None and len(self.truth) != len(self.labels):
+                f"label/estimate length mismatch: {len(label_rows)} vs {len(estimate_rows)}")
+        if truth_rows is not None and len(truth_rows) != len(label_rows):
             raise DataFormatError("truth length does not match the stream")
+        self.task = task
+        self.label_rows = _readonly(label_rows)
+        self.estimate_rows = _readonly(estimate_rows)
+        self.support = None if support is None else _readonly(support)
+        self.truth_rows = None if truth_rows is None else _readonly(truth_rows)
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.label_rows)
 
     def __iter__(self):
         return iter(zip(self.labels, self.estimates))
+
+    @cached_property
+    def labels(self) -> list[Labels]:
+        return _row_labels(self.label_rows)
+
+    @cached_property
+    def estimates(self) -> list[ProbEstimate]:
+        return ProbEstimate._row_views(self.estimate_rows, self.support)
+
+    @cached_property
+    def truth(self) -> list[ProbEstimate] | None:
+        if self.truth_rows is None:
+            return None
+        if self.truth_rows is self.estimate_rows:
+            return self.estimates
+        return ProbEstimate._row_views(self.truth_rows)
 
 
 def read_labels(path, task: Task) -> list[Labels]:
@@ -74,10 +181,13 @@ def read_labels(path, task: Task) -> list[Labels]:
     return out
 
 
-def read_estimates(path, m: int, *, multiclass: bool = False) -> list[ProbEstimate]:
-    out = []
+def _read_estimate_columns(path, m: int, *, multiclass: bool = False
+                           ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (rows, support) of an estimate file, filled straight from its pairs."""
+    owner, cols, vals, totals = [], [], [], []
+    n = 0
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for n, line in enumerate(fh, start=1):
             line = line.strip()
             pairs = []
             seen = set()
@@ -89,33 +199,39 @@ def read_estimates(path, m: int, *, multiclass: bool = False) -> list[ProbEstima
                     j = int(head)
                     p = float(tail)
                 except ValueError:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: malformed pair {tok!r}") from None
+                    raise DataFormatError(f"{path}:{n}: malformed pair {tok!r}") from None
                 if j in seen:
-                    raise DataFormatError(f"{path}:{lineno}: duplicate index {j}")
+                    raise DataFormatError(f"{path}:{n}: duplicate index {j}")
                 seen.add(j)
                 if not 0.0 <= p <= 1.0:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: probability {p} outside [0, 1]")
+                    raise DataFormatError(f"{path}:{n}: probability {p} outside [0, 1]")
                 if not 0 <= j < m:
-                    raise DataFormatError(f"{path}:{lineno}: index {j} out of range")
+                    raise DataFormatError(f"{path}:{n}: index {j} out of range")
                 pairs.append((j, p))
             # the checks above cover every condition of ProbEstimate: indices
-            # in range and distinct (so strictly increasing once sorted),
-            # probabilities in [0, 1] with NaN rejected
+            # in range and distinct, probabilities in [0, 1] with NaN rejected
             pairs.sort()
-            est = ProbEstimate._prechecked(
-                m, np.array([j for j, _ in pairs], dtype=np.int64),
-                np.array([p for _, p in pairs], dtype=np.float64))
             if multiclass:
-                total = est.total
+                # summed in index order, as ProbEstimate.total sums its values
+                total = float(np.array([p for _, p in pairs], dtype=np.float64).sum())
                 if abs(total - 1.0) > _MC_SUM_SLACK:
                     raise DataFormatError(
-                        f"{path}:{lineno}: multiclass probabilities sum to {total:.6g}")
-                if total > 0 and total != 1.0:
-                    est = ProbEstimate(m, est.indices, est.values / total)
-            out.append(est)
-    return out
+                        f"{path}:{n}: multiclass probabilities sum to {total:.6g}")
+                totals.append(total)
+            owner.extend([n - 1] * len(pairs))
+            cols.extend(j for j, _ in pairs)
+            vals.extend(p for _, p in pairs)
+    rows, support = _listed_columns(n, m, owner, cols, vals)
+    if multiclass:
+        # x / 1.0 == x, so rows that already sum to 1 keep their bits
+        rows /= np.array(totals)[:, None]
+    return rows, support
+
+
+def read_estimates(path, m: int, *, multiclass: bool = False) -> list[ProbEstimate]:
+    """One estimate per line; multiclass lines are renormalized to sum to 1."""
+    rows, support = _read_estimate_columns(path, m, multiclass=multiclass)
+    return ProbEstimate._row_views(_readonly(rows), support)
 
 
 def write_labels(path, labels: list[Labels]) -> None:
@@ -133,8 +249,9 @@ def write_estimates(path, estimates: list[ProbEstimate]) -> None:
 
 def load_stream(labels_path, probs_path, task: Task) -> InstanceStream:
     labels = read_labels(labels_path, task)
-    estimates = read_estimates(probs_path, task.m, multiclass=task.is_multiclass)
-    return InstanceStream(task, labels, estimates)
+    rows, support = _read_estimate_columns(probs_path, task.m,
+                                           multiclass=task.is_multiclass)
+    return InstanceStream._of_columns(task, label_rows(task, labels), rows, support)
 
 
 @dataclass(frozen=True)
@@ -241,27 +358,21 @@ def _latent_draw(model: SynthModel, n: int,
 def synth_generate(model: SynthModel, n: int, seed: int | None = None) -> InstanceStream:
     """Draw n i.i.d. instances; estimates start out equal to the exact truth.
 
-    Truth and estimates are the same list: read-only rows of one validated
-    (n, m) conditionals matrix.  For a fixed seed a shorter stream is an
-    exact prefix of a longer one.
+    Truth and estimates are one read-only (n, m) conditionals matrix, and the
+    labels are drawn straight into 0/1 rows.  For a fixed seed a shorter
+    stream is an exact prefix of a longer one.
     """
     eta, rng_y = _latent_draw(model, n, seed)
+    _check_probabilities(eta)
     m = model.task.m
-    labels: list[Labels]
     if model.task.is_multiclass:
         u = rng_y.random(n)
-        cum = np.cumsum(eta, axis=1)
-        cls = np.minimum((u[:, None] > cum).sum(axis=1), m - 1)
-        labels = [(c,) for c in cls.tolist()]
+        cls = np.minimum((u[:, None] > np.cumsum(eta, axis=1)).sum(axis=1), m - 1)
+        y = np.zeros((n, m))
+        y[np.arange(n), cls] = 1.0
     else:
-        draws = rng_y.random((n, m)) < eta
-        # positives in row-major order, split at the cumulative row counts
-        cols = np.nonzero(draws)[1].tolist()
-        ends = np.cumsum(np.count_nonzero(draws, axis=1)).tolist()
-        labels = [tuple(cols[start:end]) for start, end in zip([0, *ends], ends)]
-    truth = ProbEstimate.from_rows(eta)
-    estimates = list(truth)
-    return InstanceStream(model.task, labels, estimates, truth=truth)
+        y = (rng_y.random((n, m)) < eta).astype(np.float64)
+    return InstanceStream._of_columns(model.task, y, eta, truth_rows=eta)
 
 
 def perturb_estimates(stream: InstanceStream, sigma: float,
@@ -271,11 +382,11 @@ def perturb_estimates(stream: InstanceStream, sigma: float,
     Returns the new stream and the realized mean per-instance L2 estimation
     error, the quantity the regret bookkeeping needs.
     """
-    if stream.truth is None:
+    if stream.truth_rows is None:
         raise ValueError("perturbation requires exact conditionals in the stream")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 0x5E11])))
     n, m = len(stream), stream.task.m
-    dense = np.array([true.dense() for true in stream.truth]).reshape(n, m)
+    dense = stream.truth_rows
     # one (n, m) draw gives the same numbers as n draws of size m
     noisy = np.clip(dense + rng.normal(0.0, sigma, size=(n, m)), 0.0, 1.0)
     if stream.task.is_multiclass:
@@ -283,22 +394,36 @@ def perturb_estimates(stream: InstanceStream, sigma: float,
         np.divide(noisy, totals, out=noisy, where=totals > 0)
     # row by row: norm(axis=1) can differ in the last bit from the 1-d norm
     err = sum(float(np.linalg.norm(row)) for row in noisy - dense)
-    return (InstanceStream(stream.task, list(stream.labels), ProbEstimate.from_rows(noisy),
-                           truth=list(stream.truth)), err / max(n, 1))
+    return (InstanceStream._of_columns(stream.task, stream.label_rows, noisy,
+                                       truth_rows=dense), err / max(n, 1))
 
 
 def sparsify_estimates(stream: InstanceStream, k: int) -> InstanceStream:
-    """Keep only the k largest-probability entries of every estimate."""
-    estimates = [est.top(k) for est in stream.estimates]
-    truth = list(stream.truth) if stream.truth is not None else None
-    return InstanceStream(stream.task, list(stream.labels), estimates, truth=truth)
+    """Keep only the k largest-probability listed entries of every estimate
+    (ties: smaller label index); the dropped labels get probability 0."""
+    eta, listed = stream.estimate_rows, stream.support
+    # unlisted labels sort after every listed one, so they are never kept
+    keys = -eta if listed is None else np.where(listed, -eta, np.inf)
+    order = np.argsort(keys, axis=1, kind="stable")[:, :k]
+    support = np.zeros(eta.shape, dtype=bool)
+    support[np.arange(len(eta))[:, None], order] = True
+    if listed is not None:
+        support &= listed
+    return InstanceStream._of_columns(stream.task, stream.label_rows,
+                                      np.where(support, eta, 0.0),
+                                      None if support.all() else support, stream.truth_rows)
 
 
 def shuffle(stream: InstanceStream, seed: int) -> InstanceStream:
-    """Seeded permutation preserving label/estimate/truth alignment."""
+    """Seeded permutation preserving label/estimate/support/truth alignment."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 0x5F1E])))
     perm = rng.permutation(len(stream))
-    labels = [stream.labels[i] for i in perm]
-    estimates = [stream.estimates[i] for i in perm]
-    truth = [stream.truth[i] for i in perm] if stream.truth is not None else None
-    return InstanceStream(stream.task, labels, estimates, truth=truth)
+    eta = stream.estimate_rows[perm]
+    truth = stream.truth_rows
+    if truth is stream.estimate_rows:
+        truth = eta
+    elif truth is not None:
+        truth = truth[perm]
+    return InstanceStream._of_columns(
+        stream.task, stream.label_rows[perm], eta,
+        None if stream.support is None else stream.support[perm], truth)

@@ -1,9 +1,13 @@
 """Online protocol runner, optimal-utility estimation, regret measurement.
 
 Running utilities are always reported on the unregularized empirical confusion
-matrix, whatever the algorithm uses internally.  The run loop keeps the
-predictions; at every checkpoint it adds the exact batch count of the
-instances since the previous count (``confusion.batch_counts``) to its totals.
+matrix, whatever the algorithm uses internally.  The run loop drives a
+learner on rows of the stream's columns: an (m,) estimate row in, an (m,)
+boolean decision row out, then the (m,) label row.  It writes the decisions
+into one reused buffer of at most 1024 rows; at every checkpoint, and when
+the buffer is full, it adds the exact batch count of those rows against the
+matching slice of the label matrix (``confusion.batch_counts``) to its
+totals.  No label tuple or ``ProbEstimate`` is built on the way.
 Checkpoints are a stride or any set of t values, so one run of a causal
 learner scores every length of a regret grid.  :func:`run_online` is the only
 place that builds and steps a learner: the regret measurement and the
@@ -24,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import LearnerConfig, OfflineFWLearner, fw_fit, make_learner
-from .confusion import (Labels, ProbEstimate, Task, batch_counts, check_labels,
-                        label_rows, multilabel)
+from .confusion import Task, batch_counts, multilabel
 from .dataio import InstanceStream, SynthModel, _latent_draw, synth_generate
 from .metrics import BINARY, MACRO, Metric, min_tn_tp
 
@@ -95,8 +98,9 @@ def mean_std(values) -> tuple[float, float]:
 FP_ERRORS = dict(divide="raise", over="raise", invalid="raise")
 
 
-# the most predictions a run holds before counting them, so that memory stays
-# bounded however far apart its checkpoints are
+# the rows of a run's decision buffer: the most decisions it holds before
+# counting them, so that memory stays bounded however far apart its
+# checkpoints are
 _FLUSH = 1024
 
 
@@ -122,22 +126,19 @@ def run_online(stream: InstanceStream, cfg: LearnerConfig,
         raise ValueError(f"checkpoints must lie in 1..{n}")
     learner = make_learner(cfg)
     if isinstance(learner, OfflineFWLearner):
-        learner.prefit(stream.estimates)
+        learner.prefit(stream.estimate_rows)
+    labels, support = stream.label_rows, stream.support
+    step, observe = learner.step_row, learner.observe_row
+    dec = np.empty((min(n, _FLUSH), task.m), dtype=bool)
     counts = np.zeros(task.shape)
-    pending: list[Labels] = []  # predictions of instances start + 1 .. t
-    start = 0
+    start = 0  # dec[:t - start] holds the decisions of instances start + 1 .. t
     checkpoints: list[tuple[int, float]] = []
-    for t, (y, eta) in enumerate(stream, start=1):
-        pred = learner.step(eta)
-        learner.observe(y)
-        check_labels(task, y)
-        check_labels(task, pred, prediction=True)
-        pending.append(pred)
+    for t, eta in enumerate(stream.estimate_rows, start=1):
+        dec[t - 1 - start] = step(eta, None if support is None else support[t - 1])
+        observe(labels[t - 1])
         checkpoint = t in marks
-        if checkpoint or len(pending) == _FLUSH:
-            counts += batch_counts(task, label_rows(task, stream.labels[start:t]),
-                                   label_rows(task, pending))
-            pending.clear()
+        if checkpoint or t - start == _FLUSH:
+            counts += batch_counts(task, labels[start:t], dec[:t - start])
             start = t
         if checkpoint:
             checkpoints.append((t, metric.value(counts / t)))
@@ -298,7 +299,13 @@ def opt_bounds(n: int) -> tuple[float, float]:
 
 def adversarial_run(algorithm: str, n: int, runs: int, seed: int = 0,
                     lam: float = 0.0) -> AdversarialReport:
-    """Run the algorithm on both sequences with exact conditionals."""
+    """Run the algorithm on both sequences with exact conditionals.
+
+    ``lam`` is passed to the learners, but it changes no output: the
+    regularizer adds lam to tn and tp alike, so min(tn, tp) and its
+    supergradient compare the same counts, and ``omma``, ``omma-eta`` and
+    ``greedy`` decide as at lam 0; the other learners never read it.
+    """
     if runs < 1:
         raise ValueError("need at least one run")
     seqs = adversarial_sequences(n)
@@ -307,12 +314,12 @@ def adversarial_run(algorithm: str, n: int, runs: int, seed: int = 0,
     bounds = opt_bounds(n)
     stats = []
     for s, eta_seq in enumerate(seqs):
-        estimates = ProbEstimate.from_rows(eta_seq[:, None])
+        estimates = eta_seq[:, None]
         psis = []
         for r in range(runs):
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence([seed, s, r, 0xADE])))
-            labels = [(0,) if yt else () for yt in rng.random(n) < eta_seq]
+            labels = (rng.random(n) < eta_seq)[:, None].astype(np.float64)
             cfg = LearnerConfig(algorithm=algorithm, task=task, metric=metric,
                                 lam=lam, seed=seed + r)
             psis.append(run_online(InstanceStream(task, labels, estimates), cfg).final_psi)

@@ -37,39 +37,45 @@ def gains(coeffs: CostCoefficients, eta: ProbEstimate | np.ndarray) -> np.ndarra
 
 def decide(scores: np.ndarray, budget: int | None = None, *,
            argmax: bool = False) -> np.ndarray:
-    """The decision kernel: an (n, m) score matrix to an (n, m) boolean decision.
+    """The decision kernel: scores of shape (..., m) to boolean decisions of
+    the same shape; one instance is an (m,) row, a batch an (n, m) matrix.
 
     Under a budget every row keeps its k highest scores; otherwise a row
     predicts its argmax (multiclass) or every label with a gain >= 0
-    (multilabel).  Ties go to the smaller index (a stable sort).  A single
-    instance is n = 1.
+    (multilabel).  Ties go to the smaller index (a stable sort).
     """
-    n, m = scores.shape
+    m = scores.shape[-1]
     if budget is None:
         if argmax:
-            return np.arange(m) == scores.argmax(axis=1)[:, None]
+            return np.arange(m) == scores.argmax(axis=-1)[..., None]
         return scores >= 0.0
     if budget > m:
         raise ValueError(f"budget {budget} exceeds the {m} candidate labels")
-    dec = np.zeros((n, m), dtype=bool)
-    dec[np.arange(n)[:, None], (-scores).argsort(axis=1, kind="stable")[:, :budget]] = True
-    return dec
+    # each score's rank in a stable descending sort; the first k ranks win
+    return (-scores).argsort(axis=-1, kind="stable").argsort(axis=-1) < budget
 
 
 def decide_one(scores: np.ndarray, budget: int | None = None, *,
                argmax: bool = False) -> Labels:
     """The kernel on one instance's score vector, as a sorted label tuple."""
-    return _labels(decide(scores[None], budget, argmax=argmax))
+    return _labels(decide(scores, budget, argmax=argmax))
 
 
 def _labels(dec: np.ndarray) -> Labels:
-    """Positive labels of a one-row decision matrix."""
-    return tuple(dec.nonzero()[1].tolist())
+    """Positive labels of an (m,) decision row."""
+    return tuple(dec.nonzero()[0].tolist())
 
 
 def decide_multilabel(g: np.ndarray, budget: int | None = None) -> Labels:
     """Positive set from gains: thresholded at zero, or the top-k under a budget."""
-    return _labels(decide(np.asarray(g, dtype=np.float64)[None], budget))
+    return _labels(decide(np.asarray(g, dtype=np.float64), budget))
+
+
+def decide_classes(G: np.ndarray, eta: np.ndarray, budget: int | None = None) -> np.ndarray:
+    """(m,) boolean row of the class(es) maximizing the column scores
+    sum_j G[j, l] * eta_j; nothing is checked."""
+    # a one-row product, so the scores equal dense @ G bit for bit
+    return decide((eta[None] @ G)[0], budget, argmax=True)
 
 
 def decide_multiclass(G: np.ndarray, eta: ProbEstimate | np.ndarray,
@@ -81,20 +87,26 @@ def decide_multiclass(G: np.ndarray, eta: ProbEstimate | np.ndarray,
     dense = eta.dense() if isinstance(eta, ProbEstimate) else np.asarray(eta, float)
     if dense.shape[0] != G.shape[0]:
         raise ValueError("estimate length does not match the gradient")
-    # a one-row product, so the scores equal dense @ G bit for bit
-    return _labels(decide(dense[None] @ G, budget, argmax=True))
+    return _labels(decide_classes(G, dense, budget))
+
+
+def decide_support(coeffs: CostCoefficients, indices: np.ndarray, values: np.ndarray,
+                   m: int, budget: int | None = None) -> np.ndarray:
+    """(m,) boolean row of the gain decision restricted to the listed ``indices``.
+
+    ``coeffs`` holds (alpha, beta) for exactly the listed labels, in their
+    order, and ``values`` their probabilities.  Unlisted labels are treated as
+    eta_j = 0 and are never predicted positive, even where a negative beta
+    would flip the dense rule.
+    """
+    if coeffs.alpha.shape[0] != indices.shape[0]:
+        raise ValueError("coefficients must align with the estimate support")
+    dec = np.zeros(m, dtype=bool)
+    dec[indices[decide(coeffs.alpha * values - coeffs.beta, budget)]] = True
+    return dec
 
 
 def decide_sparse(coeffs: CostCoefficients, eta: ProbEstimate,
                   budget: int | None = None) -> Labels:
-    """Gain decision restricted to the estimate's support.
-
-    ``coeffs`` holds (alpha, beta) for exactly the support labels, in support
-    order.  Labels outside the support are treated as eta_j = 0 and are never
-    predicted positive, even where a negative beta would flip the dense rule.
-    """
-    support = eta.indices
-    if coeffs.alpha.shape[0] != support.shape[0]:
-        raise ValueError("coefficients must align with the estimate support")
-    g = coeffs.alpha * eta.values - coeffs.beta
-    return tuple(support[decide(g[None], budget)[0]].tolist())
+    """:func:`decide_support` on an estimate's support, as a sorted label tuple."""
+    return _labels(decide_support(coeffs, eta.indices, eta.values, eta.m, budget))

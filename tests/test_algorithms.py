@@ -418,10 +418,9 @@ def test_prediction_sequences_deterministic(alg):
 def test_fw_fit_multiclass():
     model = SynthModel(task=multiclass(4), d=3, seed=40)
     stream = synth_generate(model, 300, seed=41)
-    eta = np.vstack([e.dense() for e in stream.estimates])
-    labels = np.array([y[0] for y in stream.labels])
     metric = parse_metric("mc-gmean")
-    mix = fw_fit(eta, labels, multiclass(4), metric, iterations=40)
+    mix = fw_fit(stream.estimate_rows, stream.label_rows, multiclass(4), metric,
+                 iterations=40)
     assert mix.weights.sum() == pytest.approx(1.0)
     assert mix.final_cm.shape == (4, 4)
     assert metric.value(mix.final_cm) > 0.0
@@ -446,3 +445,30 @@ def test_omma_sparse_budget():
     pred = learner.step(eta)
     assert len(pred) == 2
     assert set(pred) <= {3, 17, 40, 77, 99}
+
+
+@pytest.mark.parametrize("alg", ["omma", "omma-eta"])
+def test_omma_sparse_predicts_listed_zeros_never_unlisted_labels(alg):
+    # recall's gain at eta_j = 0 is exactly 0, which the rule predicts; the
+    # dense rule would predict all four labels
+    learner = make_learner(cfg_for(alg, multilabel(4), "macro-recall", sparse_k=3))
+    assert learner.step(ProbEstimate(4, [1, 3], [0.0, 0.4])) == (1, 3)
+    learner.observe((3,))
+    eta = np.array([0.0, 0.0, 0.0, 0.4])
+    support = np.array([False, True, False, True])
+    assert learner.step_row(eta, support).tolist() == [False, True, False, True]
+    learner.observe_row(np.array([0.0, 0.0, 0.0, 1.0]))
+    # with every label listed, the top-k' cut keeps labels 3, 0 and 1
+    assert learner.step_row(eta).tolist() == [True, True, False, True]
+
+
+def test_public_step_and_observe_check_their_arguments():
+    learner = make_learner(cfg_for("omma", multilabel(3), "macro-f1"))
+    with pytest.raises(ValueError, match="estimate size"):
+        learner.step(est(0.5, 0.5))
+    learner.step(est(0.5, 0.5, 0.5))
+    for bad in [(3,), (1, 0), (1, 1)]:
+        with pytest.raises(ValueError, match="bad label set"):
+            learner.observe(bad)
+    learner.observe((1,))
+    assert learner.state.t == 1

@@ -221,3 +221,72 @@ def test_parse_model_file(tmp_path):
 def test_synth_model_rejects_non_finite_weight_scale(scale):
     with pytest.raises(ValueError, match="weight scale"):
         SynthModel(task=multilabel(3), weight_scale=scale)
+
+
+EST3 = dataio.ProbEstimate.from_dense(np.array([0.2, 0.5, 0.3]))
+
+
+@pytest.mark.parametrize("task, labels, msg", [
+    (multilabel(3), [(0,), (3,)], r"bad label set \(3,\)"),
+    (multilabel(3), [(-1,)], r"bad label set \(-1,\)"),
+    (multilabel(3), [(), (2, 1)], r"bad label set \(2, 1\)"),
+    (multilabel(3), [(0, 1), (1, 1)], r"bad label set \(1, 1\)"),
+    (multilabel(3), [(0.5,)], "integers"),
+    (multiclass(3), [(0,), ()], "exactly one class"),
+    (multiclass(3), [(0, 1)], "exactly one class"),
+    (multiclass(3), [(3,)], r"bad label set \(3,\)"),
+])
+def test_stream_rejects_bad_label_tuples_at_construction(task, labels, msg):
+    with pytest.raises(ValueError, match=msg):
+        InstanceStream(task, labels, [EST3] * len(labels))
+
+
+@pytest.mark.parametrize("task, rows, msg", [
+    (multilabel(3), [[0.0, 2.0, 0.0]], "0/1"),
+    (multilabel(3), [[0.0, 0.5, 0.0]], "0/1"),
+    (multilabel(3), [[0.0, 1.0]], r"\(n, 3\)"),
+    (multiclass(3), [[1.0, 1.0, 0.0]], "exactly one class"),
+    (multiclass(3), [[0.0, 0.0, 0.0]], "exactly one class"),
+])
+def test_stream_rejects_bad_label_rows_at_construction(task, rows, msg):
+    with pytest.raises(ValueError, match=msg):
+        InstanceStream(task, np.array(rows), np.full((1, 3), 0.5))
+
+
+def test_stream_rejects_estimates_of_another_size():
+    with pytest.raises(ValueError, match="estimate size"):
+        InstanceStream(multilabel(4), [()], [EST3])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        InstanceStream(multilabel(3), [()], np.array([[0.5, 1.5, 0.0]]))
+
+
+def test_stream_columns_and_views():
+    task = multilabel(3)
+    labels = [(0, 2), (), (1,)]
+    estimates = [EST3, dataio.ProbEstimate(3, [1], [0.0]),
+                 dataio.ProbEstimate(3, [0, 2], [0.9, 0.1])]
+    stream = InstanceStream(task, labels, estimates)
+    assert stream.label_rows.tolist() == [[1, 0, 1], [0, 0, 0], [0, 1, 0]]
+    assert stream.estimate_rows.tolist() == [[0.2, 0.5, 0.3], [0, 0, 0], [0.9, 0, 0.1]]
+    # the listed zero of row 1 stays listed
+    assert stream.support.tolist() == [[True] * 3, [False, True, False], [True, False, True]]
+    for column in (stream.label_rows, stream.estimate_rows, stream.support):
+        assert not column.flags.writeable
+    assert stream.labels == labels and stream.truth is None
+    # views rebuilt from the columns equal the lists given
+    mixed = shuffle(stream, 0)
+    order = [stream.labels.index(y) for y in mixed.labels]
+    for got, i in zip(mixed.estimates, order):
+        assert got.indices.tolist() == estimates[i].indices.tolist()
+        assert got.values.tolist() == estimates[i].values.tolist()
+    assert all(type(j) is int for y in mixed.labels for j in y)
+
+
+def test_synth_truth_is_the_estimate_matrix():
+    stream = synth_generate(SynthModel(task=multiclass(3), seed=1), 20, seed=2)
+    assert stream.truth_rows is stream.estimate_rows and stream.support is None
+    assert stream.truth is stream.estimates
+    assert np.all(stream.label_rows.sum(axis=1) == 1.0)
+    noisy, _ = perturb_estimates(stream, 0.1, seed=3)
+    assert noisy.truth_rows is stream.truth_rows
+    assert noisy.label_rows is stream.label_rows

@@ -10,7 +10,7 @@ from omma import evaluation
 from omma.algorithms import (ALGORITHMS, LearnerConfig, OfflineFWLearner,
                              UnsupportedMetricError, make_learner)
 from omma.confusion import ProbEstimate, init_state, multilabel
-from omma.dataio import SynthModel, synth_generate
+from omma.dataio import InstanceStream, SynthModel, synth_generate
 from omma.evaluation import (RunReport, adversarial_run, adversarial_sequences,
                              emit_report, emit_trace, estimate_optimal,
                              measure_regret, opt_bounds, run_online)
@@ -52,7 +52,7 @@ def test_run_online_perfect_oracle_threshold():
         dense = np.zeros(3)
         dense[list(y)] = 1.0
         exact.append(ProbEstimate.from_dense(dense))
-    stream.estimates[:] = exact
+    stream = InstanceStream(stream.task, stream.labels, exact)
     metric = parse_metric("macro-accuracy")
     trace = run_online(stream, LearnerConfig("thresh05", stream.task, metric))
     assert trace.final_psi == pytest.approx(1.0)
@@ -213,6 +213,17 @@ def test_adversarial_run_equals_a_per_run_reference(algorithm, k, runs, seed, la
     assert got.max_regret.hex() == max(regret).hex()
 
 
+@pytest.mark.parametrize("lam", [1e-3, 0.5])
+@pytest.mark.parametrize("algorithm", ["omma", "omma-eta", "greedy"])
+def test_adversarial_lambda_changes_no_output(algorithm, lam):
+    """lam is added to tn and tp alike, so min(tn, tp) decides as at lam 0."""
+    base = adversarial_run(algorithm, 120, 2, seed=3)
+    got = adversarial_run(algorithm, 120, 2, seed=3, lam=lam)
+    for key in ("psi_mean", "psi_std", "regret"):
+        assert [x.hex() for x in getattr(got, key)] == [x.hex() for x in getattr(base, key)]
+    assert got.max_regret.hex() == base.max_regret.hex()
+
+
 def test_emit_trace_format(tmp_path):
     stream = _stream(n=30)
     metric = parse_metric("macro-f1")
@@ -228,7 +239,6 @@ def test_emit_trace_format(tmp_path):
 
 
 def test_run_online_empty_stream():
-    from omma.dataio import InstanceStream
     stream = InstanceStream(multilabel(2), [], [])
     with pytest.raises(ValueError):
         run_online(stream, LearnerConfig("omma", stream.task, parse_metric("macro-f1")))

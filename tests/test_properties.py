@@ -3,6 +3,7 @@ batch-built estimate streams, the run loop's checkpoints and the per-label
 coefficients of the multilabel rule."""
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -16,7 +17,7 @@ from omma.algorithms import (ALGORITHMS, LearnerConfig, OfflineFWLearner,
 from omma.confusion import (ProbEstimate, Task, batch_counts, expected_instance_confusion,
                             init_state, instance_confusion)
 from omma.dataio import (InstanceStream, SynthModel, _latent_draw, perturb_estimates,
-                         read_estimates, synth_generate)
+                         read_estimates, shuffle, sparsify_estimates, synth_generate)
 from omma.metrics import (BINARY, EPSILON_FLOOR, MACRO, MULTICLASS_NATIVE, list_metrics,
                           parse_metric)
 
@@ -348,6 +349,133 @@ def test_long_run_counts_in_bounded_batches(monkeypatch, kind, alg, name, stride
 
 
 
+# --- columnar streams against their per-instance forms
+
+
+def listed_estimates(draw, stream):
+    """ProbEstimates of the stream's rows on random supports; about a third of
+    the listed labels have probability exactly 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = stream.estimate_rows.shape
+    listed = rng.random((n, m)) < 0.6
+    rows = np.where(rng.random((n, m)) < 0.3, 0.0, stream.estimate_rows)
+    return [ProbEstimate(m, np.flatnonzero(mask), row[mask]) for mask, row in zip(listed, rows)]
+
+
+@st.composite
+def column_streams(draw, max_n=30):
+    """A synthetic stream, or the same instances rebuilt from label tuples and
+    sparse ProbEstimates that list zero-probability labels."""
+    kind = draw(KINDS)
+    m = draw(st.integers(2 if kind == "multiclass" else 1, 6))
+    task = Task(kind, m)
+    stream = synth_generate(SynthModel(task=task, seed=draw(st.integers(0, 99))),
+                            draw(st.integers(0, max_n)), seed=draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        stream = InstanceStream(task, stream.labels, listed_estimates(draw, stream),
+                                truth=stream.truth)
+    return stream
+
+
+def assert_same_stream(got, labels, estimates, truth):
+    assert got.labels == labels
+    assert len(got.estimates) == len(estimates)
+    for a, b in zip(got.estimates, estimates):
+        assert_same_estimate(a, b)
+    assert (got.truth is None) == (truth is None)
+    for a, b in zip(got.truth or [], truth or []):
+        assert np.array_equal(a.dense(), b.dense())
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_streams(), st.integers(0, 2**32 - 1))
+def test_shuffle_equals_a_row_permutation(stream, seed):
+    perm = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([seed, 0x5F1E]))).permutation(len(stream))
+    truth = stream.truth
+    assert_same_stream(shuffle(stream, seed), [stream.labels[i] for i in perm],
+                       [stream.estimates[i] for i in perm],
+                       None if truth is None else [truth[i] for i in perm])
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_streams(), st.integers(0, 7))
+def test_sparsify_equals_row_top_k(stream, k):
+    got = sparsify_estimates(stream, k)
+    assert_same_stream(got, stream.labels, [est.top(k) for est in stream.estimates],
+                       stream.truth)
+    assert got.label_rows is stream.label_rows
+
+
+def per_instance_reference(labels, estimates, cfg, marks):
+    """The online protocol through the public step/observe on label tuples and
+    ProbEstimates, scored by its own ConfusionState at every mark."""
+    learner = make_learner(cfg)
+    if isinstance(learner, OfflineFWLearner):
+        learner.prefit(estimates)
+    state = init_state(cfg.task, 0.0)
+    checkpoints = []
+    for t, (y, eta) in enumerate(zip(labels, estimates), start=1):
+        pred = learner.step(eta)
+        learner.observe(y)
+        state.update(y, pred)
+        if t in marks:
+            checkpoints.append((t, cfg.metric.value(state.normalized())))
+    return checkpoints
+
+
+@st.composite
+def column_runs(draw):
+    """A stream, its label tuples and estimates, a learner configuration and a
+    checkpoint set.  The stream is a synthetic one, or the same instances
+    rebuilt from tuples and estimates, dense or on sparse supports; a third
+    of the streams are longer than the run loop's decision buffer."""
+    kind = draw(KINDS)
+    m = draw(st.integers(2, 5))
+    task = Task(kind, m)
+    n = draw(st.integers(1, 40) | st.integers(1, 40) |
+             st.integers(evaluation._FLUSH + 1, evaluation._FLUSH + 150))
+    base = synth_generate(SynthModel(task=task, seed=draw(st.integers(0, 99))), n,
+                          seed=draw(st.integers(0, 2**32 - 1)))
+    sparse = draw(st.booleans())
+    estimates = listed_estimates(draw, base) if sparse else base.estimates
+    stream = (InstanceStream(task, base.labels, estimates) if sparse or draw(st.booleans())
+              else base)
+    budget = draw(st.none() | st.integers(1, m))
+    # the top-k' path is drawn more often; under macro-recall an unlisted label
+    # has gain exactly 0, which the dense rule would predict
+    algorithm = draw(st.sampled_from(ALGORITHMS) | st.sampled_from(["omma", "omma-eta"]))
+    sparse_k = None
+    if algorithm in ("omma", "omma-eta") and kind == "multilabel":
+        sparse_k = draw(st.none() | st.integers(1, m))
+    bases = BASES[kind] + (["macro-recall"] if kind == "multilabel" else [])
+    name = draw(st.sampled_from(bases)) + (f"@{budget}" if budget else "")
+    cfg = LearnerConfig(algorithm=algorithm, task=task, metric=parse_metric(name),
+                        lam=draw(st.sampled_from([0.0, 1e-3])), seed=draw(st.integers(0, 99)),
+                        sparse_k=sparse_k, fw_iterations=3)
+    try:
+        make_learner(cfg)
+    except UnsupportedMetricError:
+        assume(False)
+    marks = draw(st.sets(st.integers(1, n), max_size=6))
+    return stream, base.labels, estimates, cfg, marks
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_runs())
+def test_columnar_run_equals_a_per_instance_reference(run):
+    stream, labels, estimates, cfg, marks = run
+    try:
+        want = per_instance_reference(labels, estimates, cfg, {*marks, len(labels)})
+    except ValueError as exc:
+        # a budget above a sparse estimate's top-k' support fails both ways alike
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            evaluation.run_online(stream, cfg, marks)
+        return
+    got = evaluation.run_online(stream, cfg, marks)
+    assert exact(got.checkpoints) == exact(want)
+
+
 @settings(max_examples=300, deadline=None)
 @given(KINDS, st.integers(0, 16), st.integers(1, 40), st.data())
 def test_shorter_stream_is_a_prefix(kind, d, n, data):
@@ -358,6 +486,8 @@ def test_shorter_stream_is_a_prefix(kind, d, n, data):
     model = SynthModel(task=Task(kind, m), d=d, seed=data.draw(st.integers(0, 2**32 - 1)))
     seed = data.draw(st.integers(0, 2**32 - 1))
     short, full = synth_generate(model, k, seed=seed), synth_generate(model, n, seed=seed)
+    assert short.label_rows.tobytes() == full.label_rows[:k].tobytes()
+    assert short.estimate_rows.tobytes() == full.estimate_rows[:k].tobytes()
     assert short.labels == full.labels[:k]
     for got, want in zip(short.truth, full.truth[:k]):
         assert_same_estimate(got, want)
