@@ -1,11 +1,11 @@
 """Golden outputs of the CLI: SHA-256 digests of every file and of stdout.
 
 A fixed matrix of in-process ``omma`` invocations covers every algorithm on a
-multilabel file stream, a budgeted metric, the sparse top-k' path, a native
-multiclass metric, ``regret`` over a lambda grid and ``adversarial``.  Each
-case digests the names and bytes of the files it writes and its stdout, with
-the temporary directory replaced by a fixed token.  A refactor that keeps
-these digests keeps the CLI's outputs byte-identical.
+multilabel file stream, a budgeted metric, the sparse top-k' path, the four
+recall-based native multiclass metrics, ``regret`` over a lambda grid and
+``adversarial``.  Each case digests the names and bytes of the files it writes
+and its stdout, with the temporary directory replaced by a fixed token.  A
+refactor that keeps these digests keeps the CLI's outputs byte-identical.
 
 The digests were taken with numpy 2.4.6 and scipy-openblas 0.3.31 on x86-64.
 Another BLAS may round a matrix product differently in the last bit and so
@@ -40,6 +40,10 @@ CASES = {
     "run-mc-omma": ["run", "--metric", "mc-qmean", "--alg", "omma", *MC, *RUN],
     "run-mc-ofw": ["run", "--metric", "mc-qmean", "--alg", "ofw", *MC, *RUN],
     "run-mc-greedy": ["run", "--metric", "macro-f1", "--alg", "greedy", *MC, *RUN],
+    "run-mc-gmean-omma": ["run", "--metric", "mc-gmean", "--alg", "omma", *MC, *RUN],
+    "run-mc-hmean-ofw-eta": ["run", "--metric", "mc-hmean", "--alg", "ofw-eta", *MC, *RUN],
+    "run-mc-bacc2-offline-fw": ["run", "--metric", "mc-balanced-acc@2", "--alg",
+                                "offline-fw", *MC, *RUN],
     "regret": ["regret", "--metric", "macro-f1", "--alg", "omma", "--n-grid", "30,60",
                "--runs", "2", "--m", "3", "--seed", "4", "--n-opt", "2000",
                "--lambda-grid", "0,1e-3", "--out", "{out}"],
@@ -54,7 +58,11 @@ GOLDEN = {
     "run-greedy": "5a0a28ebb877b03ef3898f59bab55ddbdaaf9c226a53f193695c7e99de6b375d",
     "run-greedy-at2": "9263afccee23e2939f6ce06c3201bde650a9fdcdaaf0faabe79bb6aea3aaeac7",
     "run-kprime": "f07585f467144d608b5c2dddd5e8a8b2cacb9353be247ee1d9c0766e431dacec",
+    "run-mc-bacc2-offline-fw":
+        "8a4e05f2f6a1fe3bfbb4eeb5f909467592b38c362c80eda112ce1a1ffe9b2743",
+    "run-mc-gmean-omma": "a76159c070804cc99a6bc34a017db02a02a7a5e6e9147bb8dd73d91e343869c2",
     "run-mc-greedy": "6a670e27451af984bb83c007cd4116ae9ee13fac99990bac839edbf519e97b66",
+    "run-mc-hmean-ofw-eta": "9231bcf82845ea897f629d1c15d34720752b112e65a23c42f7fd79cfa969cf72",
     "run-mc-ofw": "795a057499a2c5ee2585465ff577cf670b7bcd165e8ff259cce0706ab5e3c9bf",
     "run-mc-omma": "1c16b809572e4c5d04e0c672ee281feb72905d3d06093738517e4060e0848cdf",
     "run-offline-fw": "6a132ba0b4169b4580e515ed15e5346f2332bf3c233e0088b738becd0e733e09",
@@ -122,3 +130,10 @@ def test_synth_outputs_match_golden(streams):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_outputs_match_golden(name, streams):
     assert run_case(name, streams[0]) == GOLDEN[name]
+    if name.startswith("run-mc-") and name != "run-mc-greedy":
+        # the g- and h-means can sit at exactly 0 on short streams; a digest of
+        # a constant trace would not see a flipped prediction
+        for run in ("run0", "run1"):
+            with open(os.path.join(streams[0], name, f"trace-{run}.csv")) as fh:
+                psi = [line.split(",")[1] for line in fh.read().splitlines()[1:]]
+            assert len(set(psi)) > 1
