@@ -62,6 +62,10 @@ class LearnerConfig:
             raise ValueError("need at least one Frank-Wolfe iteration")
         if self.budget is not None and self.budget > self.task.m:
             raise ValueError(f"budget {self.budget} exceeds the {self.task.m} labels")
+        if self.sparse_k is not None and self.budget is not None \
+                and self.sparse_k < self.budget:
+            raise ValueError(f"the sparse top-k' size {self.sparse_k} is below "
+                             f"the budget {self.budget}")
 
     @property
     def budget(self) -> int | None:

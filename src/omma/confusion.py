@@ -291,7 +291,9 @@ class ConfusionState:
         row gives the same counts as counting label pairs.
         """
         if self.task.is_multiclass:
-            self.counts[:, dec] += ref[:, None]
+            # one view per predicted column, not a boolean column gather and scatter
+            for j in dec.nonzero()[0]:
+                self.counts[:, j] += ref
         else:
             # flat index of cell [j, 0, dec_j]; cell [j, 1, dec_j] is 2 further on
             cells = self._tn_cells + dec

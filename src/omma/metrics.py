@@ -4,7 +4,9 @@ Every metric is a scalar function of a confusion matrix.  Binary formulas act
 on a single ``tn/fp/fn/tp`` block; they extend to m labels through macro
 averaging (mean of per-block values) and micro averaging (value of the mean
 block).  A handful of metrics additionally have native ``(m, m)`` multiclass
-forms built from per-class recalls.
+forms built from per-class recalls.  A recall depends only on its own row of
+the matrix, so each native recall gradient is built in one pass over the
+diagonal and the row sums, as a per-row constant plus a diagonal term.
 
 Each binary base has a value function and a gradient function; the gradient
 function returns the four partials ``(dtn, dfp, dfn, dtp)`` per block, a
@@ -268,25 +270,41 @@ _BINARY_BASES = {
 }
 
 
-# --- multiclass-native forms, built from per-class recalls r_j = C_jj / row_j
+# --- multiclass-native forms, built from per-class recalls.  Every recall
+# gradient is a per-row constant plus a diagonal: r_a depends only on row a of
+# C, and dr_a/dC_ab = (1{a=b} d_a - num_a) / d_a^2 for r_a = num_a / d_a.
+# np.add.reduce(x) / m equals np.mean(x) bit for bit, without mean's Python
+# wrapper, which costs more than the reduction at these sizes.
 
 
-def _mc_recalls(C, eps):
+def _mc_recalls(C, eps, bacc=False):
+    """(r, num, d) from one read of the diagonal and the row sums of C.
+
+    The recall family stabilizes both sides, r_j = (C_jj + eps) / (row_j +
+    eps); balanced accuracy sums r_j = C_jj / (m row_j + eps) directly.
+    """
     diag = np.diagonal(C)
     row = C.sum(axis=1)
-    return (diag + eps) / (row + eps), row
+    if bacc:
+        num, d = diag, C.shape[0] * row + eps
+    else:
+        num, d = diag + eps, row + eps
+    return num / d, num, d
 
 
-def _mc_recall_grad(C, eps, dpsi_dr):
-    """Chain dpsi/dr_j back to the (m, m) matrix for recall-based metrics."""
-    m = C.shape[0]
-    diag = np.diagonal(C)
-    row = C.sum(axis=1)
-    d = row + eps
-    # dr_a/dC_ab = (1{a=b} * d_a - (C_aa + eps)) / d_a^2, zero off-row
-    G = (dpsi_dr * (-(diag + eps)) / d**2)[:, None] * np.ones((m, m))
-    G[np.arange(m), np.arange(m)] += dpsi_dr * 1.0 / d
+def _row_plus_diagonal(row, diag):
+    """The (m, m) matrix with row[a] in every entry of row a, plus diag on the diagonal."""
+    m = row.shape[0]
+    G = np.empty((m, m))
+    G[...] = row[:, None]
+    # the diagonal of a C-contiguous square matrix is every (m + 1)-th entry
+    G.reshape(-1)[:: m + 1] += diag
     return G
+
+
+def _mc_recall_grad(dpsi_dr, num, d):
+    """Chain dpsi/dr_j back to the (m, m) matrix for recall-based metrics."""
+    return _row_plus_diagonal(dpsi_dr * (-num) / d**2, dpsi_dr / d)
 
 
 def _mc_acc_v(C, eps, beta):
@@ -298,53 +316,49 @@ def _mc_acc_g(C, eps, beta):
 
 
 def _mc_bacc_v(C, eps, beta):
-    m = C.shape[0]
-    diag = np.diagonal(C)
-    row = C.sum(axis=1)
-    return float(np.sum(diag / (m * row + eps)))
+    return float(np.add.reduce(_mc_recalls(C, eps, bacc=True)[0]))
 
 
 def _mc_bacc_g(C, eps, beta):
-    m = C.shape[0]
-    diag = np.diagonal(C)
-    d = m * C.sum(axis=1) + eps
-    G = (-(diag) * m / d**2)[:, None] * np.ones((m, m))
-    G[np.arange(m), np.arange(m)] += 1.0 / d
-    return G
+    _, num, d = _mc_recalls(C, eps, bacc=True)
+    return _row_plus_diagonal(-num * C.shape[0] / d**2, 1.0 / d)
 
 
 def _mc_gmean_v(C, eps, beta):
-    r, _ = _mc_recalls(C, eps)
-    return float(np.exp(np.mean(np.log(r))))
+    r = _mc_recalls(C, eps)[0]
+    return float(np.exp(np.add.reduce(np.log(r)) / C.shape[0]))
 
 
 def _mc_gmean_g(C, eps, beta):
-    r, _ = _mc_recalls(C, eps)
-    v = np.exp(np.mean(np.log(r)))
-    return _mc_recall_grad(C, eps, v / (C.shape[0] * r))
+    r, num, d = _mc_recalls(C, eps)
+    m = C.shape[0]
+    v = np.exp(np.add.reduce(np.log(r)) / m)
+    return _mc_recall_grad(v / (m * r), num, d)
 
 
 def _mc_hmean_v(C, eps, beta):
-    r, _ = _mc_recalls(C, eps)
-    return float(C.shape[0] / np.sum(1.0 / r))
+    r = _mc_recalls(C, eps)[0]
+    return float(C.shape[0] / np.add.reduce(1.0 / r))
 
 
 def _mc_hmean_g(C, eps, beta):
-    r, _ = _mc_recalls(C, eps)
-    s = np.sum(1.0 / r)
-    return _mc_recall_grad(C, eps, C.shape[0] / (s**2 * r**2))
+    r, num, d = _mc_recalls(C, eps)
+    s = np.add.reduce(1.0 / r)
+    return _mc_recall_grad(C.shape[0] / (s**2 * r**2), num, d)
 
 
 def _mc_qmean_v(C, eps, beta):
-    r, _ = _mc_recalls(C, eps)
-    return float(1.0 - np.sqrt(np.mean((1.0 - r) ** 2)))
+    r = _mc_recalls(C, eps)[0]
+    return float(1.0 - np.sqrt(np.add.reduce((1.0 - r) ** 2) / C.shape[0]))
 
 
 def _mc_qmean_g(C, eps, beta):
-    r, _ = _mc_recalls(C, eps)
+    r, num, d = _mc_recalls(C, eps)
     m = C.shape[0]
-    root = np.sqrt(np.mean((1.0 - r) ** 2))
-    return _mc_recall_grad(C, eps, _safe_div((1.0 - r) / m, root))
+    root = np.sqrt(np.add.reduce((1.0 - r) ** 2) / m)
+    # every recall is 1 at the kink; the gradient there is taken as 0
+    dpsi_dr = np.zeros(m) if root == 0.0 else (1.0 - r) / m / root
+    return _mc_recall_grad(dpsi_dr, num, d)
 
 
 _NATIVE_BASES = {

@@ -113,6 +113,14 @@ def test_omma_sparse_requires_macro():
         make_learner(cfg_for("omma", multilabel(10), "micro-f1", sparse_k=3))
 
 
+def test_sparse_k_below_the_budget_is_rejected_where_it_enters():
+    with pytest.raises(ValueError, match="top-k' size 1 is below the budget 2"):
+        cfg_for("omma", multilabel(5), "macro-f1@2", sparse_k=1)
+    # a top-k' size equal to the budget predicts exactly the k listed labels
+    learner = make_learner(cfg_for("omma", multilabel(5), "macro-f1@2", sparse_k=2))
+    assert learner.step(est(0.1, 0.9, 0.2, 0.8, 0.3)) == (1, 3)
+
+
 def test_omma_sparse_top_kprime_truncation():
     learner = make_learner(cfg_for("omma", multilabel(6), "macro-accuracy",
                                    lam=0.1, sparse_k=2))

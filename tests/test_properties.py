@@ -447,7 +447,7 @@ def column_runs(draw):
     algorithm = draw(st.sampled_from(ALGORITHMS) | st.sampled_from(["omma", "omma-eta"]))
     sparse_k = None
     if algorithm in ("omma", "omma-eta") and kind == "multilabel":
-        sparse_k = draw(st.none() | st.integers(1, m))
+        sparse_k = draw(st.none() | st.integers(budget or 1, m))
     bases = BASES[kind] + (["macro-recall"] if kind == "multilabel" else [])
     name = draw(st.sampled_from(bases)) + (f"@{budget}" if budget else "")
     cfg = LearnerConfig(algorithm=algorithm, task=task, metric=parse_metric(name),
@@ -645,3 +645,119 @@ def test_values_gradients_and_coefficients_are_finite(info, eps, m, scale, seed)
         if info.averaging != MULTICLASS_NATIVE:
             alpha, beta = metric.coefficients(C, shape[0])
             assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
+
+
+# --- native multiclass kernels against the per-entry formulas they replaced
+
+
+def ref_safe_div(num, den):
+    den = np.asarray(den, dtype=np.float64)
+    zero = den == 0.0
+    if np.any(zero):
+        den = np.where(zero, 1.0, den)
+        return np.where(zero, 0.0, num / den)
+    return num / den
+
+
+def ref_recalls(C, eps):
+    diag = np.diagonal(C)
+    row = C.sum(axis=1)
+    return (diag + eps) / (row + eps), row
+
+
+def ref_recall_grad(C, eps, dpsi_dr):
+    m = C.shape[0]
+    diag = np.diagonal(C)
+    row = C.sum(axis=1)
+    d = row + eps
+    G = (dpsi_dr * (-(diag + eps)) / d**2)[:, None] * np.ones((m, m))
+    G[np.arange(m), np.arange(m)] += dpsi_dr * 1.0 / d
+    return G
+
+
+def ref_bacc_v(C, eps):
+    m = C.shape[0]
+    diag = np.diagonal(C)
+    row = C.sum(axis=1)
+    return float(np.sum(diag / (m * row + eps)))
+
+
+def ref_bacc_g(C, eps):
+    m = C.shape[0]
+    diag = np.diagonal(C)
+    d = m * C.sum(axis=1) + eps
+    G = (-(diag) * m / d**2)[:, None] * np.ones((m, m))
+    G[np.arange(m), np.arange(m)] += 1.0 / d
+    return G
+
+
+def ref_gmean_g(C, eps):
+    r, _ = ref_recalls(C, eps)
+    v = np.exp(np.mean(np.log(r)))
+    return ref_recall_grad(C, eps, v / (C.shape[0] * r))
+
+
+def ref_hmean_g(C, eps):
+    r, _ = ref_recalls(C, eps)
+    s = np.sum(1.0 / r)
+    return ref_recall_grad(C, eps, C.shape[0] / (s**2 * r**2))
+
+
+def ref_qmean_g(C, eps):
+    r, _ = ref_recalls(C, eps)
+    m = C.shape[0]
+    root = np.sqrt(np.mean((1.0 - r) ** 2))
+    return ref_recall_grad(C, eps, ref_safe_div((1.0 - r) / m, root))
+
+
+# (value, gradient) of each native metric as (m, m) ones-products and fancy
+# indices, kept as the reference for the row-constant-plus-diagonal kernels
+REF_NATIVE = {
+    "mc-accuracy": (lambda C, eps: float(np.trace(C)), lambda C, eps: np.eye(C.shape[0])),
+    "mc-balanced-acc": (ref_bacc_v, ref_bacc_g),
+    "mc-gmean": (lambda C, eps: float(np.exp(np.mean(np.log(ref_recalls(C, eps)[0])))),
+                 ref_gmean_g),
+    "mc-hmean": (lambda C, eps: float(C.shape[0] / np.sum(1.0 / ref_recalls(C, eps)[0])),
+                 ref_hmean_g),
+    "mc-qmean": (lambda C, eps: float(1.0 - np.sqrt(np.mean((1.0 - ref_recalls(C, eps)[0])
+                                                             ** 2))),
+                 ref_qmean_g),
+}
+
+
+@st.composite
+def native_matrices(draw):
+    """An (m, m) nonnegative matrix: random with exact zeros, with some rows
+    zero, diagonal (every recall 1: q-mean's root is 0) or all zero."""
+    m = draw(st.integers(2, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6]))
+    C = rng.random((m, m)) * (rng.random((m, m)) < 0.7) * scale
+    kind = draw(st.sampled_from(["random", "zero rows", "diagonal", "zero"]))
+    if kind == "zero rows":
+        C[rng.random(m) < 0.3] = 0.0
+    elif kind == "diagonal":
+        C = np.diag(np.diagonal(C))
+    elif kind == "zero":
+        C[...] = 0.0
+    return C
+
+
+def outcome(fn, C):
+    """The bytes of fn(C), or the message of the floating-point error it raises."""
+    try:
+        with np.errstate(**evaluation.FP_ERRORS):
+            out = np.asarray(fn(C))
+    except FloatingPointError as exc:
+        return "raised", str(exc)
+    return out.shape, out.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(REF_NATIVE))
+@settings(max_examples=150, deadline=None)
+@given(native_matrices(), st.sampled_from([0.0, EPSILON_FLOOR, 1e-9, 1.0]))
+def test_native_kernels_equal_the_reference_formulas(name, C, eps):
+    metric = parse_metric(name, epsilon=eps)
+    ref_v, ref_g = REF_NATIVE[name]
+    assert outcome(metric.value, C) == outcome(lambda C: ref_v(C, eps), C)
+    assert outcome(metric.gradient, C) == outcome(lambda C: ref_g(C, eps), C)
