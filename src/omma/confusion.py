@@ -291,7 +291,8 @@ class ConfusionState:
         row gives the same counts as counting label pairs.
         """
         if self.task.is_multiclass:
-            # one view per predicted column, not a boolean column gather and scatter
+            # a view per predicted column; a boolean column index gathers and
+            # scatters a copy
             for j in dec.nonzero()[0]:
                 self.counts[:, j] += ref
         else:
