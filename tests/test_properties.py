@@ -1,6 +1,6 @@
 """Property tests of the decision kernel, the two accumulation shapes, the
-batch-built estimate streams, the run loop's checkpoints and the per-label
-coefficients of the multilabel rule."""
+batch-built estimate streams, the run loop's checkpoints, the per-label
+coefficients of the multilabel rule and the native multiclass kernels."""
 
 import os
 import re
@@ -691,16 +691,31 @@ def ref_bacc_g(C, eps):
     return G
 
 
+def ref_gmean_v(C, eps):
+    r, _ = ref_recalls(C, eps)
+    return float(np.exp(np.mean(np.log(r))))
+
+
 def ref_gmean_g(C, eps):
     r, _ = ref_recalls(C, eps)
     v = np.exp(np.mean(np.log(r)))
     return ref_recall_grad(C, eps, v / (C.shape[0] * r))
 
 
+def ref_hmean_v(C, eps):
+    r, _ = ref_recalls(C, eps)
+    return float(C.shape[0] / np.sum(1.0 / r))
+
+
 def ref_hmean_g(C, eps):
     r, _ = ref_recalls(C, eps)
     s = np.sum(1.0 / r)
     return ref_recall_grad(C, eps, C.shape[0] / (s**2 * r**2))
+
+
+def ref_qmean_v(C, eps):
+    r, _ = ref_recalls(C, eps)
+    return float(1.0 - np.sqrt(np.mean((1.0 - r) ** 2)))
 
 
 def ref_qmean_g(C, eps):
@@ -715,13 +730,9 @@ def ref_qmean_g(C, eps):
 REF_NATIVE = {
     "mc-accuracy": (lambda C, eps: float(np.trace(C)), lambda C, eps: np.eye(C.shape[0])),
     "mc-balanced-acc": (ref_bacc_v, ref_bacc_g),
-    "mc-gmean": (lambda C, eps: float(np.exp(np.mean(np.log(ref_recalls(C, eps)[0])))),
-                 ref_gmean_g),
-    "mc-hmean": (lambda C, eps: float(C.shape[0] / np.sum(1.0 / ref_recalls(C, eps)[0])),
-                 ref_hmean_g),
-    "mc-qmean": (lambda C, eps: float(1.0 - np.sqrt(np.mean((1.0 - ref_recalls(C, eps)[0])
-                                                             ** 2))),
-                 ref_qmean_g),
+    "mc-gmean": (ref_gmean_v, ref_gmean_g),
+    "mc-hmean": (ref_hmean_v, ref_hmean_g),
+    "mc-qmean": (ref_qmean_v, ref_qmean_g),
 }
 
 
