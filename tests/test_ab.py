@@ -72,7 +72,7 @@ def test_metrics_without_a_direction_are_skipped_and_sides_must_pair():
 def test_main_alternates_sides_and_fails_on_an_incorrect_run(monkeypatch, capsys):
     calls = []
 
-    def fake_run(checkout, workload, seed, seconds, trace):
+    def fake_run(checkout, workload, seed, seconds):
         calls.append(checkout)
         wall = 0.1 if checkout == "P" else 0.05
         correct = not (checkout == "C" and len(calls) == 3)

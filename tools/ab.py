@@ -2,7 +2,7 @@
 
     python3 tools/ab.py PARENT CHANGE --workload online-wide --seed 1 --pairs 10 --seconds 30
 
-Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace X``
+Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 in each checkout, ``--pairs`` times, alternating which side runs first, and
 reads the JSON object on the last line of each run's stdout.  For every
 metric it prints each side's median and quartiles, the pairs the change won
@@ -92,10 +92,10 @@ def format_rows(rows: list[Row]) -> list[str]:
     return lines
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """The result object of one perfbench run in ``checkout``."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -110,7 +110,7 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
 def directions(checkout: str) -> dict[str, str]:
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
 def main(argv=None) -> int:
@@ -121,7 +121,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -130,8 +129,7 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            res = run_once(getattr(args, side), args.workload, args.seed, args.seconds,
-                           args.trace)
+            res = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
             results[side].append(res)
             if not res["correct"] or res["failed"]:
                 bad += 1
@@ -140,7 +138,7 @@ def main(argv=None) -> int:
     rows = compare([r["metrics"] for r in results["parent"]],
                    [r["metrics"] for r in results["change"]], directions(args.parent))
     print(f"workload {args.workload} seed {args.seed} seconds {args.seconds:g} "
-          f"trace {args.trace} pairs {args.pairs}")
+          f"pairs {args.pairs}")
     for line in format_rows(rows):
         print(line)
     if bad:
