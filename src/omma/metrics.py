@@ -277,18 +277,11 @@ _BINARY_BASES = {
 # wrapper, which costs more than the reduction at these sizes.
 
 
-def _mc_recalls(C, eps, bacc=False):
-    """(r, num, d) from one read of the diagonal and the row sums of C.
-
-    The recall family stabilizes both sides, r_j = (C_jj + eps) / (row_j +
-    eps); balanced accuracy sums r_j = C_jj / (m row_j + eps) directly.
-    """
-    diag = np.diagonal(C)
-    row = C.sum(axis=1)
-    if bacc:
-        num, d = diag, C.shape[0] * row + eps
-    else:
-        num, d = diag + eps, row + eps
+def _mc_recalls(C, eps):
+    """(r, num, d) from one read of the diagonal and the row sums of C, with
+    both sides stabilized: r_j = (C_jj + eps) / (row_j + eps)."""
+    num = np.diagonal(C) + eps
+    d = C.sum(axis=1) + eps
     return num / d, num, d
 
 
@@ -315,13 +308,18 @@ def _mc_acc_g(C, eps, beta):
     return np.eye(C.shape[0])
 
 
+# balanced accuracy sums r_j = C_jj / (m row_j + eps): only the denominator
+# is stabilized
+
+
 def _mc_bacc_v(C, eps, beta):
-    return float(np.add.reduce(_mc_recalls(C, eps, bacc=True)[0]))
+    d = C.shape[0] * C.sum(axis=1) + eps
+    return float(np.add.reduce(np.diagonal(C) / d))
 
 
 def _mc_bacc_g(C, eps, beta):
-    _, num, d = _mc_recalls(C, eps, bacc=True)
-    return _row_plus_diagonal(-num * C.shape[0] / d**2, 1.0 / d)
+    d = C.shape[0] * C.sum(axis=1) + eps
+    return _row_plus_diagonal(-np.diagonal(C) * C.shape[0] / d**2, 1.0 / d)
 
 
 def _mc_gmean_v(C, eps, beta):
