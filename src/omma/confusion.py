@@ -291,10 +291,13 @@ class ConfusionState:
         row gives the same counts as counting label pairs.
         """
         if self.task.is_multiclass:
-            # a view per predicted column; a boolean column index gathers and
-            # scatters a copy
-            for j in dec.nonzero()[0]:
-                self.counts[:, j] += ref
+            # one predicted column (no budget) is added as a view; an index
+            # gathers and scatters a copy, which is cheaper only for several
+            cols = dec.nonzero()[0]
+            if cols.size == 1:
+                self.counts[:, cols[0]] += ref
+            else:
+                self.counts[:, cols] += ref[:, None]
         else:
             # flat index of cell [j, 0, dec_j]; cell [j, 1, dec_j] is 2 further on
             cells = self._tn_cells + dec
