@@ -305,8 +305,11 @@ REGRET_M3 = ["regret", "--metric", "macro-f1", "--alg", "omma", "--n-grid", "20"
     # a positive epsilon below the floor would underflow when squared
     ([*RUN_M3, "--epsilon", "1e-200"], 2, "error: epsilon must be 0 or at least 1e-100",
      None),
-    # a top-k' size below the budget is rejected before the first step
+    # a top-k' size below the budget is rejected before the first step, also
+    # for the algorithms that do not read it
     ([*RUN_M3, "--metric", "macro-f1@2", "--kprime", "1"], 2,
+     "error: the sparse top-k' size 1 is below the budget 2", None),
+    ([*RUN_M3, "--metric", "macro-f1@2", "--kprime", "1", "--alg", "greedy"], 2,
      "error: the sparse top-k' size 1 is below the budget 2", None),
 ])
 def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, check):
