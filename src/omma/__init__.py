@@ -4,9 +4,8 @@ from .algorithms import (ALGORITHMS, LearnerConfig, MixtureClassifier,
                          ProtocolError, UnsupportedMetricError, fw_fit,
                          make_learner)
 from .confusion import (ConfusionState, ProbEstimate, Task,
-                        expected_instance_confusion, init_state,
-                        instance_confusion, multiclass, multiclass_to_multilabel,
-                        multilabel)
+                        expected_instance_confusion, init_state, multiclass,
+                        multiclass_to_multilabel, multilabel)
 from .dataio import InstanceStream, SynthModel, load_stream, perturb_estimates, \
     shuffle, synth_generate
 from .evaluation import (AdversarialReport, RunReport, RunTrace, adversarial_run,
@@ -18,7 +17,7 @@ __all__ = [
     "LearnerConfig", "Metric", "MetricInfo", "MixtureClassifier", "ProbEstimate",
     "ProtocolError", "RunReport", "RunTrace", "SynthModel", "Task",
     "UnsupportedMetricError", "adversarial_run", "estimate_optimal",
-    "expected_instance_confusion", "fw_fit", "init_state", "instance_confusion",
+    "expected_instance_confusion", "fw_fit", "init_state",
     "list_metrics", "load_stream", "lookup", "make_learner", "measure_regret",
     "multiclass", "multiclass_to_multilabel", "multilabel", "parse_metric",
     "perturb_estimates", "run_online", "shuffle", "synth_generate",

@@ -56,6 +56,7 @@ class LearnerConfig:
 
     def __post_init__(self) -> None:
         check_regularizer(self.lam)
+        self.metric.check_task(self.task)
         if self.sparse_k is not None and self.sparse_k < 1:
             raise ValueError("the sparse top-k' size must be at least 1")
         if self.fw_iterations < 1:
@@ -119,13 +120,6 @@ class OnlineLearner:
     def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
         raise NotImplementedError
 
-    def _decide(self, G: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """The cost-sensitive decision of the classifier with gradient ``G``."""
-        if self.task.is_multiclass:
-            return policy.decide_classes(G, eta, self.cfg.budget)
-        g = policy.gains(policy.cost_coefficients(G), eta)
-        return policy.decide(g, self.cfg.budget)
-
     def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
         pass
 
@@ -148,7 +142,8 @@ class OmmaLearner(OnlineLearner):
         if self.cfg.sparse_k is not None:
             return self._predict_sparse(eta, support)
         if self.task.is_multiclass:
-            return self._decide(self.metric.gradient(self.state.normalized()), eta)
+            return policy.decide_gradient(self.metric.gradient(self.state.normalized()),
+                                          eta, self.cfg.budget)
         # multilabel: (alpha, beta) straight from the metric, no gradient tensor
         coeffs = self.metric.coefficients(self.state.normalized(), self.task.m)
         return policy.decide(policy.gains(coeffs, eta), self.cfg.budget)
@@ -161,14 +156,14 @@ class OmmaLearner(OnlineLearner):
         return policy.decide_support(coeffs, indices, values, self.task.m, self.cfg.budget)
 
     def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
-        self.state._add(y, dec)
+        self.state.add(y, dec)
 
 
 class OmmaEtaLearner(OmmaLearner):
     """Same rule, but the internal matrix accumulates expected confusions."""
 
     def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
-        self.state._add(eta, dec)
+        self.state.add(eta, dec)
 
 
 _UNIT_CELLS = np.eye(4).reshape(4, 2, 2)
@@ -208,7 +203,7 @@ class GreedyLearner(OnlineLearner):
         return policy.decide(gain1 - gain0, self.cfg.budget, argmax=self.task.is_multiclass)
 
     def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
-        self.state._add(y, dec)
+        self.state.add(y, dec)
 
 
 @dataclass
@@ -279,11 +274,7 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     weights = np.empty(iterations)
     for q in range(iterations):
         G = metric.gradient(cbar)
-        if task.is_multiclass:
-            scores = estimates @ G
-        else:
-            scores = policy.gains(policy.cost_coefficients(G), estimates)
-        dec = policy.decide(scores, budget, argmax=task.is_multiclass)
+        dec = policy.decide_gradient(G, estimates, budget)
         cq = batch_counts(task, ref, dec) / n
         gamma = 2.0 / (q + 2.0)
         cbar = (1.0 - gamma) * cbar + gamma * cq
@@ -313,7 +304,7 @@ class _MixtureLearner(OnlineLearner):
         else:
             idx = self._rng.choice(len(self.mixture.tensors), p=self.mixture.weights)
             G = self.mixture.tensors[idx]
-        return self._decide(G, eta)
+        return policy.decide_gradient(G, eta, self.cfg.budget)
 
 
 class FrankWolfeLearner(_MixtureLearner):
@@ -353,10 +344,8 @@ class FrankWolfeLearner(_MixtureLearner):
 class OfflineFWLearner(_MixtureLearner):
     """Frank-Wolfe mixture fitted once on the estimate sequence, then frozen."""
 
-    def prefit(self, estimates: np.ndarray | list[ProbEstimate]) -> None:
-        """Fit on an (n, m) estimate matrix or a list of estimates."""
-        if not isinstance(estimates, np.ndarray):
-            estimates = np.vstack([e.dense() for e in estimates])
+    def prefit(self, estimates: np.ndarray) -> None:
+        """Fit on the (n, m) estimate matrix of the whole sequence."""
         self.mixture = fw_fit(estimates, None, self.task, self.metric,
                               self.cfg.fw_iterations)
 

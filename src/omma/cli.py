@@ -127,6 +127,8 @@ def _model_from_args(args) -> SynthModel:
 
 
 def _load_or_synth(args) -> InstanceStream:
+    if args.n is not None and args.n < 1:
+        raise ConfigError("--n must be at least 1")
     if args.model or args.n:
         if not (args.model and args.n) and not (args.n and args.m):
             raise ConfigError("synthetic runs need --model (or --m) and --n")
@@ -161,8 +163,6 @@ def cmd_run(args) -> int:
     _check_jobs(args.jobs)
     metric = parse_metric(args.metric, epsilon=args.epsilon)
     stream = _load_or_synth(args)
-    if metric.averaging == "multiclass" and not stream.task.is_multiclass:
-        raise ConfigError(f"{args.metric} needs a multiclass stream")
     seeds = range(args.seed, args.seed + args.runs)
     cfgs = [LearnerConfig(algorithm=args.alg, task=stream.task, metric=metric,
                           lam=args.lam, seed=seed, sparse_k=args.kprime,
@@ -193,9 +193,9 @@ def cmd_synth(args) -> int:
     if args.noise > 0:
         stream, err = dataio.perturb_estimates(stream, args.noise, args.seed)
         print(f"mean estimation error: {err:.6g}")
-    dataio.write_labels(args.out + ".labels", stream.labels)
-    dataio.write_estimates(args.out + ".probs", stream.estimates)
-    dataio.write_estimates(args.out + ".truth", stream.truth)
+    dataio.write_labels(args.out + ".labels", stream.label_rows)
+    dataio.write_estimates(args.out + ".probs", stream.estimate_rows, stream.support)
+    dataio.write_estimates(args.out + ".truth", stream.truth_rows)
     print(f"wrote {len(stream)} instances to {args.out}.labels/.probs/.truth")
     return 0
 
@@ -321,6 +321,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -73,9 +73,7 @@ class ProbEstimate:
     """Sparse vector of per-label probabilities; unlisted labels have probability 0.
 
     Direct construction, :meth:`from_dense`, :meth:`from_pairs` and :meth:`top`
-    check every estimate on its own.  :meth:`from_rows` checks a whole (n, m)
-    matrix once: its dense estimates are read-only views of one validated
-    matrix and share one read-only index array.
+    check every estimate on its own.
     """
 
     m: int
@@ -108,20 +106,6 @@ class ProbEstimate:
     def from_dense(cls, vec: np.ndarray) -> "ProbEstimate":
         vec = np.asarray(vec, dtype=np.float64)
         return cls(vec.shape[0], np.arange(vec.shape[0], dtype=np.int64), vec.copy())
-
-    @classmethod
-    def from_rows(cls, matrix: np.ndarray) -> list["ProbEstimate"]:
-        """One dense estimate per row of an (n, m) matrix, checked once as a whole.
-
-        Equal to ``[from_dense(row) for row in matrix]``; the values are
-        read-only row views of one float64 copy of the matrix.
-        """
-        rows = np.array(matrix, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ValueError("expected an (n, m) matrix of probabilities")
-        _check_probabilities(rows)
-        rows.flags.writeable = False
-        return cls._row_views(rows)
 
     @classmethod
     def _row_views(cls, rows: np.ndarray,
@@ -190,40 +174,13 @@ def check_labels(task: Task, labels: Labels, *, prediction: bool = False) -> Lab
     return labels
 
 
-def instance_confusion(task: Task, y: Labels, yhat: Labels) -> np.ndarray:
-    """Confusion contribution of a single (label, prediction) pair."""
-    check_labels(task, y)
-    check_labels(task, yhat, prediction=True)
-    out = np.zeros(task.shape)
-    if task.is_multiclass:
-        out[y[0], list(yhat)] = 1.0
-        return out
-    pos = np.zeros(task.m, dtype=bool)
-    pos[list(y)] = True
-    pred = np.zeros(task.m, dtype=bool)
-    pred[list(yhat)] = True
-    out[np.arange(task.m), pos.astype(int), pred.astype(int)] = 1.0
-    return out
-
-
 def expected_instance_confusion(task: Task, eta: ProbEstimate, yhat: Labels) -> np.ndarray:
-    """Expected single-instance confusion under label marginals ``eta``."""
+    """Expected single-instance confusion under label marginals ``eta``: the
+    n = 1 case of :func:`batch_counts`."""
     check_labels(task, yhat, prediction=True)
     if eta.m != task.m:
         raise ValueError("estimate size does not match the task")
-    out = np.zeros(task.shape)
-    p = eta.dense()
-    if task.is_multiclass:
-        for col in yhat:
-            out[:, col] = p
-        return out
-    pred = np.zeros(task.m, dtype=bool)
-    pred[list(yhat)] = True
-    out[:, 1, 1] = p * pred
-    out[:, 1, 0] = p * ~pred
-    out[:, 0, 1] = (1.0 - p) * pred
-    out[:, 0, 0] = (1.0 - p) * ~pred
-    return out
+    return batch_counts(task, eta.dense()[None], indicator_row(task.m, yhat, bool)[None])
 
 
 def multiclass_to_multilabel(C: np.ndarray) -> np.ndarray:
@@ -271,17 +228,17 @@ class ConfusionState:
         """Fold in one observed (label, prediction) pair."""
         check_labels(self.task, y)
         check_labels(self.task, yhat, prediction=True)
-        self._add(indicator_row(self.task.m, y, np.float64),
-                  indicator_row(self.task.m, yhat, bool))
+        self.add(indicator_row(self.task.m, y, np.float64),
+                 indicator_row(self.task.m, yhat, bool))
 
     def update_semi(self, eta: ProbEstimate, yhat: Labels) -> None:
         """Fold in one expected (estimate, prediction) pair instead of a label."""
         if eta.m != self.task.m:
             raise ValueError("estimate size does not match the task")
         check_labels(self.task, yhat, prediction=True)
-        self._add(eta.dense(), indicator_row(self.task.m, yhat, bool))
+        self.add(eta.dense(), indicator_row(self.task.m, yhat, bool))
 
-    def _add(self, ref: np.ndarray, dec: np.ndarray) -> None:
+    def add(self, ref: np.ndarray, dec: np.ndarray) -> None:
         """Add a dense reference row (0/1 labels or probabilities) against the
         (m,) boolean decision row ``dec``; neither is checked.
 

@@ -30,6 +30,10 @@ from .confusion import (Labels, ProbEstimate, Task, _check_probabilities, check_
 
 _MC_SUM_SLACK = 1e-3
 
+# how each key of a model file is read; any other key is rejected
+_MODEL_KEYS = {"task": str, "m": int, "d": int, "prior_low": float, "prior_high": float,
+               "weight_scale": float, "seed": int}
+
 
 class DataFormatError(ValueError):
     """Malformed stream file; message carries the offending line number."""
@@ -234,17 +238,20 @@ def read_estimates(path, m: int, *, multiclass: bool = False) -> list[ProbEstima
     return ProbEstimate._row_views(_readonly(rows), support)
 
 
-def write_labels(path, labels: list[Labels]) -> None:
+def write_labels(path, label_rows: np.ndarray) -> None:
+    """One line per (m,) 0/1 label row: its positive indices, comma-separated."""
     with open(path, "w", encoding="utf-8") as fh:
-        for y in labels:
+        for y in _row_labels(label_rows):
             fh.write(",".join(str(j) for j in y) + "\n")
 
 
-def write_estimates(path, estimates: list[ProbEstimate]) -> None:
+def write_estimates(path, estimate_rows: np.ndarray, support: np.ndarray | None = None) -> None:
+    """One line per (m,) probability row: ``index:prob`` for each label that its
+    ``support`` row lists (every label when support is None)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for est in estimates:
-            fh.write(" ".join(f"{j}:{p:.6g}" for j, p in
-                              zip(est.indices.tolist(), est.values.tolist())) + "\n")
+        for i, row in enumerate(estimate_rows.tolist()):
+            listed = range(len(row)) if support is None else np.flatnonzero(support[i]).tolist()
+            fh.write(" ".join(f"{j}:{row[j]:.6g}" for j in listed) + "\n")
 
 
 def load_stream(labels_path, probs_path, task: Task) -> InstanceStream:
@@ -317,7 +324,7 @@ class SynthModel:
 
 
 def parse_model_file(path) -> SynthModel:
-    """Read a flat key=value model description."""
+    """Read a flat key=value model description; unset fields keep their defaults."""
     fields = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -327,16 +334,13 @@ def parse_model_file(path) -> SynthModel:
             key, sep, val = line.partition("=")
             if not sep:
                 raise DataFormatError(f"{path}:{lineno}: expected key=value")
-            fields[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _MODEL_KEYS:
+                raise DataFormatError(f"{path}:{lineno}: unknown model key {key!r}")
+            fields[key] = val.strip()
     try:
-        return SynthModel(
-            task=Task(fields.get("task", "multilabel"), int(fields["m"])),
-            d=int(fields.get("d", 4)),
-            prior_low=float(fields.get("prior_low", 0.15)),
-            prior_high=float(fields.get("prior_high", 0.45)),
-            weight_scale=float(fields.get("weight_scale", 1.25)),
-            seed=int(fields.get("seed", 0)),
-        )
+        values = {key: _MODEL_KEYS[key](val) for key, val in fields.items()}
+        return SynthModel(Task(values.pop("task", "multilabel"), values.pop("m")), **values)
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad model file ({exc})") from None
 

@@ -203,6 +203,7 @@ def estimate_optimal(metric: Metric, model: SynthModel, method: str = "both",
         raise ValueError(f"unknown estimation method: {method!r}")
     if n_opt < 1:
         raise ValueError("the optimum needs a sample of n_opt >= 1 instances")
+    metric.check_task(model.task)
     eta, _ = _latent_draw(model, n_opt, seed)
     values = []
     if method in ("threshold-grid", "both") and metric.averaging in (MACRO, BINARY) \

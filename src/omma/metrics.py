@@ -10,11 +10,11 @@ diagonal and the row sums, as a per-row constant plus a diagonal term.
 
 Each binary base has a value function and a gradient function; the gradient
 function returns the four partials ``(dtn, dfp, dfn, dtp)`` per block, a
-structural zero as the scalar 0.0.  :meth:`Metric.gradient` packs them into the
-gradient tensor (divided by m for macro and micro averaging), and
-:meth:`Metric.coefficients` forms the multilabel rule's per-label ``alpha =
-dtp + dtn - dfp - dfn`` and ``beta = dtn - dfp`` from them directly, bit for
-bit equal to ``policy.cost_coefficients`` of the tensor.
+structural zero as the scalar 0.0.  One method divides them by m for macro and
+micro averaging; :meth:`Metric.gradient` packs the result into the gradient
+tensor, and :meth:`Metric.coefficients` forms the multilabel rule's per-label
+``alpha = dtp + dtn - dfp - dfn`` and ``beta = dtn - dfp`` from it directly,
+bit for bit equal to ``policy.cost_coefficients`` of the tensor.
 
 All denominators are stabilized by adding ``epsilon``, and the ratio factors of
 the mean-family metrics (G/H/Q-mean) are stabilized as ``(num + eps) /
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .confusion import multiclass_to_multilabel
+from .confusion import Task, multiclass_to_multilabel
 
 BINARY = "binary"
 MACRO = "macro"
@@ -395,6 +395,11 @@ class Metric:
         if self.budget_k is not None and self.budget_k < 1:
             raise ValueError("budget must be a positive integer")
 
+    def check_task(self, task: Task) -> None:
+        """A native multiclass metric needs a multiclass task."""
+        if self.averaging == MULTICLASS_NATIVE and not task.is_multiclass:
+            raise ValueError(f"{self.name} needs a multiclass stream")
+
     def _blocks(self, C: np.ndarray) -> np.ndarray:
         C = np.asarray(C, dtype=np.float64)
         if C.ndim == 3 and C.shape[1:] == (2, 2):
@@ -431,28 +436,37 @@ class Metric:
                 raise ValueError("native multiclass metrics expect an (m, m) matrix")
             return _NATIVE_BASES[self.base][1](C, self.epsilon, self.beta)
         blocks = self._blocks(C)
-        gfn = _BINARY_BASES[self.base][1]
-        m = blocks.shape[0]
-        if self.averaging == MICRO:
-            Gt = np.broadcast_to(_pack(*gfn(blocks.mean(axis=0), self.epsilon, self.beta),
-                                       (2, 2)) / m, blocks.shape).copy()
-        elif self.averaging == MACRO:
-            Gt = _pack(*gfn(blocks, self.epsilon, self.beta), blocks.shape) / m
-        else:
-            Gt = _pack(*gfn(blocks, self.epsilon, self.beta), blocks.shape)
+        Gt = _pack(*self._partials(blocks, blocks.shape[0]), blocks.shape)
         if C.ndim == 2 and self.averaging != BINARY:
             return _tensor_grad_to_matrix(Gt)
         if C.ndim == 2:
             return Gt[0]
         return Gt
 
+    def _partials(self, blocks: np.ndarray, m: int):
+        """The partials (dtn, dfp, dfn, dtp) at k of the m labels' (k, 2, 2) blocks,
+        each divided by m for macro and micro averaging (micro: scalars at the
+        mean of all m blocks); binary averaging has one block and no factor."""
+        gfn = _BINARY_BASES[self.base][1]
+        if self.averaging == BINARY:
+            if m != 1:
+                raise ValueError("binary averaging expects a single block")
+            return gfn(blocks, self.epsilon, self.beta)
+        if self.averaging == MICRO:
+            if blocks.shape[0] != m:
+                raise ValueError("micro averaging needs the blocks of all m labels")
+            blocks = blocks.mean(axis=0)
+        elif self.averaging != MACRO:
+            raise ValueError("native multiclass metrics have no per-label coefficients")
+        # the same division as by the int m, without numpy's int-scalar path
+        scale = float(m)
+        return [p / scale for p in gfn(blocks, self.epsilon, self.beta)]
+
     def block_gradient(self, blocks: np.ndarray, m: int) -> np.ndarray:
         """Gradient of selected per-label blocks (macro/binary), incl. the 1/m factor."""
         if self.averaging not in (MACRO, BINARY):
             raise ValueError("per-block gradients exist only for macro/binary averaging")
-        scale = m if self.averaging == MACRO else 1
-        return _pack(*_BINARY_BASES[self.base][1](blocks, self.epsilon, self.beta),
-                     blocks.shape) / scale
+        return _pack(*self._partials(blocks, m), blocks.shape)
 
     def coefficients(self, blocks: np.ndarray, m: int) -> CostCoefficients:
         """Per-label (alpha, beta) of the multilabel rule at normalized blocks.
@@ -460,25 +474,9 @@ class Metric:
         ``blocks`` is a (k, 2, 2) float array of the blocks of k of the m
         labels (all m for micro averaging, m = 1 for binary).  The result
         equals ``cost_coefficients`` of the gradient's rows for those labels
-        bit for bit, without building the gradient tensor: each partial is
-        divided by m on its own (macro and micro), then combined.
+        bit for bit, without building the gradient tensor.
         """
-        gfn = _BINARY_BASES[self.base][1]
-        # the same division as by the int m, without numpy's int-scalar path
-        scale = float(m)
-        if self.averaging == MACRO:
-            parts = [p / scale for p in gfn(blocks, self.epsilon, self.beta)]
-        elif self.averaging == MICRO:
-            if blocks.shape[0] != m:
-                raise ValueError("micro averaging needs the blocks of all m labels")
-            parts = [p / scale for p in gfn(blocks.mean(axis=0), self.epsilon, self.beta)]
-        elif self.averaging == BINARY:
-            if m != 1:
-                raise ValueError("binary averaging expects a single block")
-            parts = gfn(blocks, self.epsilon, self.beta)
-        else:
-            raise ValueError("native multiclass metrics have no per-label coefficients")
-        return _coefficients(*parts, blocks.shape[0])
+        return _coefficients(*self._partials(blocks, m), blocks.shape[0])
 
     def block_values(self, blocks: np.ndarray) -> np.ndarray:
         """Base-formula values of individual blocks, without the macro 1/m factor."""

@@ -55,10 +55,15 @@ def decide(scores: np.ndarray, budget: int | None = None, *,
     return (-scores).argsort(axis=-1, kind="stable").argsort(axis=-1) < budget
 
 
-def decide_one(scores: np.ndarray, budget: int | None = None, *,
-               argmax: bool = False) -> Labels:
-    """The kernel on one instance's score vector, as a sorted label tuple."""
-    return _labels(decide(scores, budget, argmax=argmax))
+def decide_gradient(G: np.ndarray, eta: np.ndarray, budget: int | None = None) -> np.ndarray:
+    """Decisions of the classifier with gradient ``G`` on an (m,) estimate row or
+    an (n, m) buffer, as booleans of eta's shape: the column scores eta @ G of
+    an (m, m) G, or the gains of :func:`cost_coefficients` of an (m, 2, 2) one,
+    go to :func:`decide`.  Nothing is checked."""
+    if G.ndim == 2:
+        # matmul takes a 1-d eta as one row: a row is scored by a one-row product
+        return decide(eta @ G, budget, argmax=True)
+    return decide(gains(cost_coefficients(G), eta), budget)
 
 
 def _labels(dec: np.ndarray) -> Labels:
@@ -71,13 +76,6 @@ def decide_multilabel(g: np.ndarray, budget: int | None = None) -> Labels:
     return _labels(decide(np.asarray(g, dtype=np.float64), budget))
 
 
-def decide_classes(G: np.ndarray, eta: np.ndarray, budget: int | None = None) -> np.ndarray:
-    """(m,) boolean row of the class(es) maximizing the column scores
-    sum_j G[j, l] * eta_j; nothing is checked."""
-    # a one-row product, so the scores equal dense @ G bit for bit
-    return decide((eta[None] @ G)[0], budget, argmax=True)
-
-
 def decide_multiclass(G: np.ndarray, eta: ProbEstimate | np.ndarray,
                       budget: int | None = None) -> Labels:
     """Class(es) maximizing the column scores sum_j G[j, l] * eta_j."""
@@ -87,7 +85,7 @@ def decide_multiclass(G: np.ndarray, eta: ProbEstimate | np.ndarray,
     dense = eta.dense() if isinstance(eta, ProbEstimate) else np.asarray(eta, float)
     if dense.shape[0] != G.shape[0]:
         raise ValueError("estimate length does not match the gradient")
-    return _labels(decide_classes(G, dense, budget))
+    return _labels(decide_gradient(G, dense, budget))
 
 
 def decide_support(coeffs: CostCoefficients, indices: np.ndarray, values: np.ndarray,

@@ -5,7 +5,7 @@ import pytest
 
 from omma.algorithms import (LearnerConfig, ProtocolError, UnsupportedMetricError,
                              fw_fit, make_learner, refit_thresholds)
-from omma.confusion import ProbEstimate, instance_confusion, multiclass, \
+from omma.confusion import ProbEstimate, batch_counts, indicator_row, multiclass, \
     multilabel
 from omma.dataio import SynthModel, synth_generate
 from omma.metrics import parse_metric
@@ -121,6 +121,13 @@ def test_sparse_k_below_the_budget_is_rejected_where_it_enters():
     assert learner.step(est(0.1, 0.9, 0.2, 0.8, 0.3)) == (1, 3)
 
 
+@pytest.mark.parametrize("alg", ["omma", "greedy", "ofw", "topk"])
+def test_native_metric_on_a_multilabel_task_is_rejected_where_it_enters(alg):
+    with pytest.raises(ValueError, match="^mc-hmean needs a multiclass stream$"):
+        cfg_for(alg, multilabel(3), "mc-hmean")
+    assert cfg_for(alg, multiclass(3), "mc-hmean").task == multiclass(3)
+
+
 def test_omma_sparse_top_kprime_truncation():
     learner = make_learner(cfg_for("omma", multilabel(6), "macro-accuracy",
                                    lam=0.1, sparse_k=2))
@@ -199,6 +206,12 @@ def test_greedy_equals_exhaustive_argmax(metric_name, budget):
             assert scores[pred] == pytest.approx(max(scores.values()), abs=1e-12)
             y = tuple(np.nonzero(rng.random(m) < p)[0].tolist())
             learner.observe(y)
+
+
+def instance_confusion(task, y, yhat):
+    """The confusion of one (label, prediction) pair, from its two rows."""
+    return batch_counts(task, indicator_row(task.m, y, np.float64)[None],
+                        indicator_row(task.m, yhat, bool)[None])
 
 
 def test_greedy_full_joint_enumeration_small():
@@ -357,7 +370,7 @@ def test_offline_fw_prefit_predicts():
     stream = synth_generate(model, 100, seed=13)
     learner = make_learner(cfg_for("offline-fw", multilabel(3), "macro-f1",
                                    fw_iterations=20, seed=2))
-    learner.prefit(stream.estimates)
+    learner.prefit(stream.estimate_rows)
     pred = learner.step(stream.estimates[0])
     assert isinstance(pred, tuple)
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from omma import dataio
 from omma.cli import _build_parser, _inject_config, main
 
 
@@ -311,6 +312,15 @@ REGRET_M3 = ["regret", "--metric", "macro-f1", "--alg", "omma", "--n-grid", "20"
      "error: the sparse top-k' size 1 is below the budget 2", None),
     ([*RUN_M3, "--metric", "macro-f1@2", "--kprime", "1", "--alg", "greedy"], 2,
      "error: the sparse top-k' size 1 is below the budget 2", None),
+    # a native multiclass metric on a multilabel task is rejected by the library
+    # before any step, in run and in regret alike
+    ([*RUN_M3, "--metric", "mc-hmean"], 2, "error: mc-hmean needs a multiclass stream",
+     None),
+    ([*REGRET_M3, "--metric", "mc-hmean", "--n-grid", "10", "--n-opt", "10"], 2,
+     "error: mc-hmean needs a multiclass stream", None),
+    # a synthetic stream length is checked as synth checks it
+    ([*RUN_M3, "--n", "-5"], 2, "error: --n must be at least 1", None),
+    ([*RUN_M3, "--n", "0"], 2, "error: --n must be at least 1", None),
 ])
 def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, check):
     (tmp_path / "exp.cfg").write_text("metric=macro-f1\nm=3\nn=30\nlambda=0.5\nruns=2\n")
@@ -320,6 +330,19 @@ def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, chec
         assert err == "" and check(out, tmp_path)
     else:
         assert err.startswith(error) and err.count("\n") == 1
+
+
+def test_out_of_memory_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 3.64 TiB for an array with shape "
+                          "(5, 100000000000) and data type float64")
+
+    monkeypatch.setattr(dataio, "synth_generate", too_large)
+    code, out, err = run_cli(capsys, "synth", "--m", "3", "--n", "5", "--out",
+                             str(tmp_path / "s"), "--d", "100000000000")
+    assert code == 2 and out == ""
+    assert err == ("error: out of memory: Unable to allocate 3.64 TiB for an array with "
+                   "shape (5, 100000000000) and data type float64\n")
 
 
 # the default --n-opt makes estimate_optimal take seconds: a count that is

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from omma.confusion import (ProbEstimate, expected_instance_confusion, init_state,
-                            instance_confusion, multiclass, multiclass_to_multilabel,
-                            multilabel)
+from omma.confusion import (ProbEstimate, batch_counts, check_labels,
+                            expected_instance_confusion, indicator_row, init_state,
+                            label_rows, multiclass, multiclass_to_multilabel, multilabel)
+
+
+def instance_confusion(task, y, yhat):
+    """The confusion of one checked (label, prediction) pair: ``batch_counts`` of
+    its label row against its decision row."""
+    check_labels(task, yhat, prediction=True)
+    return batch_counts(task, label_rows(task, [y]), indicator_row(task.m, yhat, bool)[None])
 
 
 def test_init_state_zero():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from omma import dataio
-from omma.confusion import multiclass, multilabel
+from omma.confusion import label_rows, multiclass, multilabel
 from omma.dataio import (DataFormatError, InstanceStream, SynthModel, load_stream,
                          parse_model_file, perturb_estimates, read_estimates,
                          read_labels, shuffle, sparsify_estimates, synth_generate,
@@ -80,9 +80,10 @@ def test_read_estimates_multiclass_renormalizes(tmp_path):
 def test_roundtrip_labels(tmp_path):
     labels = [(0, 3), (), (1,), (0, 1, 2)]
     p = tmp_path / "x.labels"
-    write_labels(p, labels)
-    assert read_labels(p, multilabel(4)) == labels
-    write_labels(tmp_path / "y.labels", read_labels(p, multilabel(4)))
+    write_labels(p, label_rows(multilabel(4), labels))
+    back = read_labels(p, multilabel(4))
+    assert back == labels
+    write_labels(tmp_path / "y.labels", label_rows(multilabel(4), back))
     assert (tmp_path / "y.labels").read_bytes() == p.read_bytes()
 
 
@@ -90,12 +91,24 @@ def test_roundtrip_estimates(tmp_path):
     model = SynthModel(task=multilabel(4), seed=3)
     stream = synth_generate(model, 20, seed=4)
     p = tmp_path / "x.probs"
-    write_estimates(p, stream.estimates)
+    write_estimates(p, stream.estimate_rows)
     back = read_estimates(p, 4)
-    write_estimates(tmp_path / "y.probs", back)
+    write_estimates(tmp_path / "y.probs", np.vstack([b.dense() for b in back]))
     assert (tmp_path / "y.probs").read_bytes() == p.read_bytes()
     for a, b in zip(stream.estimates, back):
         assert np.allclose(a.dense(), b.dense(), atol=1e-5)
+
+
+def test_roundtrip_estimates_on_a_support(tmp_path):
+    stream = synth_generate(SynthModel(task=multilabel(5), seed=3), 20, seed=4)
+    stream = sparsify_estimates(stream, 2)
+    p = tmp_path / "x.probs"
+    write_estimates(p, stream.estimate_rows, stream.support)
+    back = read_estimates(p, 5)
+    for a, b in zip(stream.estimates, back):
+        assert a.indices.tolist() == b.indices.tolist()
+        assert np.allclose(a.values, b.values, atol=1e-5)
+    assert all(len(line.split()) == 2 for line in p.read_text().splitlines())
 
 
 def test_alignment_mismatch_detected(tmp_path):
@@ -214,6 +227,15 @@ def test_parse_model_file(tmp_path):
     assert model.task.m == 7 and model.d == 2 and model.seed == 42
     p.write_text("nonsense\n")
     with pytest.raises(DataFormatError):
+        parse_model_file(p)
+
+
+@pytest.mark.parametrize("line", ["bogus=1", "prior_lo=0.2"])
+def test_parse_model_file_rejects_unknown_keys(tmp_path, line):
+    p = tmp_path / "model.cfg"
+    p.write_text(f"m=4\n# a comment\n{line}\n")
+    key = line.split("=")[0]
+    with pytest.raises(DataFormatError, match=f"model.cfg:3: unknown model key '{key}'"):
         parse_model_file(p)
 
 

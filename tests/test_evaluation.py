@@ -104,6 +104,12 @@ def test_estimate_optimal_seed_stability():
     assert abs(a - b) <= 0.003
 
 
+def test_estimate_optimal_rejects_a_native_metric_on_a_multilabel_model():
+    model = SynthModel(task=multilabel(3), seed=1)
+    with pytest.raises(ValueError, match="^mc-hmean needs a multiclass stream$"):
+        estimate_optimal(parse_metric("mc-hmean"), model, n_opt=10)
+
+
 def test_measure_regret_linear_metric_near_zero():
     model = SynthModel(task=multilabel(4), d=3, prior_low=0.2, prior_high=0.5,
                        weight_scale=1.0, seed=11)
@@ -146,7 +152,8 @@ def adversarial_steps(algorithm, n, runs, seed=0, lam=0.0):
     task = multilabel(1)
     out = []
     for s, eta_seq in enumerate(adversarial_sequences(n)):
-        estimates = ProbEstimate.from_rows(eta_seq[:, None])
+        rows = eta_seq[:, None]
+        estimates = [ProbEstimate.from_dense(row) for row in rows]
         per_run = []
         for r in range(runs):
             rng = np.random.Generator(np.random.PCG64(
@@ -155,7 +162,7 @@ def adversarial_steps(algorithm, n, runs, seed=0, lam=0.0):
             learner = make_learner(LearnerConfig(algorithm, task, min_tn_tp(), lam=lam,
                                                  seed=seed + r))
             if isinstance(learner, OfflineFWLearner):
-                learner.prefit(estimates)
+                learner.prefit(rows)
             steps = []
             for p, y, eta in zip(eta_seq, labels, estimates):
                 pred = learner.step(eta)

@@ -1,6 +1,7 @@
-"""Property tests of the decision kernel, the two accumulation shapes, the
-batch-built estimate streams, the run loop's checkpoints, the per-label
-coefficients of the multilabel rule and the native multiclass kernels."""
+"""Property tests of the decision kernel, the gradient-to-decision rule, the
+accumulation rule, the batch-built estimate streams, the run loop's
+checkpoints, the per-label coefficients of the multilabel rule and the native
+multiclass kernels."""
 
 import os
 import re
@@ -15,7 +16,7 @@ from omma import evaluation, policy
 from omma.algorithms import (ALGORITHMS, LearnerConfig, OfflineFWLearner,
                              UnsupportedMetricError, make_learner)
 from omma.confusion import (ProbEstimate, Task, batch_counts, expected_instance_confusion,
-                            init_state, instance_confusion)
+                            indicator_row, init_state)
 from omma.dataio import (InstanceStream, SynthModel, _latent_draw, perturb_estimates,
                          read_estimates, shuffle, sparsify_estimates, synth_generate)
 from omma.metrics import (BINARY, EPSILON_FLOOR, MACRO, MULTICLASS_NATIVE, list_metrics,
@@ -29,6 +30,11 @@ KINDS = st.sampled_from(["multilabel", "multiclass"])
 
 def as_labels(row) -> tuple:
     return tuple(np.nonzero(row)[0].tolist())
+
+
+def same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 @st.composite
@@ -74,13 +80,58 @@ def test_batch_decisions_equal_one_row_decisions(S, data):
         policy.decide_multilabel(row, budget) for row in S]
     top = policy.decide(S, budget, argmax=True)
     assert [as_labels(row) for row in top] == [
-        policy.decide_one(row, budget, argmax=True) for row in S]
+        as_labels(policy.decide(row, budget, argmax=True)) for row in S]
     if budget is None:
         # a zero gain predicts positive; argmax takes the first maximum
         assert np.array_equal(dec, S >= 0.0)
         assert [as_labels(row) for row in top] == [(int(np.argmax(row)),) for row in S]
     else:
         assert np.all(dec.sum(axis=1) == budget)
+
+
+# multiples of 1/4 at most 2 in size: each product and sum of a multiclass
+# score over m <= 8 classes is exact, so every summation order gives it
+DYADIC_SCORES = st.sampled_from([-1.0, -0.25, 0.0, 0.0, 0.5, 1.0, 2.0])
+DYADIC_PROBS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def gradient_buffers(draw):
+    """A gradient, an (n, m) estimate buffer and a budget.  Multilabel
+    gradients are (m, 2, 2) tensors of arbitrary floats; multiclass ones are
+    (m, m) matrices of dyadic values, with dyadic estimates."""
+    kind = draw(KINDS)
+    m = draw(st.integers(2 if kind == "multiclass" else 1, 8))
+    n = draw(st.integers(1, 6))
+    if kind == "multiclass":
+        G = np.array(draw(st.lists(DYADIC_SCORES, min_size=m * m, max_size=m * m)))
+        eta = draw(st.lists(DYADIC_PROBS, min_size=n * m, max_size=n * m))
+    else:
+        G = np.array(draw(st.lists(SCORES | st.floats(-2.0, 2.0), min_size=4 * m,
+                                   max_size=4 * m)))
+        eta = draw(st.lists(PROBS | st.floats(0.0, 1.0), min_size=n * m, max_size=n * m))
+    shape = (m, m) if kind == "multiclass" else (m, 2, 2)
+    budget = draw(st.none() | st.integers(1, m))
+    return G.reshape(shape), np.array(eta).reshape(n, m), budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(gradient_buffers())
+def test_buffer_decisions_equal_one_row_gradient_decisions(case):
+    """One ``decide_gradient`` call on an (n, m) buffer equals its n one-row
+    calls.  A multiclass buffer is scored by one matrix product and a row by a
+    one-row product; on general floats the two round differently in the last
+    bit, so the multiclass case draws values whose scores are exact."""
+    G, E, budget = case
+    dec = policy.decide_gradient(G, E, budget)
+    rows = [policy.decide_gradient(G, row, budget) for row in E]
+    assert dec.dtype == bool and dec.shape == E.shape
+    assert all(row.dtype == bool and row.shape == E.shape[1:] for row in rows)
+    assert np.array_equal(dec, np.array(rows))
+    if budget is not None:
+        assert np.all(dec.sum(axis=1) == budget)
+    elif G.ndim == 2:
+        assert np.all(dec.sum(axis=1) == 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -114,6 +165,84 @@ def test_accumulator_mass_is_t_plus_regularizer(stream, semi):
         assert np.allclose(state.counts.sum(axis=(1, 2)), t + 4 * lam)
 
 
+# --- the accumulation rule against the per-cell formulas it replaced
+
+
+def ref_instance_confusion(task, y, yhat):
+    """Confusion contribution of a single (label, prediction) pair."""
+    out = np.zeros(task.shape)
+    if task.is_multiclass:
+        out[y[0], list(yhat)] = 1.0
+        return out
+    pos = np.zeros(task.m, dtype=bool)
+    pos[list(y)] = True
+    pred = np.zeros(task.m, dtype=bool)
+    pred[list(yhat)] = True
+    out[np.arange(task.m), pos.astype(int), pred.astype(int)] = 1.0
+    return out
+
+
+def ref_expected_confusion(task, p, yhat):
+    """Expected single-instance confusion under the dense label marginals p."""
+    out = np.zeros(task.shape)
+    if task.is_multiclass:
+        for col in yhat:
+            out[:, col] = p
+        return out
+    pred = np.zeros(task.m, dtype=bool)
+    pred[list(yhat)] = True
+    out[:, 1, 1] = p * pred
+    out[:, 1, 0] = p * ~pred
+    out[:, 0, 1] = (1.0 - p) * pred
+    out[:, 0, 0] = (1.0 - p) * ~pred
+    return out
+
+
+@st.composite
+def accumulation_streams(draw):
+    """A task, up to 8 instances and a regularizer.  Any set of labels may be
+    predicted, so a multiclass prediction may name several classes or none,
+    and estimates hold exact zeros and ones among arbitrary probabilities."""
+    kind = draw(KINDS)
+    m = draw(st.integers(2 if kind == "multiclass" else 1, 6))
+    seq = []
+    for _ in range(draw(st.integers(1, 8))):
+        if kind == "multiclass":
+            y = (draw(st.integers(0, m - 1)),)
+        else:
+            y = tuple(j for j in range(m) if draw(st.booleans()))
+        yhat = tuple(j for j in range(m) if draw(st.booleans()))
+        eta = np.array(draw(st.lists(PROBS | st.floats(0.0, 1.0), min_size=m, max_size=m)))
+        seq.append((y, yhat, eta))
+    return Task(kind, m), seq, draw(st.sampled_from([0.0, 1e-3, 0.5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(accumulation_streams())
+def test_accumulation_rule_equals_the_cell_formulas(stream):
+    """``batch_counts`` at n = 1, ``expected_instance_confusion`` and
+    ``ConfusionState.add`` give the reference cells bit for bit."""
+    task, seq, lam = stream
+    by_label, by_estimate = init_state(task, lam), init_state(task, lam)
+    want_label = want_estimate = np.full(task.shape, lam)
+    for y, yhat, eta in seq:
+        y_row = indicator_row(task.m, y, np.float64)
+        dec = indicator_row(task.m, yhat, bool)
+        cells = ref_instance_confusion(task, y, yhat)
+        expected = ref_expected_confusion(task, eta, yhat)
+        assert same_bits(batch_counts(task, y_row[None], dec[None]), cells)
+        assert same_bits(batch_counts(task, eta[None], dec[None]), expected)
+        assert same_bits(expected_instance_confusion(task, ProbEstimate.from_dense(eta), yhat),
+                         expected)
+        by_label.add(y_row, dec)
+        by_estimate.add(eta, dec)
+        want_label = want_label + cells
+        want_estimate = want_estimate + expected
+    assert same_bits(by_label.counts, want_label)
+    assert same_bits(by_estimate.counts, want_estimate)
+    assert by_label.t == by_estimate.t == len(seq)
+
+
 @settings(max_examples=100, deadline=None)
 @given(streams())
 def test_batch_sum_matches_instance_references(stream):
@@ -121,9 +250,8 @@ def test_batch_sum_matches_instance_references(stream):
     dec = np.array([[j in yhat for j in range(task.m)] for _, yhat, _ in seq])
     labels = np.array([[float(j in y) for j in range(task.m)] for y, _, _ in seq])
     estimates = np.array([eta for _, _, eta in seq])
-    by_label = sum(instance_confusion(task, y, yhat) for y, yhat, _ in seq)
-    by_estimate = sum(expected_instance_confusion(task, ProbEstimate.from_dense(eta), yhat)
-                      for _, yhat, eta in seq)
+    by_label = sum(ref_instance_confusion(task, y, yhat) for y, yhat, _ in seq)
+    by_estimate = sum(ref_expected_confusion(task, eta, yhat) for _, yhat, eta in seq)
     assert np.allclose(batch_counts(task, labels, dec), by_label)
     assert np.allclose(batch_counts(task, estimates, dec), by_estimate)
 
@@ -159,7 +287,8 @@ def assert_same_estimate(got, want):
 @settings(max_examples=100, deadline=None)
 @given(prob_matrices())
 def test_batch_estimates_equal_row_estimates(M):
-    batch = ProbEstimate.from_rows(M)
+    n, m = M.shape
+    batch = InstanceStream(Task("multilabel", m), np.zeros((n, m)), M).estimates
     reference = [ProbEstimate.from_dense(row) for row in M]
     M[...] = 0.5  # the batch holds its own copy
     assert len(batch) == len(reference)
@@ -174,13 +303,15 @@ def test_batch_estimates_equal_row_estimates(M):
 @given(prob_matrices(min_n=1), st.sampled_from([-1e-12, -1.0, 1.0 + 1e-12, 2.0, np.nan,
                                                 np.inf, -np.inf]), st.data())
 def test_batch_and_row_estimates_reject_the_same_values(M, bad, data):
+    n, m = M.shape
+    task = Task("multilabel", m)
     with pytest.raises(ValueError):
-        ProbEstimate.from_rows(M[0])  # a 1-d row is not a matrix
+        InstanceStream(task, np.zeros((1, m)), M[0])  # a 1-d row is not a matrix
     i = data.draw(st.integers(0, M.shape[0] - 1))
     j = data.draw(st.integers(0, M.shape[1] - 1))
     M[i, j] = bad
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        ProbEstimate.from_rows(M)
+        InstanceStream(task, np.zeros((n, m)), M)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         ProbEstimate.from_dense(M[i])
 
@@ -253,7 +384,7 @@ def reference_checkpoints(stream, cfg, stride):
     """The online protocol with its own ``ConfusionState`` updated at every step."""
     learner = make_learner(cfg)
     if isinstance(learner, OfflineFWLearner):
-        learner.prefit(stream.estimates)
+        learner.prefit(stream.estimate_rows)
     state = init_state(stream.task, 0.0)
     n = len(stream)
     checkpoints = []
@@ -412,7 +543,7 @@ def per_instance_reference(labels, estimates, cfg, marks):
     ProbEstimates, scored by its own ConfusionState at every mark."""
     learner = make_learner(cfg)
     if isinstance(learner, OfflineFWLearner):
-        learner.prefit(estimates)
+        learner.prefit(np.array([est.dense() for est in estimates]))
     state = init_state(cfg.task, 0.0)
     checkpoints = []
     for t, (y, eta) in enumerate(zip(labels, estimates), start=1):
@@ -560,11 +691,6 @@ def metric_blocks(draw, name):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     C = rng.random((m, 2, 2)) * rng.choice(MAGNITUDES, size=(m, 2, 2))
     return metric, C
-
-
-def same_bits(a, b):
-    return (a.shape == b.shape and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 def tensor_coefficients(G):
