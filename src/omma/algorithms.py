@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import policy
-from .confusion import (Labels, ProbEstimate, Task, batch_counts, check_labels,
+from .confusion import (Labels, ProbEstimate, Task, _pack, batch_counts, check_labels,
                         check_regularizer, indicator_row, init_state,
                         multiclass_to_multilabel, top_entries)
-from .metrics import BINARY, MACRO, Metric
+from .metrics import Metric
 
 
 class ProtocolError(RuntimeError):
@@ -55,18 +55,38 @@ class LearnerConfig:
     deterministic_mixture: bool = False
 
     def __post_init__(self) -> None:
+        # every setting a run accepts: no learner raises a settings error
+        alg, task, metric, sparse_k = self.algorithm, self.task, self.metric, self.sparse_k
+        if alg not in _LEARNERS:
+            raise ValueError(f"unknown algorithm: {alg!r}")
         check_regularizer(self.lam)
-        self.metric.check_task(self.task)
-        if self.sparse_k is not None and self.sparse_k < 1:
+        metric.check_task(task)
+        if sparse_k is not None and sparse_k < 1:
             raise ValueError("the sparse top-k' size must be at least 1")
         if self.fw_iterations < 1:
             raise ValueError("need at least one Frank-Wolfe iteration")
-        if self.budget is not None and self.budget > self.task.m:
-            raise ValueError(f"budget {self.budget} exceeds the {self.task.m} labels")
-        if self.sparse_k is not None and self.budget is not None \
-                and self.sparse_k < self.budget:
-            raise ValueError(f"the sparse top-k' size {self.sparse_k} is below "
-                             f"the budget {self.budget}")
+        if self.refit_mode not in ("interval", "cumulative"):
+            raise ValueError(f"unknown refit mode: {self.refit_mode!r}")
+        if self.budget is not None and self.budget > task.m:
+            raise ValueError(f"budget {self.budget} exceeds the {task.m} labels")
+        if sparse_k is not None:
+            if self.budget is not None and sparse_k < self.budget:
+                raise ValueError(f"the sparse top-k' size {sparse_k} is below "
+                                 f"the budget {self.budget}")
+            if alg not in ("omma", "omma-eta"):
+                raise ValueError(f"{alg} has no sparse top-k' path")
+            if task.is_multiclass:
+                raise UnsupportedMetricError("sparse prediction is multilabel-only")
+            if not metric.per_label:
+                raise UnsupportedMetricError(
+                    "sparse prediction needs per-label (macro) gradients")
+        if alg == "greedy" and not metric.per_label:
+            raise UnsupportedMetricError(
+                f"greedy supports macro/binary metrics, not {metric.averaging}")
+        if alg == "topk" and self.budget is None and not task.is_multiclass:
+            raise UnsupportedMetricError("topk needs a budget on multilabel tasks")
+        if alg == "thresh05" and task.is_multiclass:
+            raise UnsupportedMetricError("thresh05 applies to multilabel tasks only")
 
     @property
     def budget(self) -> int | None:
@@ -130,12 +150,6 @@ class OmmaLearner(OnlineLearner):
     def __init__(self, cfg: LearnerConfig):
         super().__init__(cfg)
         self.state = init_state(cfg.task, cfg.lam)
-        if cfg.sparse_k is not None:
-            if cfg.task.is_multiclass:
-                raise UnsupportedMetricError("sparse prediction is multilabel-only")
-            if cfg.metric.averaging not in (MACRO, BINARY):
-                raise UnsupportedMetricError(
-                    "sparse prediction needs per-label (macro) gradients")
         self._all_labels = np.arange(cfg.task.m, dtype=np.int64)
 
     def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
@@ -166,7 +180,7 @@ class OmmaEtaLearner(OmmaLearner):
         self.state.add(eta, dec)
 
 
-_UNIT_CELLS = np.eye(4).reshape(4, 2, 2)
+_UNIT_CELLS = _pack(*np.eye(4), (4, 2, 2))
 
 
 class GreedyLearner(OnlineLearner):
@@ -179,9 +193,6 @@ class GreedyLearner(OnlineLearner):
 
     def __init__(self, cfg: LearnerConfig):
         super().__init__(cfg)
-        if cfg.metric.averaging not in (MACRO, BINARY):
-            raise UnsupportedMetricError(
-                f"greedy supports macro/binary metrics, not {cfg.metric.averaging}")
         self.state = init_state(cfg.task, cfg.lam)
 
     def _label_blocks(self) -> np.ndarray:
@@ -226,9 +237,8 @@ def refit_thresholds(mode: str = "interval", base: float = 10.0, ratio: float = 
 
     ``interval`` grows the gap between refits geometrically (cumulative sums of
     base * ratio^i); ``cumulative`` refits at base * ratio^i directly.
+    ``LearnerConfig`` rejects any other mode.
     """
-    if mode not in ("interval", "cumulative"):
-        raise ValueError(f"unknown refit mode: {mode!r}")
     total = 0.0
     term = base
     last = 0
@@ -360,8 +370,6 @@ class TopKLearner(OnlineLearner):
 
     def __init__(self, cfg: LearnerConfig):
         super().__init__(cfg)
-        if cfg.budget is None and not cfg.task.is_multiclass:
-            raise UnsupportedMetricError("topk needs a budget on multilabel tasks")
         self.k = cfg.budget or 1
 
     def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
@@ -370,11 +378,6 @@ class TopKLearner(OnlineLearner):
 
 class ThresholdLearner(OnlineLearner):
     """Predicts every label whose estimated probability strictly exceeds 0.5."""
-
-    def __init__(self, cfg: LearnerConfig):
-        super().__init__(cfg)
-        if cfg.task.is_multiclass:
-            raise UnsupportedMetricError("thresh05 applies to multilabel tasks only")
 
     def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
         return eta > 0.5
@@ -401,6 +404,5 @@ ALGORITHMS = tuple(_LEARNERS)
 
 
 def make_learner(cfg: LearnerConfig) -> OnlineLearner:
-    if cfg.algorithm not in _LEARNERS:
-        raise ValueError(f"unknown algorithm: {cfg.algorithm!r}")
+    """The learner of a config, which has checked every setting already."""
     return _LEARNERS[cfg.algorithm](cfg)

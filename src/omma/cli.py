@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dataio, evaluation
 from .algorithms import ALGORITHMS, LearnerConfig
-from .confusion import Task, check_regularizer
+from .confusion import Task
 from .dataio import DataFormatError, InstanceStream, SynthModel
 from .metrics import list_metrics, parse_metric
 
@@ -129,6 +129,8 @@ def _model_from_args(args) -> SynthModel:
 def _load_or_synth(args) -> InstanceStream:
     if args.n is not None and args.n < 1:
         raise ConfigError("--n must be at least 1")
+    if (args.labels or args.probs) and (args.model or args.n):
+        raise ConfigError("give --labels/--probs or --model/--n, not both")
     if args.model or args.n:
         if not (args.model and args.n) and not (args.n and args.m):
             raise ConfigError("synthetic runs need --model (or --m) and --n")
@@ -232,14 +234,14 @@ def _grid(flag: str, text: str, convert) -> list:
 def cmd_regret(args) -> int:
     metric = parse_metric(args.metric, epsilon=args.epsilon)
     n_grid = _grid("--n-grid", args.n_grid, int)
-    # every count is checked before estimate_optimal runs
+    # every count and setting is checked before estimate_optimal runs
     evaluation.check_regret_grid(n_grid, args.runs)
     _check_jobs(args.jobs)
     lam_grid = ([args.lam] if args.lambda_grid is None
                 else _grid("--lambda-grid", args.lambda_grid, float))
-    for lam in lam_grid:
-        check_regularizer(lam)
     model = _model_from_args(args)
+    for lam in lam_grid:
+        LearnerConfig(algorithm=args.alg, task=model.task, metric=metric, lam=lam)
     psi_star = evaluation.estimate_optimal(metric, model, method=args.opt_method,
                                            n_opt=args.n_opt, seed=args.seed)
     if args.out:
@@ -301,6 +303,9 @@ def _inject_config(argv: list[str]) -> list[str]:
             if not sep or key not in _RUN_FLAGS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             if _RUN_FLAGS[key].get("action") == "store_true":
+                if val.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                    raise ConfigError(f"{path}:{lineno}: {key} takes 1/true/yes or "
+                                      f"0/false/no, not {val!r}")
                 if val.lower() in ("1", "true", "yes"):
                     injected.append("--" + key)
             else:

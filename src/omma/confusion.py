@@ -5,7 +5,8 @@ Storage conventions used throughout the package:
 * multiclass: an ``(m, m)`` array of counts indexed ``[true, predicted]``;
 * multilabel: an ``(m, 2, 2)`` stack of per-label binary blocks indexed
   ``[label, true, predicted]``, so within a block ``tn = [0, 0]``,
-  ``fp = [0, 1]``, ``fn = [1, 0]``, ``tp = [1, 1]``.
+  ``fp = [0, 1]``, ``fn = [1, 0]``, ``tp = [1, 1]``; ``_cells`` reads and
+  ``_pack`` writes that layout for every module but the per-step add.
 
 At the public boundary labels and predictions are sorted tuples of positive
 label indices; inside a run they are (m,) rows: 0/1 float64 label rows
@@ -174,6 +175,21 @@ def check_labels(task: Task, labels: Labels, *, prediction: bool = False) -> Lab
     return labels
 
 
+def _cells(blocks):
+    """The (tn, fp, fn, tp) cells of (..., 2, 2) blocks, as views."""
+    return blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 0], blocks[..., 1, 1]
+
+
+def _pack(tn, fp, fn, tp, shape):
+    """The (..., 2, 2) blocks of the given shape with cells (tn, fp, fn, tp)."""
+    out = np.empty(shape)
+    out[..., 0, 0] = tn
+    out[..., 0, 1] = fp
+    out[..., 1, 0] = fn
+    out[..., 1, 1] = tp
+    return out
+
+
 def expected_instance_confusion(task: Task, eta: ProbEstimate, yhat: Labels) -> np.ndarray:
     """Expected single-instance confusion under label marginals ``eta``: the
     n = 1 case of :func:`batch_counts`."""
@@ -195,13 +211,8 @@ def multiclass_to_multilabel(C: np.ndarray) -> np.ndarray:
     diag = np.diagonal(C)
     row = C.sum(axis=1)
     col = C.sum(axis=0)
-    total = C.sum()
-    out = np.empty((C.shape[0], 2, 2))
-    out[:, 1, 1] = diag
-    out[:, 1, 0] = row - diag
-    out[:, 0, 1] = col - diag
-    out[:, 0, 0] = total - row - col + diag
-    return out
+    return _pack(C.sum() - row - col + diag, col - diag, row - diag, diag,
+                 (C.shape[0], 2, 2))
 
 
 @dataclass
@@ -330,12 +341,8 @@ def batch_counts(task: Task, ref: np.ndarray, dec: np.ndarray) -> np.ndarray:
     d = np.asarray(dec, dtype=np.float64)
     if task.is_multiclass:
         return ref.T @ d
-    out = np.empty(task.shape)
-    out[:, 1, 1] = (ref * d).sum(axis=0)
-    out[:, 1, 0] = (ref * (1.0 - d)).sum(axis=0)
-    out[:, 0, 1] = ((1.0 - ref) * d).sum(axis=0)
-    out[:, 0, 0] = ((1.0 - ref) * (1.0 - d)).sum(axis=0)
-    return out
+    return _pack(((1.0 - ref) * (1.0 - d)).sum(axis=0), ((1.0 - ref) * d).sum(axis=0),
+                 (ref * (1.0 - d)).sum(axis=0), (ref * d).sum(axis=0), task.shape)
 
 
 def check_regularizer(lam: float) -> None:

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import LearnerConfig, OfflineFWLearner, fw_fit, make_learner
-from .confusion import Task, batch_counts, multilabel
+from .confusion import Task, _pack, batch_counts, multilabel
 from .dataio import InstanceStream, SynthModel, _latent_draw, synth_generate
-from .metrics import BINARY, MACRO, Metric, min_tn_tp
+from .metrics import Metric, min_tn_tp
 
 
 @dataclass
@@ -157,8 +157,6 @@ def _grid_optimal(metric: Metric, eta: np.ndarray) -> float:
     expected confusion under threshold theta is evaluated on a shared
     threshold grid and maximized independently.
     """
-    if metric.averaging not in (MACRO, BINARY):
-        raise ValueError("threshold-grid estimation needs a macro/binary metric")
     n, m = eta.shape
     # resolution 1/_GRID_POINTS with both endpoints and 0.5 on the grid
     thetas = np.linspace(0.0, 1.0, _GRID_POINTS + 1)
@@ -173,12 +171,7 @@ def _grid_optimal(metric: Metric, eta: np.ndarray) -> float:
         pos = (n - first) / n
         fp = pos - tp
         fn = total_p / n - tp
-        tn = 1.0 - pos - fn
-        blocks = np.empty((_GRID_POINTS + 1, 2, 2))
-        blocks[:, 0, 0] = tn
-        blocks[:, 0, 1] = fp
-        blocks[:, 1, 0] = fn
-        blocks[:, 1, 1] = tp
+        blocks = _pack(1.0 - pos - fn, fp, fn, tp, (_GRID_POINTS + 1, 2, 2))
         best[j] = float(np.max(metric.block_values(blocks)))
     return float(np.mean(best))
 
@@ -206,7 +199,7 @@ def estimate_optimal(metric: Metric, model: SynthModel, method: str = "both",
     metric.check_task(model.task)
     eta, _ = _latent_draw(model, n_opt, seed)
     values = []
-    if method in ("threshold-grid", "both") and metric.averaging in (MACRO, BINARY) \
+    if method in ("threshold-grid", "both") and metric.per_label \
             and metric.budget_k is None and not model.task.is_multiclass:
         values.append(_grid_optimal(metric, eta))
     if method in ("fw", "both"):
@@ -238,6 +231,7 @@ def measure_regret(metric: Metric, model: SynthModel, algorithm: str,
     the measured gap isolates the optimization part of the regret.
     """
     check_regret_grid(n_grid, runs)
+    cfg = LearnerConfig(algorithm=algorithm, task=model.task, metric=metric, lam=lam)
     if psi_star is None:
         psi_star = estimate_optimal(metric, model, seed=base_seed)
     # seeds depend on the run index only, so a run's stream at one n is a
@@ -249,11 +243,10 @@ def measure_regret(metric: Metric, model: SynthModel, algorithm: str,
     finals: dict[int, list[float]] = {n: [] for n in n_grid}
     for r in range(runs):
         stream_seed = int(np.random.SeedSequence([base_seed, r]).generate_state(1)[0])
-        cfg = LearnerConfig(algorithm=algorithm, task=model.task, metric=metric,
-                            lam=lam, seed=stream_seed)
+        run_cfg = dataclasses.replace(cfg, seed=stream_seed)
         for length, marks in passes:
             stream = synth_generate(model, length, seed=stream_seed)
-            for t, psi in run_online(stream, cfg, marks).checkpoints:
+            for t, psi in run_online(stream, run_cfg, marks).checkpoints:
                 finals[t].append(psi)
     return [RunReport.from_finals(metric, algorithm, lam, base_seed, n, finals[n], psi_star)
             for n in n_grid]

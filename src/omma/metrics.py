@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .confusion import Task, multiclass_to_multilabel
+from .confusion import Task, _cells, _pack, multiclass_to_multilabel
 
 BINARY = "binary"
 MACRO = "macro"
@@ -47,19 +47,6 @@ _AVERAGINGS = (BINARY, MACRO, MICRO, MULTICLASS_NATIVE)
 # the smallest positive stabilizer; its square and products with 1e6-scale
 # counts stay well inside the float64 range
 EPSILON_FLOOR = 1e-100
-
-
-def _cells(blocks):
-    return blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 0], blocks[..., 1, 1]
-
-
-def _pack(dtn, dfp, dfn, dtp, shape):
-    out = np.empty(shape)
-    out[..., 0, 0] = dtn
-    out[..., 0, 1] = dfp
-    out[..., 1, 0] = dfn
-    out[..., 1, 1] = dtp
-    return out
 
 
 class CostCoefficients(NamedTuple):
@@ -395,10 +382,19 @@ class Metric:
         if self.budget_k is not None and self.budget_k < 1:
             raise ValueError("budget must be a positive integer")
 
+    @property
+    def per_label(self) -> bool:
+        """Macro or binary averaging: the value is a mean of per-label block values."""
+        return self.averaging in (MACRO, BINARY)
+
     def check_task(self, task: Task) -> None:
-        """A native multiclass metric needs a multiclass task."""
+        """A native multiclass metric needs a multiclass task, and a binary
+        metric a task with one 2x2 block: one label, or two classes."""
         if self.averaging == MULTICLASS_NATIVE and not task.is_multiclass:
             raise ValueError(f"{self.name} needs a multiclass stream")
+        if self.averaging == BINARY and task.m != (2 if task.is_multiclass else 1):
+            raise ValueError("binary averaging expects a single block: one label or "
+                             f"two classes, not m={task.m}")
 
     def _blocks(self, C: np.ndarray) -> np.ndarray:
         C = np.asarray(C, dtype=np.float64)
@@ -464,7 +460,7 @@ class Metric:
 
     def block_gradient(self, blocks: np.ndarray, m: int) -> np.ndarray:
         """Gradient of selected per-label blocks (macro/binary), incl. the 1/m factor."""
-        if self.averaging not in (MACRO, BINARY):
+        if not self.per_label:
             raise ValueError("per-block gradients exist only for macro/binary averaging")
         return _pack(*self._partials(blocks, m), blocks.shape)
 
@@ -480,17 +476,14 @@ class Metric:
 
     def block_values(self, blocks: np.ndarray) -> np.ndarray:
         """Base-formula values of individual blocks, without the macro 1/m factor."""
-        if self.averaging not in (MACRO, BINARY):
+        if not self.per_label:
             raise ValueError("per-block values exist only for macro/binary averaging")
         return _BINARY_BASES[self.base][0](blocks, self.epsilon, self.beta)
 
 
 def _tensor_grad_to_matrix(Gt: np.ndarray) -> np.ndarray:
     """Adjoint of the multiclass-to-multilabel conversion applied to a gradient."""
-    dtn = Gt[:, 0, 0]
-    dfp = Gt[:, 0, 1]
-    dfn = Gt[:, 1, 0]
-    dtp = Gt[:, 1, 1]
+    dtn, dfp, dfn, dtp = _cells(Gt)
     s = dtn.sum()
     G = dfp[None, :] + dfn[:, None] + (s - dtn[None, :] - dtn[:, None])
     np.fill_diagonal(G, dtp + s - dtn)
@@ -511,8 +504,6 @@ _BASE_TOKENS = {
     "qmean": "q_mean",
     "matthews": "matthews",
 }
-
-_NATIVE_TOKENS = ("accuracy", "balanced-acc", "gmean", "hmean", "qmean")
 
 # Concavity holds over confusion matrices sharing label marginals (row sums /
 # per-block positive mass), the set a fixed data distribution can reach;
@@ -538,10 +529,10 @@ def list_metrics() -> list[MetricInfo]:
         for token, base in _BASE_TOKENS.items():
             out.append(MetricInfo(prefix + token, base, avg,
                                   base in _CONCAVE, base not in _NONSMOOTH))
-    for token in _NATIVE_TOKENS:
-        base = _BASE_TOKENS[token]
-        out.append(MetricInfo("mc-" + token, base, MULTICLASS_NATIVE,
-                              base in _CONCAVE, base not in _NONSMOOTH))
+    for token, base in _BASE_TOKENS.items():
+        if base in _NATIVE_BASES:
+            out.append(MetricInfo("mc-" + token, base, MULTICLASS_NATIVE,
+                                  base in _CONCAVE, base not in _NONSMOOTH))
     return out
 
 
@@ -581,8 +572,6 @@ def parse_metric(name: str, epsilon: float = 1e-9) -> Metric:
         base = _BASE_TOKENS[spec]
     else:
         raise ValueError(f"unknown metric: {name!r}")
-    if averaging == MULTICLASS_NATIVE and spec not in _NATIVE_TOKENS:
-        raise ValueError(f"{spec!r} has no native multiclass form; use macro-/micro-")
     return Metric(name=name.strip(), base=base, averaging=averaging, beta=beta,
                   epsilon=epsilon, budget_k=budget)
 

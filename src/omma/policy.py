@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .confusion import Labels, ProbEstimate
+from .confusion import Labels, ProbEstimate, _cells
 from .metrics import CostCoefficients, _coefficients
 
 
@@ -26,7 +26,7 @@ def cost_coefficients(G: np.ndarray) -> CostCoefficients:
     G = np.asarray(G, dtype=np.float64)
     if G.ndim != 3 or G.shape[1:] != (2, 2):
         raise ValueError("expected an (m, 2, 2) gradient tensor")
-    return _coefficients(G[:, 0, 0], G[:, 0, 1], G[:, 1, 0], G[:, 1, 1], G.shape[0])
+    return _coefficients(*_cells(G), G.shape[0])
 
 
 def gains(coeffs: CostCoefficients, eta: ProbEstimate | np.ndarray) -> np.ndarray:

@@ -321,6 +321,15 @@ REGRET_M3 = ["regret", "--metric", "macro-f1", "--alg", "omma", "--n-grid", "20"
     # a synthetic stream length is checked as synth checks it
     ([*RUN_M3, "--n", "-5"], 2, "error: --n must be at least 1", None),
     ([*RUN_M3, "--n", "0"], 2, "error: --n must be at least 1", None),
+    # a run reads one stream source: files, or a synthetic model, not both
+    ([*RUN_M3, "--labels", "{tmp}/none.labels", "--probs", "{tmp}/none.probs"], 2,
+     "error: give --labels/--probs or --model/--n, not both", None),
+    (["run", "--metric", "macro-f1", "--alg", "omma", "--model", "{tmp}/none.model",
+      "--probs", "{tmp}/none.probs", "--out", "{tmp}/o"], 2,
+     "error: give --labels/--probs or --model/--n, not both", None),
+    # only omma and omma-eta have a sparse top-k' path
+    ([*RUN_M3, "--alg", "greedy", "--kprime", "2"], 2,
+     "error: greedy has no sparse top-k' path", None),
 ])
 def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, check):
     (tmp_path / "exp.cfg").write_text("metric=macro-f1\nm=3\nn=30\nlambda=0.5\nruns=2\n")
@@ -357,6 +366,13 @@ def test_out_of_memory_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch):
     (["--lambda", "-2"], "error: regularizer must be"),
     (["--lambda-grid", "0,-2"], "error: regularizer must be"),
     (["--epsilon", "1e-200"], "error: epsilon must be 0 or at least 1e-100"),
+    # the learner settings too (a flag given again later wins)
+    (["--alg", "thresh05", "--task", "multiclass"],
+     "error: thresh05 applies to multilabel tasks only"),
+    (["--alg", "greedy", "--metric", "micro-f1"],
+     "error: greedy supports macro/binary metrics, not micro"),
+    (["--alg", "topk"], "error: topk needs a budget on multilabel tasks"),
+    (["--metric", "macro-f1@9"], "error: budget 9 exceeds the 3 labels"),
 ])
 def test_regret_rejects_counts_before_any_work(capsys, flags, error):
     code, out, err = run_cli(capsys, "regret", "--metric", "macro-f1", "--alg", "omma",
@@ -389,3 +405,21 @@ def test_every_run_flag_is_a_config_key(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "unknown config key 'help'" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value, on", [("1", True), ("TRUE", True), ("Yes", True),
+                                       ("0", False), ("false", False), ("NO", False)])
+def test_config_booleans_take_yes_or_no_in_any_case(tmp_path, value, on):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(f"fw_deterministic={value}\n")
+    assert ("--fw-deterministic" in _inject_config(["run", f"--config={cfg}"])) == on
+
+
+def test_a_config_boolean_that_is_neither_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("metric=macro-f1\nfw_deterministic=ture\n")
+    code, out, err = run_cli(capsys, "run", "--alg", "ofw", "--m", "3", "--n", "30",
+                             "--out", str(tmp_path / "o"), f"--config={cfg}")
+    assert code == 2 and out == ""
+    assert err == (f"error: {cfg}:2: fw-deterministic takes 1/true/yes or 0/false/no, "
+                   "not 'ture'\n")

@@ -417,11 +417,11 @@ def runs(draw, algorithms=ALGORITHMS, max_n=40):
                             seed=draw(st.integers(0, 2**32 - 1)))
     budget = draw(st.none() | st.integers(1, m))
     name = draw(st.sampled_from(BASES[kind])) + (f"@{budget}" if budget else "")
-    cfg = LearnerConfig(algorithm=draw(st.sampled_from(algorithms)), task=task,
-                        metric=parse_metric(name), lam=draw(st.sampled_from([0.0, 1e-3])),
-                        seed=draw(st.integers(0, 99)), fw_iterations=3)
     try:
-        make_learner(cfg)
+        cfg = LearnerConfig(algorithm=draw(st.sampled_from(algorithms)), task=task,
+                            metric=parse_metric(name),
+                            lam=draw(st.sampled_from([0.0, 1e-3])),
+                            seed=draw(st.integers(0, 99)), fw_iterations=3)
     except UnsupportedMetricError:
         assume(False)
     return stream, cfg
@@ -451,6 +451,36 @@ def test_stream_prefix_gives_trace_prefix(run, data):
     got = evaluation.run_online(prefix, cfg, stride).checkpoints
     assert exact(got) == exact([(t, psi) for t, psi in full[:k]
                                 if t % (stride or k) == 0 or t == k])
+
+
+# binary, macro, micro and native forms, each with some base
+SETTING_METRICS = ["f1", "gmean", "macro-f1", "macro-recall", "micro-f1", "micro-gmean",
+                   "mc-qmean", "mc-balanced-acc"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(KINDS, st.integers(1, 4), st.data())
+def test_a_config_that_is_accepted_runs(kind, m, data):
+    """LearnerConfig checks every setting: whatever it accepts, make_learner
+    builds a learner that steps and observes without a settings error."""
+    assume(kind == "multilabel" or m >= 2)
+    task = Task(kind, m)
+    budget = data.draw(st.none() | st.integers(1, m + 1))
+    name = data.draw(st.sampled_from(SETTING_METRICS)) + (f"@{budget}" if budget else "")
+    try:
+        cfg = LearnerConfig(
+            algorithm=data.draw(st.sampled_from(ALGORITHMS)), task=task,
+            metric=parse_metric(name), lam=data.draw(st.sampled_from([0.0, 1e-3])),
+            sparse_k=data.draw(st.none() | st.integers(1, m + 1)),
+            fw_iterations=data.draw(st.integers(1, 3)),
+            refit_mode=data.draw(st.sampled_from(["interval", "cumulative"])),
+            deterministic_mixture=data.draw(st.booleans()))
+    except ValueError:
+        return
+    # 12 instances reach the first Frank-Wolfe refit, at 10
+    stream = synth_generate(SynthModel(task=task, seed=data.draw(st.integers(0, 99))),
+                            data.draw(st.integers(1, 12)), seed=data.draw(st.integers(0, 99)))
+    assert np.isfinite(evaluation.run_online(stream, cfg).final_psi)
 
 
 @pytest.mark.parametrize("kind, alg, name, stride", [
@@ -581,11 +611,11 @@ def column_runs(draw):
         sparse_k = draw(st.none() | st.integers(budget or 1, m))
     bases = BASES[kind] + (["macro-recall"] if kind == "multilabel" else [])
     name = draw(st.sampled_from(bases)) + (f"@{budget}" if budget else "")
-    cfg = LearnerConfig(algorithm=algorithm, task=task, metric=parse_metric(name),
-                        lam=draw(st.sampled_from([0.0, 1e-3])), seed=draw(st.integers(0, 99)),
-                        sparse_k=sparse_k, fw_iterations=3)
     try:
-        make_learner(cfg)
+        cfg = LearnerConfig(algorithm=algorithm, task=task, metric=parse_metric(name),
+                            lam=draw(st.sampled_from([0.0, 1e-3])),
+                            seed=draw(st.integers(0, 99)), sparse_k=sparse_k,
+                            fw_iterations=3)
     except UnsupportedMetricError:
         assume(False)
     marks = draw(st.sets(st.integers(1, n), max_size=6))

@@ -9,8 +9,13 @@ metric it prints each side's median and quartiles, the pairs the change won
 (ties count for neither side) and whether the medians differ, in the
 direction the metric calls better, by more than the distance between the
 parent's quartiles.  A gain is claimed only when the change wins at least 9
-of 10 pairs and that gap holds.  The directions come from the parent's
-BENCHMARK.json.  Exits 1 if any run is not ``correct`` or fails an operation.
+of 10 pairs and that gap holds.  Each metric also gets a no-regression
+verdict against its bound b: ``beyond bound`` when the change's median is
+worse than the parent's by more than b times the parent's median;
+``unresolved`` when the parent's quartiles lie more than b times its median
+apart and not every change run beats every parent run; ``within bound``
+otherwise.  The directions and bounds come from the parent's BENCHMARK.json.
+Exits 1 if any run is not ``correct`` or fails an operation.
 """
 
 from __future__ import annotations
@@ -30,21 +35,40 @@ class Spread(NamedTuple):
     q3: float
 
 
+class Spec(NamedTuple):
+    """An end-to-end metric of BENCHMARK.json."""
+
+    better: str         # "lower" or "higher"
+    bound: float        # the largest loss of the median tolerated, as a share of it
+
+
 class Row(NamedTuple):
     """One metric over the pairs: each side's spread and the change's record."""
 
     name: str
-    better: str
+    spec: Spec
     parent: Spread
     change: Spread
     wins: int
     pairs: int
     gap: float          # change median minus parent median, signed
     beyond_iqr: bool    # the gap is in the better direction and exceeds the parent IQR
+    all_beat: bool      # every change run is better than every parent run
 
     @property
     def claimed(self) -> bool:
         return self.wins >= 0.9 * self.pairs and self.beyond_iqr
+
+    @property
+    def regression(self) -> str:
+        """``beyond bound``, ``unresolved`` or ``within bound``."""
+        sign = -1.0 if self.spec.better == "lower" else 1.0
+        limit = self.spec.bound * abs(self.parent.median)
+        if -sign * self.gap > limit:
+            return "beyond bound"
+        if self.parent.q3 - self.parent.q1 > limit and not self.all_beat:
+            return "unresolved"
+        return "within bound"
 
 
 def spread(values: list[float]) -> Spread:
@@ -56,26 +80,25 @@ def spread(values: list[float]) -> Spread:
 
 
 def compare(parent: list[dict[str, float]], change: list[dict[str, float]],
-            better: dict[str, str]) -> list[Row]:
-    """Rows for every metric both sides report, from paired runs.
-
-    ``parent[i]`` and ``change[i]`` are the metric values of pair i; ``better``
-    maps a metric name to ``"lower"`` or ``"higher"``.
+            specs: dict[str, Spec]) -> list[Row]:
+    """Rows for every metric both sides report and ``specs`` names, from
+    paired runs: ``parent[i]`` and ``change[i]`` are the metric values of pair i.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of runs on each side")
     rows = []
     for name in parent[0]:
-        if name not in better or any(name not in runs for runs in (*parent, *change)):
+        if name not in specs or any(name not in runs for runs in (*parent, *change)):
             continue
-        sign = -1.0 if better[name] == "lower" else 1.0
+        sign = -1.0 if specs[name].better == "lower" else 1.0
         p = [runs[name] for runs in parent]
         c = [runs[name] for runs in change]
         wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
         ps, cs = spread(p), spread(c)
         gap = cs.median - ps.median
-        rows.append(Row(name, better[name], ps, cs, wins, len(p), gap,
-                        sign * gap > ps.q3 - ps.q1))
+        rows.append(Row(name, specs[name], ps, cs, wins, len(p), gap,
+                        sign * gap > ps.q3 - ps.q1,
+                        min(sign * v for v in c) > max(sign * v for v in p)))
     return rows
 
 
@@ -86,9 +109,10 @@ def format_rows(rows: list[Row]) -> list[str]:
         def side(s):
             return f"{s.median:.6g} [{s.q1:.6g}, {s.q3:.6g}]"
         verdict = "claimed" if r.claimed else "not claimed"
-        lines.append(f"{r.name:<{width}}({r.better} is better) parent {side(r.parent)}  "
-                     f"change {side(r.change)}  wins {r.wins}/{r.pairs}  "
-                     f"gap {r.gap:+.6g} vs IQR {r.parent.q3 - r.parent.q1:.6g}: {verdict}")
+        lines.append(f"{r.name:<{width}}({r.spec.better} is better) parent "
+                     f"{side(r.parent)}  change {side(r.change)}  wins {r.wins}/{r.pairs}  "
+                     f"{r.regression} (bound {r.spec.bound:g})  gap {r.gap:+.6g} "
+                     f"vs IQR {r.parent.q3 - r.parent.q1:.6g}: {verdict}")
     return lines
 
 
@@ -107,10 +131,10 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def directions(checkout: str) -> dict[str, str]:
+def end_to_end(checkout: str) -> dict[str, Spec]:
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: Spec(m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def main(argv=None) -> int:
@@ -136,7 +160,7 @@ def main(argv=None) -> int:
             print(f"pair {i + 1} {side}: correct {res['correct']} failed {res['failed']} "
                   + json.dumps(res["metrics"], sort_keys=True), flush=True)
     rows = compare([r["metrics"] for r in results["parent"]],
-                   [r["metrics"] for r in results["change"]], directions(args.parent))
+                   [r["metrics"] for r in results["change"]], end_to_end(args.parent))
     print(f"workload {args.workload} seed {args.seed} seconds {args.seconds:g} "
           f"pairs {args.pairs}")
     for line in format_rows(rows):
