@@ -29,7 +29,7 @@ from . import policy
 from .confusion import (Labels, ProbEstimate, Task, _pack, batch_counts, check_labels,
                         check_regularizer, indicator_row, init_state,
                         multiclass_to_multilabel, top_entries)
-from .metrics import Metric
+from .metrics import BINARY, Metric
 
 
 class ProtocolError(RuntimeError):
@@ -188,14 +188,19 @@ class GreedyLearner(OnlineLearner):
 
     Tractable when the metric decomposes over labels, i.e. macro or binary
     averaging; each label weighs its four candidate count increments by the
-    estimated label probability.
+    estimated label probability.  A binary metric on two classes reads the
+    (2, 2) matrix itself as its one block, class 1 positive, so class 1 is
+    predicted exactly when that block's gain is >= 0.
     """
 
     def __init__(self, cfg: LearnerConfig):
         super().__init__(cfg)
         self.state = init_state(cfg.task, cfg.lam)
+        self._two_class = cfg.task.is_multiclass and cfg.metric.averaging == BINARY
 
     def _label_blocks(self) -> np.ndarray:
+        if self._two_class:
+            return self.state.counts[None]
         if self.task.is_multiclass:
             return multiclass_to_multilabel(self.state.counts)
         return self.state.counts
@@ -210,8 +215,14 @@ class GreedyLearner(OnlineLearner):
         return gain0, gain1
 
     def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
-        gain0, gain1 = self._gain_table(eta)
-        return policy.decide(gain1 - gain0, self.cfg.budget, argmax=self.task.is_multiclass)
+        if self._two_class:
+            gain0, gain1 = self._gain_table(eta[1:])
+            positive = gain1[0] - gain0[0] >= 0.0
+            scores = np.array([not positive, positive], dtype=np.float64)
+        else:
+            gain0, gain1 = self._gain_table(eta)
+            scores = gain1 - gain0
+        return policy.decide(scores, self.cfg.budget, argmax=self.task.is_multiclass)
 
     def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
         self.state.add(y, dec)
@@ -265,6 +276,13 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     0/1 rows, one-hot for multiclass.  Returns the induced
     classifier mixture; the first step has weight one, so the trivial initial
     classifier never survives.
+
+    The fit keeps returning to vertices it has visited, so each distinct
+    decision matrix is counted once: its confusion is kept under its packed
+    bits and reused on a repeat.  A vertex's confusion depends on the buffer
+    and the decisions alone, so the reuse changes no bit of the result.  The
+    store holds at most ``iterations`` keys of ceil(n * m / 8) bytes and one
+    confusion each, and is freed on return.
     """
     estimates = np.asarray(estimates, dtype=np.float64)
     if estimates.ndim != 2 or estimates.shape[0] == 0:
@@ -282,10 +300,14 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     cbar = batch_counts(task, ref.sum(axis=0)[None] / n, np.full((1, m), k / m))
     tensors: list[np.ndarray] = []
     weights = np.empty(iterations)
+    vertices: dict[bytes, np.ndarray] = {}  # packed decision matrix -> its confusion
     for q in range(iterations):
         G = metric.gradient(cbar)
         dec = policy.decide_gradient(G, estimates, budget)
-        cq = batch_counts(task, ref, dec) / n
+        key = np.packbits(dec).tobytes()
+        cq = vertices.get(key)
+        if cq is None:
+            cq = vertices[key] = batch_counts(task, ref, dec) / n
         gamma = 2.0 / (q + 2.0)
         cbar = (1.0 - gamma) * cbar + gamma * cq
         weights[:q] *= 1.0 - gamma

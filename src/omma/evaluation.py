@@ -197,15 +197,17 @@ def estimate_optimal(metric: Metric, model: SynthModel, method: str = "both",
     if n_opt < 1:
         raise ValueError("the optimum needs a sample of n_opt >= 1 instances")
     metric.check_task(model.task)
+    grid = method in ("threshold-grid", "both") and metric.per_label \
+        and metric.budget_k is None and not model.task.is_multiclass
+    fw = method in ("fw", "both")
+    if not (grid or fw):
+        raise ValueError("no applicable estimator for this metric/task")
     eta, _ = _latent_draw(model, n_opt, seed)
     values = []
-    if method in ("threshold-grid", "both") and metric.per_label \
-            and metric.budget_k is None and not model.task.is_multiclass:
+    if grid:
         values.append(_grid_optimal(metric, eta))
-    if method in ("fw", "both"):
+    if fw:
         values.append(_fw_optimal(metric, model.task, eta, fw_iterations))
-    if not values:
-        raise ValueError("no applicable estimator for this metric/task")
     return max(values)
 
 

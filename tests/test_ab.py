@@ -1,6 +1,7 @@
 """The statistics and the run order of tools/ab.py, on canned perfbench results."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -86,6 +87,34 @@ def test_main_alternates_sides_and_fails_on_an_incorrect_run(monkeypatch, capsys
     out, err = capsys.readouterr()
     assert "wins 3/3  within bound (bound 0.25)" in out and out.endswith(": claimed\n")
     assert code == 1 and err.startswith("error: 1 of 6 runs were not correct")
+
+
+def test_json_holds_the_settings_and_every_row(monkeypatch, tmp_path):
+    def fake_run(checkout, workload, seed, seconds):
+        wall = 0.1 if checkout == "P" else 0.05
+        return {"correct": True, "failed": 0, "metrics": {"wall_s": wall, "peak_rss_mb": 40.0}}
+
+    monkeypatch.setattr(ab, "run_once", fake_run)
+    monkeypatch.setattr(ab, "end_to_end", lambda checkout: SPECS)
+    path = tmp_path / "ab.json"
+    code = ab.main(["P", "C", "--workload", "w", "--seed", "7", "--pairs", "2",
+                    "--seconds", "1", "--json", str(path)])
+    assert code == 0
+    got = json.loads(path.read_text(encoding="utf-8"))
+    rows = got.pop("rows")
+    assert got == {"workload": "w", "seed": 7, "seconds": 1.0, "pairs": 2,
+                   "incorrect_runs": 0}
+    assert rows == [
+        {"name": "wall_s", "better": "lower", "bound": 0.25,
+         "parent": {"median": 0.1, "q1": 0.1, "q3": 0.1},
+         "change": {"median": 0.05, "q1": 0.05, "q3": 0.05},
+         "wins": 2, "gap": -0.05, "parent_iqr": 0.0, "claimed": True,
+         "regression": "within bound"},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1,
+         "parent": {"median": 40.0, "q1": 40.0, "q3": 40.0},
+         "change": {"median": 40.0, "q1": 40.0, "q3": 40.0},
+         "wins": 0, "gap": 0.0, "parent_iqr": 0.0, "claimed": False,
+         "regression": "within bound"}]
 
 
 def verdicts(parent, change):

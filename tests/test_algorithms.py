@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from omma import algorithms, policy
 from omma.algorithms import (LearnerConfig, ProtocolError, UnsupportedMetricError,
                              fw_fit, make_learner, refit_thresholds)
 from omma.confusion import ProbEstimate, batch_counts, indicator_row, multiclass, \
@@ -260,6 +261,32 @@ def test_greedy_multiclass_macro():
     assert learner.state.t == 1
 
 
+@pytest.mark.parametrize("name", ["f1", "gmean"])
+def test_greedy_binary_metric_on_two_classes_maximizes_the_expected_value(name):
+    """A binary metric reads the (2, 2) matrix with class 1 positive; greedy's
+    class has the larger exact expected value after this instance."""
+    metric = parse_metric(name)
+    rng = np.random.default_rng(2)
+    for lam in (0.0, 1e-3):
+        for _ in range(40):
+            learner = make_learner(LearnerConfig("greedy", multiclass(2), metric, lam=lam))
+            for _ in range(int(rng.integers(1, 15))):
+                p1 = rng.random()
+                values = []
+                for cls in (0, 1):
+                    value = 0.0
+                    for y, py in ((0, 1.0 - p1), (1, p1)):
+                        C = learner.state.counts.copy()
+                        C[y, cls] += 1.0
+                        value += py * metric.value(C / (learner.state.t + 1))
+                    values.append(value)
+                dec = learner.step_row(np.array([1.0 - p1, p1]))
+                assert dec.sum() == 1
+                assert values[int(dec.argmax())] == pytest.approx(max(values), rel=0,
+                                                                  abs=1e-12)
+                learner.observe_row(np.eye(2)[int(rng.random() < p1)])
+
+
 # --- frank-wolfe
 
 
@@ -313,6 +340,31 @@ def test_fw_self_consistency_doubling():
     m1 = fw_fit(eta, None, multilabel(4), metric, iterations=50)
     m2 = fw_fit(eta, None, multilabel(4), metric, iterations=100)
     assert abs(metric.value(m1.final_cm) - metric.value(m2.final_cm)) <= 1e-3
+
+
+def test_fw_fit_counts_each_distinct_vertex_once(monkeypatch):
+    model = SynthModel(task=multilabel(4), d=3, prior_low=0.2, prior_high=0.5, seed=9)
+    eta = synth_generate(model, 300, seed=10).estimate_rows
+    decide_gradient = policy.decide_gradient
+    decided, counted = [], []
+
+    def spy_decide(G, estimates, budget=None):
+        dec = decide_gradient(G, estimates, budget)
+        decided.append(np.packbits(dec).tobytes())
+        return dec
+
+    def spy_counts(task, ref, dec):
+        if dec.shape == eta.shape:  # not the (1, m) trivial start
+            counted.append(np.packbits(dec).tobytes())
+        return batch_counts(task, ref, dec)
+
+    monkeypatch.setattr(policy, "decide_gradient", spy_decide)
+    monkeypatch.setattr(algorithms, "batch_counts", spy_counts)
+    fw_fit(eta, None, multilabel(4), parse_metric("macro-hmean"), iterations=100)
+    assert len(decided) == 100
+    # each distinct decision matrix is counted once, when it first appears
+    assert counted == list(dict.fromkeys(decided))
+    assert len(counted) < len(decided)
 
 
 def test_fw_empty_buffer():

@@ -110,6 +110,16 @@ def test_estimate_optimal_rejects_a_native_metric_on_a_multilabel_model():
         estimate_optimal(parse_metric("mc-hmean"), model, n_opt=10)
 
 
+def test_estimate_optimal_rejects_an_inapplicable_method_before_drawing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the sample was drawn")
+
+    monkeypatch.setattr(evaluation, "_latent_draw", no_draw)
+    model = SynthModel(task=multilabel(3), seed=1)
+    with pytest.raises(ValueError, match="^no applicable estimator for this metric/task$"):
+        estimate_optimal(parse_metric("macro-f1@2"), model, method="threshold-grid")
+
+
 def test_measure_regret_linear_metric_near_zero():
     model = SynthModel(task=multilabel(4), d=3, prior_low=0.2, prior_high=0.5,
                        weight_scale=1.0, seed=11)

@@ -1,7 +1,7 @@
 """Property tests of the decision kernel, the gradient-to-decision rule, the
 accumulation rule, the batch-built estimate streams, the run loop's
-checkpoints, the per-label coefficients of the multilabel rule and the native
-multiclass kernels."""
+checkpoints, the per-label coefficients of the multilabel rule, the native
+multiclass kernels and Frank-Wolfe's reuse of vertex confusions."""
 
 import os
 import re
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from omma import evaluation, policy
 from omma.algorithms import (ALGORITHMS, LearnerConfig, OfflineFWLearner,
-                             UnsupportedMetricError, make_learner)
+                             UnsupportedMetricError, fw_fit, make_learner)
 from omma.confusion import (ProbEstimate, Task, batch_counts, expected_instance_confusion,
                             indicator_row, init_state)
 from omma.dataio import (InstanceStream, SynthModel, _latent_draw, perturb_estimates,
@@ -928,3 +928,68 @@ def test_native_kernels_equal_the_reference_formulas(name, C, eps):
     ref_v, ref_g = REF_NATIVE[name]
     assert outcome(metric.value, C) == outcome(lambda C: ref_v(C, eps), C)
     assert outcome(metric.gradient, C) == outcome(lambda C: ref_g(C, eps), C)
+
+
+# --- Frank-Wolfe's vertex store against a fit that counts every vertex
+
+
+def reference_fw_fit(estimates, labels, task, metric, iterations):
+    """``fw_fit`` without the vertex store: every iteration counts its vertex."""
+    n, m = estimates.shape
+    ref = estimates if labels is None else labels
+    k = metric.budget_k or (1 if task.is_multiclass else 0)
+    cbar = batch_counts(task, ref.sum(axis=0)[None] / n, np.full((1, m), k / m))
+    tensors, weights = [], np.empty(iterations)
+    for q in range(iterations):
+        G = metric.gradient(cbar)
+        cq = batch_counts(task, ref, policy.decide_gradient(G, estimates, metric.budget_k)) / n
+        gamma = 2.0 / (q + 2.0)
+        cbar = (1.0 - gamma) * cbar + gamma * cq
+        weights[:q] *= 1.0 - gamma
+        weights[q] = gamma
+        tensors.append(G)
+    return tensors, weights, cbar
+
+
+# the metrics of each task; a binary metric needs one label or two classes
+FW_NAMES = {"multilabel": ["macro-f1", "macro-hmean", "micro-f1", "micro-gmean",
+                           "macro-accuracy"],
+            "multiclass": ["macro-f1", "micro-jaccard", "mc-hmean", "mc-balanced-acc",
+                           "mc-qmean"]}
+
+
+@st.composite
+def fw_buffers(draw):
+    """An (n, m) estimate buffer, aligned labels or None, a task, a metric with
+    or without a budget and an iteration count.  Estimates take few distinct
+    values, so that the fit revisits its vertices."""
+    kind = draw(KINDS)
+    m = draw(st.integers(2 if kind == "multiclass" else 1, 5))
+    n = draw(st.integers(1, 30))
+    task = Task(kind, m)
+    eta = np.array(draw(st.lists(PROBS | st.floats(0.0, 1.0), min_size=n * m,
+                                 max_size=n * m))).reshape(n, m)
+    if kind == "multiclass":
+        mass = eta.sum(axis=1, keepdims=True)
+        eta = np.where(mass > 0, eta / np.where(mass > 0, mass, 1.0), 1.0 / m)
+        labels = np.eye(m)[draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))]
+    else:
+        labels = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)),
+                          dtype=np.float64).reshape(n, m)
+    binary = m == (2 if kind == "multiclass" else 1)
+    budget = draw(st.none() | st.integers(1, m))
+    name = draw(st.sampled_from(FW_NAMES[kind] + (["f1", "gmean"] if binary else [])))
+    metric = parse_metric(name + (f"@{budget}" if budget else ""))
+    return (eta, draw(st.none() | st.just(labels)), task, metric,
+            draw(st.integers(1, 25)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fw_buffers())
+def test_fw_fit_equals_a_fit_that_counts_every_vertex(case):
+    mix = fw_fit(*case)
+    tensors, weights, final_cm = reference_fw_fit(*case)
+    assert len(mix.tensors) == len(tensors)
+    for got, want in zip([*mix.tensors, mix.weights, mix.final_cm],
+                         [*tensors, weights, final_cm]):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

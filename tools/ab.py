@@ -15,6 +15,7 @@ worse than the parent's by more than b times the parent's median;
 ``unresolved`` when the parent's quartiles lie more than b times its median
 apart and not every change run beats every parent run; ``within bound``
 otherwise.  The directions and bounds come from the parent's BENCHMARK.json.
+``--json PATH`` also writes the rows as one JSON object (see :func:`record`).
 Exits 1 if any run is not ``correct`` or fails an operation.
 """
 
@@ -116,6 +117,19 @@ def format_rows(rows: list[Row]) -> list[str]:
     return lines
 
 
+def record(rows: list[Row], workload: str, seed: int, seconds: float, pairs: int,
+           incorrect: int) -> dict:
+    """The comparison as a JSON object: the settings, the number of runs that
+    were not correct, and per metric each side's median and quartiles, the
+    change's wins, the signed gap, the parent's IQR and both verdicts."""
+    return {"workload": workload, "seed": seed, "seconds": seconds, "pairs": pairs,
+            "incorrect_runs": incorrect,
+            "rows": [{"name": r.name, "better": r.spec.better, "bound": r.spec.bound,
+                      "parent": r.parent._asdict(), "change": r.change._asdict(),
+                      "wins": r.wins, "gap": r.gap, "parent_iqr": r.parent.q3 - r.parent.q1,
+                      "claimed": r.claimed, "regression": r.regression} for r in rows]}
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """The result object of one perfbench run in ``checkout``."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
@@ -145,6 +159,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--json", metavar="PATH", help="also write the rows to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -165,6 +180,11 @@ def main(argv=None) -> int:
           f"pairs {args.pairs}")
     for line in format_rows(rows):
         print(line)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(record(rows, args.workload, args.seed, args.seconds, args.pairs, bad),
+                      fh, indent=2, sort_keys=True)
+            fh.write("\n")
     if bad:
         print(f"error: {bad} of {2 * args.pairs} runs were not correct", file=sys.stderr)
         return 1
