@@ -67,8 +67,6 @@ class LearnerConfig:
             raise ValueError("need at least one Frank-Wolfe iteration")
         if self.refit_mode not in ("interval", "cumulative"):
             raise ValueError(f"unknown refit mode: {self.refit_mode!r}")
-        if self.budget is not None and self.budget > task.m:
-            raise ValueError(f"budget {self.budget} exceeds the {task.m} labels")
         if sparse_k is not None:
             if self.budget is not None and sparse_k < self.budget:
                 raise ValueError(f"the sparse top-k' size {sparse_k} is below "
@@ -230,7 +228,11 @@ class GreedyLearner(OnlineLearner):
 
 @dataclass
 class MixtureClassifier:
-    """Convex combination of cost-sensitive classifiers (one gradient tensor each)."""
+    """Convex combination of cost-sensitive classifiers (one gradient tensor each).
+
+    The weights are checked and fixed when the mixture is built; so is the
+    CDF that :meth:`sample` draws from.
+    """
 
     tensors: list[np.ndarray]
     weights: np.ndarray
@@ -241,6 +243,14 @@ class MixtureClassifier:
         if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("mixture weights must be a distribution")
         self.weights = w
+        # built as Generator.choice builds it from p on every call
+        self._cdf = w.cumsum()
+        self._cdf /= self._cdf[-1]
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """The tensor of a component drawn with the mixture weights: the draw
+        of ``rng.choice(len(tensors), p=weights)``, from the same one uniform."""
+        return self.tensors[int(self._cdf.searchsorted(rng.random(), side="right"))]
 
 
 def refit_thresholds(mode: str = "interval", base: float = 10.0, ratio: float = 1.1):
@@ -283,16 +293,27 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     and the decisions alone, so the reuse changes no bit of the result.  The
     store holds at most ``iterations`` keys of ceil(n * m / 8) bytes and one
     confusion each, and is freed on return.
+
+    Every sum is taken on row-major copies of the buffer and the labels, so
+    the result does not depend on their memory layout.  A multilabel buffer
+    is also scored on a column-major copy: each label's gains alpha_j *
+    eta_ij - beta_j are then one contiguous pass, where a row-major buffer
+    takes n short passes of m entries.  The gains are elementwise, so the
+    decisions are the same bits either way.  A multiclass buffer is scored
+    row-major, since the rounding of the BLAS product ``eta @ G`` depends on
+    the layout of its operands.
     """
-    estimates = np.asarray(estimates, dtype=np.float64)
+    metric.check_task(task)
+    estimates = np.ascontiguousarray(estimates, dtype=np.float64)
     if estimates.ndim != 2 or estimates.shape[0] == 0:
         raise ValueError("need a nonempty (n, m) estimate buffer")
     if iterations < 1:
         raise ValueError("need at least one iteration")
     n, m = estimates.shape
-    ref = estimates if labels is None else np.asarray(labels, dtype=np.float64)
+    ref = estimates if labels is None else np.ascontiguousarray(labels, dtype=np.float64)
     if ref.shape != estimates.shape:
         raise ValueError("labels must be (n, m) rows aligned with the estimates")
+    scored = estimates if task.is_multiclass else np.asfortranarray(estimates)
     budget = metric.budget_k
     # the trivial start predicts every label with probability k / m: the
     # all-negative classifier, or a uniformly random class or k-subset
@@ -303,8 +324,8 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     vertices: dict[bytes, np.ndarray] = {}  # packed decision matrix -> its confusion
     for q in range(iterations):
         G = metric.gradient(cbar)
-        dec = policy.decide_gradient(G, estimates, budget)
-        key = np.packbits(dec).tobytes()
+        dec = policy.decide_gradient(G, scored, budget)
+        key = np.packbits(dec.ravel(order="K")).tobytes()  # the bits in memory order
         cq = vertices.get(key)
         if cq is None:
             cq = vertices[key] = batch_counts(task, ref, dec) / n
@@ -334,8 +355,7 @@ class _MixtureLearner(OnlineLearner):
         if self.cfg.deterministic_mixture:
             G = self.mixture.tensors[-1]
         else:
-            idx = self._rng.choice(len(self.mixture.tensors), p=self.mixture.weights)
-            G = self.mixture.tensors[idx]
+            G = self.mixture.sample(self._rng)
         return policy.decide_gradient(G, eta, self.cfg.budget)
 
 

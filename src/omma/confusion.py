@@ -337,12 +337,27 @@ def batch_counts(task: Task, ref: np.ndarray, dec: np.ndarray) -> np.ndarray:
     decision rows hold 0/1 predictions or prediction probabilities.  Sums of
     0/1 rows are exact integers in float64, so they do not depend on how a
     sequence of rows is split into batches.
+
+    Both matrices are counted row-major whatever their memory layout, so the
+    result depends on their values alone.  A multiclass count is ``ref.T @
+    dec``.  A multilabel cell, such as tp = sum_i ref_ij * dec_ij, adds the
+    n products of each label in row order in one fused pass; a single label
+    is one contiguous column, which numpy sums pairwise instead.  Either way
+    the cells equal ``(ref * dec).sum(axis=0)`` and its three siblings bit
+    for bit whenever each product is exact: 0/1 decisions at any n, or a
+    single row (n = 1).  Fractional decisions over several rows may round
+    differently, since the fused pass may use a fused multiply-add.
     """
-    d = np.asarray(dec, dtype=np.float64)
+    ref = np.ascontiguousarray(ref, dtype=np.float64)
+    # cast, then reorder: a cast that also reorders runs several times slower
+    d = np.ascontiguousarray(np.asarray(dec, dtype=np.float64))
     if task.is_multiclass:
         return ref.T @ d
-    return _pack(((1.0 - ref) * (1.0 - d)).sum(axis=0), ((1.0 - ref) * d).sum(axis=0),
-                 (ref * (1.0 - d)).sum(axis=0), (ref * d).sum(axis=0), task.shape)
+    nref, nd = 1.0 - ref, 1.0 - d
+    pairs = (nref, nd), (nref, d), (ref, nd), (ref, d)  # tn, fp, fn, tp
+    if task.m == 1:
+        return _pack(*[(a * b).sum(axis=0) for a, b in pairs], task.shape)
+    return _pack(*[np.einsum("ij,ij->j", a, b) for a, b in pairs], task.shape)
 
 
 def check_regularizer(lam: float) -> None:

@@ -60,7 +60,7 @@ def _estimate_columns(task: Task, estimates) -> tuple[np.ndarray, np.ndarray | N
     """(rows, support) of an (n, m) probability matrix or a list of estimates."""
     m = task.m
     if isinstance(estimates, np.ndarray):
-        rows = np.array(estimates, dtype=np.float64)
+        rows = np.array(estimates, dtype=np.float64, order="C")
         if rows.ndim != 2 or rows.shape[1] != m:
             raise ValueError(f"expected an (n, {m}) matrix of probabilities")
         _check_probabilities(rows)
@@ -96,14 +96,15 @@ class InstanceStream:
 
     The constructor takes label tuples or an (n, m) 0/1 matrix, and lists of
     :class:`ProbEstimate` or (n, m) probability matrices, copies them into
-    columns and checks each once as a whole.  ``labels``, ``estimates`` and
-    ``truth`` are list views for readers, built on first use (or the lists
-    given to the constructor); the run loop never reads them.
+    row-major columns and checks each once as a whole.  ``labels``,
+    ``estimates`` and ``truth`` are list views for readers, built on first
+    use (or the lists given to the constructor); the run loop never reads
+    them.
     """
 
     def __init__(self, task: Task, labels, estimates, truth=None):
         if isinstance(labels, np.ndarray):
-            y = np.array(labels, dtype=np.float64)
+            y = np.array(labels, dtype=np.float64, order="C")
             check_label_rows(task, y)
         else:
             y = label_rows(task, labels)

@@ -388,13 +388,16 @@ class Metric:
         return self.averaging in (MACRO, BINARY)
 
     def check_task(self, task: Task) -> None:
-        """A native multiclass metric needs a multiclass task, and a binary
-        metric a task with one 2x2 block: one label, or two classes."""
+        """A native multiclass metric needs a multiclass task, a binary metric
+        a task with one 2x2 block (one label, or two classes), and a budget
+        at most the task's m labels."""
         if self.averaging == MULTICLASS_NATIVE and not task.is_multiclass:
             raise ValueError(f"{self.name} needs a multiclass stream")
         if self.averaging == BINARY and task.m != (2 if task.is_multiclass else 1):
             raise ValueError("binary averaging expects a single block: one label or "
                              f"two classes, not m={task.m}")
+        if self.budget_k is not None and self.budget_k > task.m:
+            raise ValueError(f"budget {self.budget_k} exceeds the {task.m} labels")
 
     def _blocks(self, C: np.ndarray) -> np.ndarray:
         C = np.asarray(C, dtype=np.float64)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from omma import dataio
+from omma.algorithms import LearnerConfig, make_learner
 from omma.confusion import label_rows, multiclass, multilabel
 from omma.dataio import (DataFormatError, InstanceStream, SynthModel, load_stream,
                          parse_model_file, perturb_estimates, read_estimates,
                          read_labels, shuffle, sparsify_estimates, synth_generate,
                          write_estimates, write_labels)
+from omma.metrics import parse_metric
 
 
 def test_read_labels_sorted(tmp_path):
@@ -302,6 +304,27 @@ def test_stream_columns_and_views():
         assert got.indices.tolist() == estimates[i].indices.tolist()
         assert got.values.tolist() == estimates[i].values.tolist()
     assert all(type(j) is int for y in mixed.labels for j in y)
+
+
+@pytest.mark.parametrize("layout", ["F", "strided"])
+def test_streams_store_row_major_columns_and_fit_the_row_major_mixture(layout):
+    model = SynthModel(task=multilabel(5), seed=3)
+    metric = parse_metric("macro-f1")
+    for seed in range(3):
+        stream = synth_generate(model, 400, seed=seed)
+        if layout == "F":
+            y, eta = np.asfortranarray(stream.label_rows), np.asfortranarray(stream.estimate_rows)
+        else:
+            y, eta = (np.repeat(a, 2, axis=0)[::2]
+                      for a in (stream.label_rows, stream.estimate_rows))
+        other = InstanceStream(model.task, y, eta)
+        assert other.label_rows.flags.c_contiguous and other.estimate_rows.flags.c_contiguous
+        fits = []
+        for s in (stream, other):
+            learner = make_learner(LearnerConfig("offline-fw", model.task, metric))
+            learner.prefit(s.estimate_rows)
+            fits.append(learner.mixture.final_cm)
+        assert fits[0].tobytes() == fits[1].tobytes()
 
 
 def test_synth_truth_is_the_estimate_matrix():

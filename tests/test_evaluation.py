@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from omma import evaluation
 from omma.algorithms import (ALGORITHMS, LearnerConfig, OfflineFWLearner,
-                             UnsupportedMetricError, make_learner)
-from omma.confusion import ProbEstimate, init_state, multilabel
+                             UnsupportedMetricError, fw_fit, make_learner)
+from omma.confusion import ProbEstimate, init_state, multiclass, multilabel
 from omma.dataio import InstanceStream, SynthModel, synth_generate
 from omma.evaluation import (RunReport, adversarial_run, adversarial_sequences,
                              emit_report, emit_trace, estimate_optimal,
@@ -118,6 +118,21 @@ def test_estimate_optimal_rejects_an_inapplicable_method_before_drawing(monkeypa
     model = SynthModel(task=multilabel(3), seed=1)
     with pytest.raises(ValueError, match="^no applicable estimator for this metric/task$"):
         estimate_optimal(parse_metric("macro-f1@2"), model, method="threshold-grid")
+
+
+@pytest.mark.parametrize("task", [multilabel(3), multiclass(3)])
+def test_a_budget_above_m_is_rejected_before_drawing(monkeypatch, task):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the sample was drawn")
+
+    monkeypatch.setattr(evaluation, "_latent_draw", no_draw)
+    metric = parse_metric("macro-f1@4")
+    with pytest.raises(ValueError, match="^budget 4 exceeds the 3 labels$"):
+        estimate_optimal(metric, SynthModel(task=task, seed=1))
+    with pytest.raises(ValueError, match="^budget 4 exceeds the 3 labels$"):
+        fw_fit(np.full((4, 3), 1.0 / 3.0), None, task, metric, 5)
+    with pytest.raises(ValueError, match="^budget 4 exceeds the 3 labels$"):
+        LearnerConfig("omma", task, metric)
 
 
 def test_measure_regret_linear_metric_near_zero():

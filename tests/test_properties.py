@@ -1,7 +1,8 @@
 """Property tests of the decision kernel, the gradient-to-decision rule, the
 accumulation rule, the batch-built estimate streams, the run loop's
 checkpoints, the per-label coefficients of the multilabel rule, the native
-multiclass kernels and Frank-Wolfe's reuse of vertex confusions."""
+multiclass kernels, Frank-Wolfe's reuse of vertex confusions and its
+independence of memory layout, and a mixture's draws."""
 
 import os
 import re
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from omma import evaluation, policy
-from omma.algorithms import (ALGORITHMS, LearnerConfig, OfflineFWLearner,
+from omma.algorithms import (ALGORITHMS, LearnerConfig, MixtureClassifier, OfflineFWLearner,
                              UnsupportedMetricError, fw_fit, make_learner)
 from omma.confusion import (ProbEstimate, Task, batch_counts, expected_instance_confusion,
                             indicator_row, init_state)
@@ -254,6 +255,56 @@ def test_batch_sum_matches_instance_references(stream):
     by_estimate = sum(ref_expected_confusion(task, eta, yhat) for _, yhat, eta in seq)
     assert np.allclose(batch_counts(task, labels, dec), by_label)
     assert np.allclose(batch_counts(task, estimates, dec), by_estimate)
+
+
+def four_cell_counts(task, ref, dec):
+    """The batch count as one product matrix per cell, each summed by numpy's
+    axis-0 sum on row-major arrays."""
+    ref = np.ascontiguousarray(ref)
+    d = np.ascontiguousarray(dec, dtype=np.float64)
+    if task.is_multiclass:
+        return ref.T @ d
+    cells = [((1.0 - ref) * (1.0 - d)).sum(axis=0), ((1.0 - ref) * d).sum(axis=0),
+             (ref * (1.0 - d)).sum(axis=0), (ref * d).sum(axis=0)]
+    return np.stack(cells, axis=-1).reshape(task.shape)
+
+
+def in_layout(a, layout):
+    """The values of ``a`` in a row-major, column-major or strided array."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        return np.repeat(a, 2, axis=0)[::2]
+    return a
+
+
+@st.composite
+def count_batches(draw):
+    """A task with m = 1..6 (2..6 classes), n = 1..300 probability or 0/1
+    reference rows and 0/1 decision rows, both in some memory layout; a single
+    row may also hold fractional decisions."""
+    kind = draw(KINDS)
+    m = draw(st.integers(2 if kind == "multiclass" else 1, 6))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ref = rng.random((n, m))
+    if draw(st.booleans()):
+        ref = (ref < rng.random()).astype(np.float64)
+    if n == 1 and draw(st.booleans()):
+        dec = rng.random((n, m))
+    else:
+        dec = rng.random((n, m)) < rng.random()
+        if draw(st.booleans()):
+            dec = dec.astype(np.float64)
+    layouts = st.sampled_from(["C", "F", "strided"])
+    return Task(kind, m), in_layout(ref, draw(layouts)), in_layout(dec, draw(layouts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_batches())
+def test_batch_counts_equal_the_four_cell_sums_bit_for_bit(batch):
+    task, ref, dec = batch
+    assert same_bits(batch_counts(task, ref, dec), four_cell_counts(task, ref, dec))
 
 
 # --- batch-built estimates against the per-row constructors
@@ -934,15 +985,17 @@ def test_native_kernels_equal_the_reference_formulas(name, C, eps):
 
 
 def reference_fw_fit(estimates, labels, task, metric, iterations):
-    """``fw_fit`` without the vertex store: every iteration counts its vertex."""
+    """``fw_fit`` without the vertex store, scored row-major: every iteration
+    counts its vertex with the four-cell sums."""
     n, m = estimates.shape
     ref = estimates if labels is None else labels
     k = metric.budget_k or (1 if task.is_multiclass else 0)
-    cbar = batch_counts(task, ref.sum(axis=0)[None] / n, np.full((1, m), k / m))
+    cbar = four_cell_counts(task, ref.sum(axis=0)[None] / n, np.full((1, m), k / m))
     tensors, weights = [], np.empty(iterations)
     for q in range(iterations):
         G = metric.gradient(cbar)
-        cq = batch_counts(task, ref, policy.decide_gradient(G, estimates, metric.budget_k)) / n
+        dec = policy.decide_gradient(G, estimates, metric.budget_k)
+        cq = four_cell_counts(task, ref, dec) / n
         gamma = 2.0 / (q + 2.0)
         cbar = (1.0 - gamma) * cbar + gamma * cq
         weights[:q] *= 1.0 - gamma
@@ -993,3 +1046,33 @@ def test_fw_fit_equals_a_fit_that_counts_every_vertex(case):
     for got, want in zip([*mix.tensors, mix.weights, mix.final_cm],
                          [*tensors, weights, final_cm]):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(fw_buffers(), st.sampled_from(["F", "strided"]))
+def test_fw_fit_does_not_depend_on_the_memory_layout(case, layout):
+    eta, labels, task, metric, iterations = case
+    mix = fw_fit(in_layout(eta, layout), None if labels is None else in_layout(labels, layout),
+                 task, metric, iterations)
+    want = fw_fit(*case)
+    for got, expect in zip([*mix.tensors, mix.weights, mix.final_cm],
+                           [*want.tensors, want.weights, want.final_cm]):
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+# --- a mixture's draws against Generator.choice
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-3, 0.5, 1.0, 7.0]) | st.floats(0.0, 1.0),
+                min_size=1, max_size=30).filter(lambda w: sum(w) > 0),
+       st.integers(0, 2**64 - 1))
+def test_mixture_sample_draws_as_generator_choice(raw, seed):
+    weights = np.array(raw) / sum(raw)
+    assume(abs(weights.sum() - 1.0) <= 1e-9)
+    mix = MixtureClassifier([np.array(i) for i in range(len(weights))], weights)
+    by_choice, by_sample = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    for _ in range(5):
+        assert int(mix.sample(by_sample)) == by_choice.choice(len(weights), p=weights)
+    # each draw takes one uniform, so the generators stay in step
+    assert by_sample.random() == by_choice.random()
