@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,8 +51,9 @@ class Task:
     def is_multiclass(self) -> bool:
         return self.kind == MULTICLASS
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
+        # cached: a stacked gradient checks it on every Frank-Wolfe iteration
         return (self.m, self.m) if self.is_multiclass else (self.m, 2, 2)
 
 
@@ -200,19 +202,21 @@ def expected_instance_confusion(task: Task, eta: ProbEstimate, yhat: Labels) -> 
 
 
 def multiclass_to_multilabel(C: np.ndarray) -> np.ndarray:
-    """Rewrite an (m, m) confusion matrix as m per-label binary blocks.
+    """Rewrite an (m, m) confusion matrix as m per-label binary blocks; a
+    stack of matrices (..., m, m) becomes a stack of (..., m, 2, 2) blocks.
 
     Per label j: tp is the diagonal cell, fp the rest of column j, fn the
     rest of row j, tn everything else; each block sums to the total mass.
     """
     C = np.asarray(C, dtype=np.float64)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+    if C.ndim < 2 or C.shape[-1] != C.shape[-2]:
         raise ValueError("expected a square matrix")
-    diag = np.diagonal(C)
-    row = C.sum(axis=1)
-    col = C.sum(axis=0)
-    return _pack(C.sum() - row - col + diag, col - diag, row - diag, diag,
-                 (C.shape[0], 2, 2))
+    diag = C.diagonal(0, -2, -1)
+    row = C.sum(axis=-1)
+    col = C.sum(axis=-2)
+    total = C.sum(axis=(-2, -1))[..., None]
+    return _pack(total - row - col + diag, col - diag, row - diag, diag,
+                 C.shape[:-1] + (2, 2))
 
 
 @dataclass

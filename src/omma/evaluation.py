@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import LearnerConfig, OfflineFWLearner, fw_fit, make_learner
+from .algorithms import LearnerConfig, fw_fit, make_learner
 from .confusion import Task, _pack, batch_counts, multilabel
 from .dataio import InstanceStream, SynthModel, _latent_draw, synth_generate
 from .metrics import Metric, min_tn_tp
@@ -109,7 +109,9 @@ def run_online(stream: InstanceStream, cfg: LearnerConfig,
                checkpoints: int | Collection[int] | None = None) -> RunTrace:
     """Drive step/observe over the stream and record the running utility.
 
-    ``offline-fw`` is first fitted on the whole estimate sequence.
+    The learner is first handed the stream's columns: ``offline-fw`` fits
+    the whole estimate sequence, and ``ofw`` / ``ofw-eta`` fit their refit
+    points from the rows before each point.
     ``checkpoints`` is a stride (every t it divides) or a collection of t
     values in 1..n; the last instance is always a checkpoint.  A division by
     zero, overflow or invalid value raises ``FloatingPointError``.
@@ -125,9 +127,8 @@ def run_online(stream: InstanceStream, cfg: LearnerConfig,
     if not all(1 <= t <= n for t in marks):
         raise ValueError(f"checkpoints must lie in 1..{n}")
     learner = make_learner(cfg)
-    if isinstance(learner, OfflineFWLearner):
-        learner.prefit(stream.estimate_rows)
     labels, support = stream.label_rows, stream.support
+    learner.use_columns(stream.estimate_rows, labels)
     step, observe = learner.step_row, learner.observe_row
     dec = np.empty((min(n, _FLUSH), task.m), dtype=bool)
     counts = np.zeros(task.shape)

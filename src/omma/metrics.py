@@ -266,25 +266,37 @@ _BINARY_BASES = {
 
 def _mc_recalls(C, eps):
     """(r, num, d) from one read of the diagonal and the row sums of C, with
-    both sides stabilized: r_j = (C_jj + eps) / (row_j + eps)."""
-    num = np.diagonal(C) + eps
-    d = C.sum(axis=1) + eps
+    both sides stabilized: r_j = (C_jj + eps) / (row_j + eps).  An (R, m, m)
+    stack gives (R, m) results."""
+    num = C.diagonal(0, -2, -1) + eps
+    d = C.sum(axis=-1) + eps
     return num / d, num, d
 
 
 def _row_plus_diagonal(row, diag):
-    """The (m, m) matrix with row[a] in every entry of row a, plus diag on the diagonal."""
-    m = row.shape[0]
-    G = np.empty((m, m))
-    G[...] = row[:, None]
-    # the diagonal of a C-contiguous square matrix is every (m + 1)-th entry
-    G.reshape(-1)[:: m + 1] += diag
+    """The (m, m) matrix with row[a] in every entry of row a, plus diag on the
+    diagonal; (R, m) rows and diagonals give the (R, m, m) stack."""
+    m = row.shape[-1]
+    G = np.empty(row.shape + (m,))
+    G[...] = row[..., None]
+    # the diagonal of a C-contiguous square matrix is every (m + 1)-th entry;
+    # one matrix keeps the flat view, which costs less than a 2-d one
+    if row.ndim == 1:
+        G.reshape(-1)[:: m + 1] += diag
+    else:
+        G.reshape(-1, m * m)[:, :: m + 1] += diag
     return G
 
 
 def _mc_recall_grad(dpsi_dr, num, d):
-    """Chain dpsi/dr_j back to the (m, m) matrix for recall-based metrics."""
+    """Chain dpsi/dr_j back to the (m, m) matrix, or (R, m, m) stack, for
+    recall-based metrics."""
     return _row_plus_diagonal(dpsi_dr * (-num) / d**2, dpsi_dr / d)
+
+
+# the values read one (m, m) matrix; the gradients also take an (R, m, m)
+# stack, reducing over the class axis so that a per-matrix scalar stays
+# aligned with its own matrix
 
 
 def _mc_acc_v(C, eps, beta):
@@ -292,7 +304,7 @@ def _mc_acc_v(C, eps, beta):
 
 
 def _mc_acc_g(C, eps, beta):
-    return np.eye(C.shape[0])
+    return _row_plus_diagonal(np.zeros(C.shape[:-1]), 1.0)
 
 
 # balanced accuracy sums r_j = C_jj / (m row_j + eps): only the denominator
@@ -305,8 +317,9 @@ def _mc_bacc_v(C, eps, beta):
 
 
 def _mc_bacc_g(C, eps, beta):
-    d = C.shape[0] * C.sum(axis=1) + eps
-    return _row_plus_diagonal(-np.diagonal(C) * C.shape[0] / d**2, 1.0 / d)
+    m = C.shape[-1]
+    d = m * C.sum(axis=-1) + eps
+    return _row_plus_diagonal(-C.diagonal(0, -2, -1) * m / d**2, 1.0 / d)
 
 
 def _mc_gmean_v(C, eps, beta):
@@ -316,8 +329,8 @@ def _mc_gmean_v(C, eps, beta):
 
 def _mc_gmean_g(C, eps, beta):
     r, num, d = _mc_recalls(C, eps)
-    m = C.shape[0]
-    v = np.exp(np.add.reduce(np.log(r)) / m)
+    m = C.shape[-1]
+    v = np.exp(np.add.reduce(np.log(r), axis=-1, keepdims=True) / m)
     return _mc_recall_grad(v / (m * r), num, d)
 
 
@@ -328,8 +341,11 @@ def _mc_hmean_v(C, eps, beta):
 
 def _mc_hmean_g(C, eps, beta):
     r, num, d = _mc_recalls(C, eps)
-    s = np.add.reduce(1.0 / r)
-    return _mc_recall_grad(C.shape[0] / (s**2 * r**2), num, d)
+    s = np.add.reduce(1.0 / r, axis=-1, keepdims=True)
+    # pow(s, 2): how s ** 2 rounds where s is a numpy scalar, as it is for
+    # one matrix without keepdims; an array's ** 2 is s * s, which can round
+    # one unit apart
+    return _mc_recall_grad(C.shape[-1] / (np.float_power(s, 2) * r**2), num, d)
 
 
 def _mc_qmean_v(C, eps, beta):
@@ -339,11 +355,11 @@ def _mc_qmean_v(C, eps, beta):
 
 def _mc_qmean_g(C, eps, beta):
     r, num, d = _mc_recalls(C, eps)
-    m = C.shape[0]
-    root = np.sqrt(np.add.reduce((1.0 - r) ** 2) / m)
-    # every recall is 1 at the kink; the gradient there is taken as 0
-    dpsi_dr = np.zeros(m) if root == 0.0 else (1.0 - r) / m / root
-    return _mc_recall_grad(dpsi_dr, num, d)
+    m = C.shape[-1]
+    root = np.sqrt(np.add.reduce((1.0 - r) ** 2, -1) / m)
+    # at the kink (root 0) every recall is 1 and every 1 - r is +0.0, so
+    # dividing by 1 there instead gives the gradient taken there, 0
+    return _mc_recall_grad((1.0 - r) / m / (root + (root == 0.0))[..., None], num, d)
 
 
 _NATIVE_BASES = {
@@ -427,9 +443,29 @@ class Metric:
         vals = vfn(blocks, self.epsilon, self.beta)
         return float(np.mean(vals))
 
-    def gradient(self, C: np.ndarray) -> np.ndarray:
-        """Analytic gradient with respect to every entry of C, same shape as C."""
+    def gradient(self, C: np.ndarray, task: Task | None = None) -> np.ndarray:
+        """Analytic gradient with respect to every entry of C, same shape as C.
+
+        With ``task``, C is a stack of shape (R, *task.shape) and the result
+        is the stack of the R gradients, each slice equal bit for bit to the
+        one-matrix call on its matrix.  The task says how a slice reads, so a
+        stack of two-class (2, 2) matrices is never taken for label blocks.
+        """
         C = np.asarray(C, dtype=np.float64)
+        if task is not None:
+            if C.shape[1:] != task.shape:
+                raise ValueError(f"expected an (R, {', '.join(map(str, task.shape))}) "
+                                 f"stack of {task.kind} confusions, got {C.shape}")
+            self.check_task(task)
+            if C.shape[0] != 1:
+                return self._stack_gradient(C, task)
+            # a stack of one is its slice's own call, without numpy's slower
+            # general iteration over small cells under a leading axis of one
+            return self._matrix_gradient(C[0])[None]
+        return self._matrix_gradient(C)
+
+    def _matrix_gradient(self, C: np.ndarray) -> np.ndarray:
+        """:meth:`gradient` of one float64 confusion: an (m, m) matrix or (k, 2, 2) blocks."""
         if self.averaging == MULTICLASS_NATIVE:
             if C.ndim != 2 or C.shape[0] != C.shape[1]:
                 raise ValueError("native multiclass metrics expect an (m, m) matrix")
@@ -442,9 +478,22 @@ class Metric:
             return Gt[0]
         return Gt
 
+    def _stack_gradient(self, C: np.ndarray, task: Task) -> np.ndarray:
+        """:meth:`gradient` of a checked (R, *task.shape) stack."""
+        if self.averaging == MULTICLASS_NATIVE:
+            return _NATIVE_BASES[self.base][1](C, self.epsilon, self.beta)
+        if not task.is_multiclass:
+            return _pack(*self._partials(C, task.m), C.shape)
+        if self.averaging == BINARY:
+            # two classes: each matrix is its own single block
+            blocks = C[:, None]
+            return _pack(*self._partials(blocks, 1), blocks.shape)[:, 0]
+        blocks = multiclass_to_multilabel(C)
+        return _tensor_grad_to_matrix(_pack(*self._partials(blocks, task.m), blocks.shape))
+
     def _partials(self, blocks: np.ndarray, m: int):
-        """The partials (dtn, dfp, dfn, dtp) at k of the m labels' (k, 2, 2) blocks,
-        each divided by m for macro and micro averaging (micro: scalars at the
+        """The partials (dtn, dfp, dfn, dtp) at k of the m labels' (..., k, 2, 2)
+        blocks, each divided by m for macro and micro averaging (micro: at the
         mean of all m blocks); binary averaging has one block and no factor."""
         gfn = _BINARY_BASES[self.base][1]
         if self.averaging == BINARY:
@@ -452,14 +501,32 @@ class Metric:
                 raise ValueError("binary averaging expects a single block")
             return gfn(blocks, self.epsilon, self.beta)
         if self.averaging == MICRO:
-            if blocks.shape[0] != m:
+            if blocks.shape[-3] != m:
                 raise ValueError("micro averaging needs the blocks of all m labels")
-            blocks = blocks.mean(axis=0)
+            blocks = blocks.mean(axis=-3)
+            if blocks.ndim > 2:
+                return self._stack_micro_partials(blocks, float(m))
         elif self.averaging != MACRO:
             raise ValueError("native multiclass metrics have no per-label coefficients")
         # the same division as by the int m, without numpy's int-scalar path
         scale = float(m)
         return [p / scale for p in gfn(blocks, self.epsilon, self.beta)]
+
+    def _stack_micro_partials(self, mean_blocks: np.ndarray, scale: float):
+        """Micro partials of a stack of (..., 2, 2) mean blocks, each kept on a
+        label axis of length 1 that spreads it over its slice's m labels.
+
+        Each block's partials are taken as the one-matrix call takes them, on
+        numpy scalars: a scalar's x ** 2 is pow(x, 2), which can round one
+        unit apart from an array's x * x.
+        """
+        gfn = _BINARY_BASES[self.base][1]
+        flat = mean_blocks.reshape(-1, 2, 2)
+        out = np.empty((4, flat.shape[0]))
+        for i, block in enumerate(flat):
+            out[:, i] = gfn(block, self.epsilon, self.beta)
+        out /= scale
+        return list(out.reshape(4, *mean_blocks.shape[:-2], 1))
 
     def block_gradient(self, blocks: np.ndarray, m: int) -> np.ndarray:
         """Gradient of selected per-label blocks (macro/binary), incl. the 1/m factor."""
@@ -485,11 +552,14 @@ class Metric:
 
 
 def _tensor_grad_to_matrix(Gt: np.ndarray) -> np.ndarray:
-    """Adjoint of the multiclass-to-multilabel conversion applied to a gradient."""
+    """Adjoint of the multiclass-to-multilabel conversion applied to a gradient:
+    (..., m, 2, 2) tensors to (..., m, m) matrices."""
     dtn, dfp, dfn, dtp = _cells(Gt)
-    s = dtn.sum()
-    G = dfp[None, :] + dfn[:, None] + (s - dtn[None, :] - dtn[:, None])
-    np.fill_diagonal(G, dtp + s - dtn)
+    s = dtn.sum(axis=-1, keepdims=True)
+    G = dfp[..., None, :] + dfn[..., :, None] + (
+        s[..., None] - dtn[..., None, :] - dtn[..., :, None])
+    m = dtn.shape[-1]
+    G.reshape(-1, m * m)[:, :: m + 1] = dtp + s - dtn
     return G
 
 

@@ -42,15 +42,17 @@ def decide(scores: np.ndarray, budget: int | None = None, *,
 
     Under a budget every row keeps its k highest scores; otherwise a row
     predicts its argmax (multiclass) or every label with a gain >= 0
-    (multilabel).  Ties go to the smaller index (a stable sort).
+    (multilabel).  Ties go to the smaller index (a stable sort).  A budget
+    of 1 keeps the first item of a stable descending sort, which for finite
+    scores is the first maximum: the argmax.
     """
     m = scores.shape[-1]
-    if budget is None:
-        if argmax:
-            return np.arange(m) == scores.argmax(axis=-1)[..., None]
+    if budget is None and not argmax:
         return scores >= 0.0
-    if budget > m:
+    if budget is not None and budget > m:
         raise ValueError(f"budget {budget} exceeds the {m} candidate labels")
+    if budget is None or budget == 1:
+        return np.arange(m) == scores.argmax(axis=-1)[..., None]
     # each score's rank in a stable descending sort; the first k ranks win
     return (-scores).argsort(axis=-1, kind="stable").argsort(axis=-1) < budget
 

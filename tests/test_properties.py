@@ -1,9 +1,11 @@
 """Property tests of the decision kernel, the gradient-to-decision rule, the
 accumulation rule, the batch-built estimate streams, the run loop's
 checkpoints, the per-label coefficients of the multilabel rule, the native
-multiclass kernels, Frank-Wolfe's reuse of vertex confusions and its
-independence of memory layout, and a mixture's draws."""
+multiclass kernels, stacked gradients, Frank-Wolfe's reuse of vertex
+confusions, its independence of memory layout and its lockstep fits of
+nested prefixes, the refit groups of a run, and a mixture's draws."""
 
+import itertools
 import os
 import re
 import tempfile
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from omma import evaluation, policy
+from omma import algorithms, evaluation, policy
 from omma.algorithms import (ALGORITHMS, LearnerConfig, MixtureClassifier, OfflineFWLearner,
                              UnsupportedMetricError, fw_fit, make_learner)
 from omma.confusion import (ProbEstimate, Task, batch_counts, expected_instance_confusion,
@@ -21,7 +23,7 @@ from omma.confusion import (ProbEstimate, Task, batch_counts, expected_instance_
 from omma.dataio import (InstanceStream, SynthModel, _latent_draw, perturb_estimates,
                          read_estimates, shuffle, sparsify_estimates, synth_generate)
 from omma.metrics import (BINARY, EPSILON_FLOOR, MACRO, MULTICLASS_NATIVE, list_metrics,
-                          parse_metric)
+                          lookup, parse_metric)
 
 # few distinct values, zero among them, so that ties and zero gains are common
 SCORES = st.sampled_from([-1.0, -0.25, 0.0, 0.0, 0.5, 1.0])
@@ -88,6 +90,24 @@ def test_batch_decisions_equal_one_row_decisions(S, data):
         assert [as_labels(row) for row in top] == [(int(np.argmax(row)),) for row in S]
     else:
         assert np.all(dec.sum(axis=1) == budget)
+
+
+def two_argsort_rank_decisions(scores, budget):
+    """The budget rule as a rank: each score's place in a stable descending
+    sort, the first ``budget`` places winning."""
+    return (-scores).argsort(axis=-1, kind="stable").argsort(axis=-1) < budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda m: st.lists(
+    st.lists(SCORES | st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+             min_size=m, max_size=m), min_size=1, max_size=8)),
+       st.booleans(), st.booleans())
+def test_a_budget_of_one_keeps_the_first_maximum(rows, one_row, argmax):
+    S = np.array(rows[0] if one_row else rows)
+    dec = policy.decide(S, 1, argmax=argmax)
+    assert dec.shape == S.shape and dec.dtype == bool
+    assert np.array_equal(dec, two_argsort_rank_decisions(S, 1))
 
 
 # multiples of 1/4 at most 2 in size: each product and sum of a multiclass
@@ -688,6 +708,64 @@ def test_columnar_run_equals_a_per_instance_reference(run):
     assert exact(got.checkpoints) == exact(want)
 
 
+@st.composite
+def refit_runs(draw):
+    """An ofw or ofw-eta configuration and a stream of up to 150 instances: in
+    cumulative mode the refit points up to 150 (10, 11, 12, 13, 14, 16, ...)
+    make several lockstep groups."""
+    kind = draw(KINDS)
+    m = draw(st.integers(2, 5))
+    task = Task(kind, m)
+    n = draw(st.integers(1, 150))
+    stream = synth_generate(SynthModel(task=task, seed=draw(st.integers(0, 99))), n,
+                            seed=draw(st.integers(0, 2**32 - 1)))
+    budget = draw(st.none() | st.integers(1, m))
+    name = draw(st.sampled_from(BASES[kind])) + (f"@{budget}" if budget else "")
+    cfg = LearnerConfig(algorithm=draw(st.sampled_from(["ofw", "ofw-eta"])), task=task,
+                        metric=parse_metric(name), seed=draw(st.integers(0, 99)),
+                        fw_iterations=draw(st.integers(1, 4)),
+                        refit_mode=draw(st.sampled_from(["interval", "cumulative"])),
+                        deterministic_mixture=draw(st.booleans()))
+    return stream, cfg, draw(st.sets(st.integers(1, n), max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(refit_runs())
+def test_lockstep_refits_equal_a_stepped_learner(run):
+    stream, cfg, marks = run
+    # the stepped learner is never handed the stream's columns
+    want = per_instance_reference(stream.labels, stream.estimates, cfg,
+                                  {*marks, len(stream)})
+    assert exact(evaluation.run_online(stream, cfg, marks).checkpoints) == exact(want)
+
+
+def test_a_run_fits_its_refit_points_in_groups(monkeypatch):
+    task = Task("multiclass", 3)
+    stream = synth_generate(SynthModel(task=task, seed=1), 150, seed=2)
+    calls = []
+
+    def counted(estimates, labels, task, metric, iterations, prefixes=None):
+        calls.append((len(estimates), prefixes))
+        return fw_fit(estimates, labels, task, metric, iterations, prefixes)
+
+    monkeypatch.setattr(algorithms, "fw_fit", counted)
+    cfg = LearnerConfig(algorithm="ofw", task=task, metric=parse_metric("mc-qmean"),
+                        fw_iterations=2, refit_mode="cumulative")
+    evaluation.run_online(stream, cfg)
+    points = list(itertools.takewhile(lambda p: p <= 150,
+                                      algorithms.refit_thresholds("cumulative")))
+    groups = [points[i:i + algorithms._REFIT_GROUP]
+              for i in range(0, len(points), algorithms._REFIT_GROUP)]
+    assert calls == [(group[-1], group) for group in groups]
+    # stepped without the columns, it fits its own buffer once per point
+    calls.clear()
+    learner = make_learner(cfg)
+    for y, eta in stream:
+        learner.step(eta)
+        learner.observe(y)
+    assert calls == [(p, None) for p in points]
+
+
 @settings(max_examples=300, deadline=None)
 @given(KINDS, st.integers(0, 16), st.integers(1, 40), st.data())
 def test_shorter_stream_is_a_prefix(kind, d, n, data):
@@ -852,6 +930,88 @@ def test_values_gradients_and_coefficients_are_finite(info, eps, m, scale, seed)
         if info.averaging != MULTICLASS_NATIVE:
             alpha, beta = metric.coefficients(C, shape[0])
             assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
+
+
+def metric_tasks(info, m):
+    """The tasks a listed metric takes: a binary metric one label or two
+    classes, a native metric m classes, the others m labels or classes."""
+    if info.averaging == BINARY:
+        return [Task("multilabel", 1), Task("multiclass", 2)]
+    if info.averaging == MULTICLASS_NATIVE:
+        return [Task("multiclass", m)]
+    return [Task("multilabel", m), Task("multiclass", m)]
+
+
+def confusion_slice(task, kind, rng, scale):
+    """One confusion of the task: random with exact zeros, all zero, or at
+    the q-mean kink (no error at all: every recall and specificity 1)."""
+    C = rng.random(task.shape) * (rng.random(task.shape) < 0.7) * scale
+    if kind == "zero":
+        C[...] = 0.0
+    elif kind == "kink" and task.is_multiclass:
+        C = np.diag(np.diagonal(C) + scale)
+    elif kind == "kink":
+        C[:, 0, 1] = C[:, 1, 0] = 0.0
+    return C
+
+
+@pytest.mark.parametrize("info", list_metrics(), ids=lambda i: i.name)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 5),
+       st.sampled_from([EPSILON_FLOOR, 1e-12, 1e-9, 1e-3, 1.0]),
+       st.sampled_from([1e-9, 1e-3, 1.0, 1e3, 1e6]), st.integers(0, 2**32 - 1), st.data())
+def test_a_stacked_gradient_equals_the_per_slice_calls(info, m, R, eps, scale, seed, data):
+    metric = parse_metric(info.name, epsilon=eps)
+    rng = np.random.default_rng(seed)
+    for task in metric_tasks(info, m):
+        kinds = data.draw(st.lists(st.sampled_from(["random", "zero", "kink"]),
+                                   min_size=R, max_size=R))
+        stack = np.stack([confusion_slice(task, kind, rng, scale) for kind in kinds])
+        with np.errstate(**evaluation.FP_ERRORS):
+            try:
+                want = [metric.gradient(C) for C in stack]
+            except FloatingPointError:
+                # a tn of a multiclass matrix can round below zero, which a
+                # tiny epsilon does not cover; the stack fails alike
+                with pytest.raises(FloatingPointError):
+                    metric.gradient(stack, task)
+                continue
+            got = metric.gradient(stack, task)
+        assert got.shape == stack.shape
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("name", ["qmean", "macro-qmean", "micro-qmean", "mc-qmean"])
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_a_q_mean_kink_slice_beside_ordinary_slices(name, eps):
+    metric = parse_metric(name, epsilon=eps)
+    rng = np.random.default_rng(7)
+    for task in metric_tasks(lookup(name), 4):
+        # positive entries, so that even eps = 0 divides by no zero
+        ordinary = rng.random((2, *task.shape)) + 0.5
+        kink = confusion_slice(task, "kink", rng, 1.0) + (0.5 * np.eye(task.m)
+                                                        if task.is_multiclass else 0.0)
+        if not task.is_multiclass:
+            kink[:, 0, 0] = kink[:, 1, 1] = 0.5
+        stack = np.stack([ordinary[0], kink, ordinary[1]])
+        with np.errstate(**evaluation.FP_ERRORS):
+            got = metric.gradient(stack, task)
+            want = [metric.gradient(C) for C in stack]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert not np.any(got[1])  # the gradient at the kink is taken as 0
+
+
+def test_a_stack_is_read_by_its_task():
+    # two two-class matrices are not two label blocks
+    stack = np.array([[[3.0, 1.0], [2.0, 4.0]], [[1.0, 0.0], [5.0, 2.0]]])
+    for name in ("f1", "macro-f1", "micro-gmean"):
+        metric = parse_metric(name)
+        got = metric.gradient(stack, Task("multiclass", 2))
+        assert [g.tobytes() for g in got] == [metric.gradient(C).tobytes() for C in stack]
+    with pytest.raises(ValueError, match="stack"):
+        parse_metric("macro-f1").gradient(stack, Task("multilabel", 2))
+    with pytest.raises(ValueError, match="needs a multiclass stream"):
+        parse_metric("mc-qmean").gradient(np.zeros((2, 3, 2, 2)), Task("multilabel", 3))
 
 
 # --- native multiclass kernels against the per-entry formulas they replaced
@@ -1037,15 +1197,46 @@ def fw_buffers(draw):
             draw(st.integers(1, 25)))
 
 
+def mixture_arrays(mix):
+    return [*mix.tensors, mix.weights, mix.final_cm]
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(fw_buffers())
 def test_fw_fit_equals_a_fit_that_counts_every_vertex(case):
-    mix = fw_fit(*case)
     tensors, weights, final_cm = reference_fw_fit(*case)
-    assert len(mix.tensors) == len(tensors)
-    for got, want in zip([*mix.tensors, mix.weights, mix.final_cm],
-                         [*tensors, weights, final_cm]):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert_same_arrays(mixture_arrays(fw_fit(*case)), [*tensors, weights, final_cm])
+
+
+@settings(max_examples=300, deadline=None)
+@given(fw_buffers(), st.data())
+def test_lockstep_fw_fit_equals_one_fit_per_prefix(case, data):
+    eta, labels, task, metric, iterations = case
+    n = len(eta)
+    prefixes = sorted(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6,
+                                         unique=True)))
+    mixes = fw_fit(*case, prefixes=prefixes)
+    assert len(mixes) == len(prefixes)
+    for size, mix in zip(prefixes, mixes):
+        part = eta[:size], None if labels is None else labels[:size], task, metric, iterations
+        tensors, weights, final_cm = reference_fw_fit(*part)
+        assert_same_arrays(mixture_arrays(mix), [*tensors, weights, final_cm])
+        assert_same_arrays(mixture_arrays(mix), mixture_arrays(fw_fit(*part)))
+        assert all(G.flags.c_contiguous for G in mix.tensors)
+
+
+def test_lockstep_prefixes_must_increase_within_the_buffer():
+    eta = np.full((5, 2), 0.5)
+    for bad in ([], [0], [6], [3, 3], [4, 2]):
+        with pytest.raises(ValueError, match="prefixes"):
+            fw_fit(eta, None, Task("multilabel", 2), parse_metric("macro-f1"), 2,
+                   prefixes=bad)
 
 
 @settings(max_examples=100, deadline=None)
