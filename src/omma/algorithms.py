@@ -32,7 +32,7 @@ from . import policy
 from .confusion import (Labels, ProbEstimate, Task, _pack, batch_counts, check_labels,
                         check_regularizer, indicator_row, init_state,
                         multiclass_to_multilabel, top_entries)
-from .metrics import BINARY, Metric
+from .metrics import BINARY, CostCoefficients, Metric
 
 
 class ProtocolError(RuntimeError):
@@ -162,18 +162,15 @@ class OmmaLearner(OnlineLearner):
     def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
         if self.cfg.sparse_k is not None:
             return self._predict_sparse(eta, support)
-        if self.task.is_multiclass:
-            return policy.decide_gradient(self.metric.gradient(self.state.normalized()),
-                                          eta, self.cfg.budget)
-        # multilabel: (alpha, beta) straight from the metric, no gradient tensor
-        coeffs = self.metric.coefficients(self.state.normalized(), self.task.m)
-        return policy.decide(policy.gains(coeffs, eta), self.cfg.budget)
+        coeffs = self.metric.coefficients(self.state.normalized(), self.task)
+        return policy.decide_coefficients(coeffs, eta, self.cfg.budget,
+                                          multiclass=self.task.is_multiclass)
 
     def _predict_sparse(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
         """The gain rule on the top-k' listed labels; no other label is predicted."""
         listed = self._all_labels if support is None else np.flatnonzero(support)
         indices, values = top_entries(listed, eta[listed], self.cfg.sparse_k)
-        coeffs = self.metric.coefficients(self.state.normalized_blocks(indices), self.task.m)
+        coeffs = self.metric.coefficients(self.state.normalized_blocks(indices), self.task)
         return policy.decide_support(coeffs, indices, values, self.task.m, self.cfg.budget)
 
     def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
@@ -237,13 +234,12 @@ class GreedyLearner(OnlineLearner):
 
 @dataclass
 class MixtureClassifier:
-    """Convex combination of cost-sensitive classifiers (one gradient tensor each).
-
-    The weights are checked and fixed when the mixture is built; so is the
-    CDF that :meth:`sample` draws from.
+    """Convex combination of cost-sensitive classifiers: ``coefficients`` holds
+    their (alpha, beta) as (K, m) arrays, beta perhaps the structural zero 0.0.
+    The weights, and the CDF that :meth:`sample` draws from, are fixed here.
     """
 
-    tensors: list[np.ndarray]
+    coefficients: CostCoefficients
     weights: np.ndarray
     final_cm: np.ndarray | None = field(repr=False, default=None)
 
@@ -256,10 +252,15 @@ class MixtureClassifier:
         self._cdf = w.cumsum()
         self._cdf /= self._cdf[-1]
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """The tensor of a component drawn with the mixture weights: the draw
-        of ``rng.choice(len(tensors), p=weights)``, from the same one uniform."""
-        return self.tensors[int(self._cdf.searchsorted(rng.random(), side="right"))]
+    def component(self, k: int) -> CostCoefficients:
+        """The (alpha, beta) of component k."""
+        alpha, beta = self.coefficients
+        return CostCoefficients(alpha[k], beta[k] if isinstance(beta, np.ndarray) else beta)
+
+    def sample(self, rng: np.random.Generator) -> CostCoefficients:
+        """A component drawn with the mixture weights: the draw of
+        ``rng.choice(len(weights), p=weights)``, from the same uniform."""
+        return self.component(int(self._cdf.searchsorted(rng.random(), side="right")))
 
 
 def refit_thresholds(mode: str = "interval", base: float = 10.0, ratio: float = 1.1):
@@ -314,37 +315,20 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     n_r rows of the buffer for every n_r in lockstep and returns their
     mixtures in that order, each equal bit for bit to ``fw_fit`` of its
     prefix alone; without them it is the one-prefix case of the same loop.
-    An iteration takes one stacked gradient of the R averaged confusions
-    (``Metric.gradient`` with a task) and one stacked step.  The weights
-    depend on the iteration count alone, so every fit shares them, and they
-    are computed once per count.  The decisions stay one product per fit, on
-    its own prefix: ``E[:n_r] @ G[r]``.  The first rows of a taller product
-    can round otherwise than the prefix's own product (274 of 2000 random
-    multiclass cases with m <= 20 differed with numpy's bundled OpenBLAS),
-    so a longer product is never sliced.  A fit reads no row at or beyond
-    its own n_r, and the fits share nothing that depends on the rows.  So an
-    online learner can fit its coming refit points together once the
-    stream's rows are at hand: each mixture depends only on the rows before
-    its own point, and is used only from that point on.  Each mixture's
-    tensors are C-contiguous slices of the stacked gradients.
+    An iteration takes one stacked ``Metric.coefficients`` call and one
+    stacked step; the weights depend on the iteration count alone.  A fit
+    reads no row at or beyond its own n_r, so an online learner can fit its
+    coming refit points together once the stream's rows are at hand.
 
-    The fit keeps returning to vertices it has visited, so each distinct
-    decision matrix is counted once: its confusion is kept under its packed
-    bits and reused on a repeat.  A multiclass fit without a budget keys its
-    vertices on the argmax classes instead and builds the one-hot decisions
-    only for a new vertex.  A vertex's confusion depends on the buffer and
-    the decisions alone, so the reuse changes no bit of the result.  Each
-    store holds at most ``iterations`` keys of ceil(n_r * m / 8) bytes (8 n_r
-    bytes keyed on classes) and one confusion each, and is freed on return.
+    Each fit decides with the learners' ``policy.decide_coefficients``, so a
+    prefix decides as its rows would, one by one, in any layout.  Multilabel
+    gains are scored column-major, one contiguous pass per label, multiclass
+    rankings row-major, one per row; sums are taken row-major, so the result
+    does not depend on the memory layout of the buffer or the labels.
 
-    Every sum is taken on row-major copies of the buffer and the labels, so
-    the result does not depend on their memory layout.  A multilabel buffer
-    is also scored on a column-major copy: each label's gains alpha_j *
-    eta_ij - beta_j are then one contiguous pass, where a row-major buffer
-    takes n short passes of m entries.  The gains are elementwise, so the
-    decisions are the same bits either way.  A multiclass buffer is scored
-    row-major, since the rounding of the BLAS product ``eta @ G`` depends on
-    the layout of its operands.
+    Each distinct decision matrix is counted once: its confusion is kept,
+    until return, under its packed bits (a multiclass fit without a budget:
+    its argmax classes) and reused when the fit returns to it.
     """
     metric.check_task(task)
     estimates = np.ascontiguousarray(estimates, dtype=np.float64)
@@ -360,13 +344,15 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     if not sizes or sizes[0] < 1 or sizes[-1] > n or any(
             a >= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"prefixes must be strictly increasing lengths in 1..{n}")
-    scored = estimates if task.is_multiclass else np.asfortranarray(estimates)
+    multiclass = task.is_multiclass
+    scored = estimates if multiclass else np.asfortranarray(estimates)
+    mass = None  # the rows' class masses, taken once a fit needs them
     budget = metric.budget_k
-    by_class = task.is_multiclass and budget is None
+    by_class = multiclass and budget is None
     classes = np.arange(m)
     # the trivial start predicts every label with probability k / m: the
     # all-negative classifier, or a uniformly random class or k-subset
-    k = budget or (1 if task.is_multiclass else 0)
+    k = budget or (1 if multiclass else 0)
     start = np.full((1, m), k / m)
     cbar = np.stack([batch_counts(task, ref[:size].sum(axis=0)[None] / size, start)
                      for size in sizes])
@@ -374,31 +360,43 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     # per fit: its scored rows, its reference rows, its length, its vertex
     # store (key -> the vertex's confusion on that prefix) and its step slot
     fits = [(scored[:size], ref[:size], size, {}, step) for size, step in zip(sizes, steps)]
-    stacks: list[np.ndarray] = []
+    # each fit's mixture coefficients, one row per iteration; betas stays
+    # unused where beta is a structural zero
+    alphas = np.empty((len(sizes), iterations, m))
+    betas = np.empty_like(alphas)
     for q in range(iterations):
-        G = metric.gradient(cbar, task)
+        # one fit takes its confusion's own call: numpy iterates more slowly
+        # over small cells under a leading axis of one
+        alpha, beta = metric.coefficients(cbar[0] if len(sizes) == 1 else cbar, task)
+        alphas[:, q] = alpha
+        zero = not isinstance(beta, np.ndarray)
+        if not zero:
+            betas[:, q] = beta
+            if multiclass and mass is None:
+                mass = policy.class_mass(estimates)
         gamma = 2.0 / (q + 2.0)
-        for (rows, refs, size, vertices, step), Gr in zip(fits, G):
+        for r, (rows, refs, size, vertices, step) in enumerate(fits):
+            coeffs = CostCoefficients(alphas[r, q], beta if zero else betas[r, q])
+            rows_mass = None if mass is None else mass[:size]
             if by_class:
-                top = (rows @ Gr).argmax(axis=1)
+                top = policy.gains(coeffs, rows, rows_mass).argmax(axis=1)
                 key = top.tobytes()
-                vertex = vertices.get(key)
-                if vertex is None:
-                    dec = classes == top[:, None]
-                    vertex = vertices[key] = batch_counts(task, refs, dec) / size
             else:
-                dec = policy.decide_gradient(Gr, rows, budget)
+                dec = policy.decide_coefficients(coeffs, rows, budget, multiclass=multiclass,
+                                                 mass=rows_mass)
                 key = np.packbits(dec.ravel(order="K")).tobytes()  # the bits in memory order
-                vertex = vertices.get(key)
-                if vertex is None:
-                    vertex = vertices[key] = batch_counts(task, refs, dec) / size
+            vertex = vertices.get(key)
+            if vertex is None:
+                if by_class:
+                    dec = classes == top[:, None]
+                vertex = vertices[key] = batch_counts(task, refs, dec) / size
             np.multiply(vertex, gamma, step)
-        stacks.append(G)
-        # cbar <- (1 - gamma) cbar + gamma cq, in place: no tensor reads cbar
+        # cbar <- (1 - gamma) cbar + gamma cq, in place: no coefficient reads cbar
         cbar *= 1.0 - gamma
         cbar += steps
     weights = _fw_weights(iterations)
-    mixtures = [MixtureClassifier([G[r] for G in stacks], weights.copy(), final_cm=cbar[r])
+    mixtures = [MixtureClassifier(CostCoefficients(alphas[r], beta if zero else betas[r]),
+                                  weights.copy(), final_cm=cbar[r])
                 for r in range(len(sizes))]
     return mixtures[0] if prefixes is None else mixtures
 
@@ -418,11 +416,10 @@ class _MixtureLearner(OnlineLearner):
             np.random.SeedSequence(cfg.seed)))
 
     def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
-        if self.cfg.deterministic_mixture:
-            G = self.mixture.tensors[-1]
-        else:
-            G = self.mixture.sample(self._rng)
-        return policy.decide_gradient(G, eta, self.cfg.budget)
+        mix = self.mixture
+        coeffs = mix.component(-1) if self.cfg.deterministic_mixture else mix.sample(self._rng)
+        return policy.decide_coefficients(coeffs, eta, self.cfg.budget,
+                                          multiclass=self.task.is_multiclass)
 
 
 # the most refit points of an ofw / ofw-eta run fitted in one lockstep
@@ -443,11 +440,8 @@ class FrankWolfeLearner(_MixtureLearner):
     one lockstep ``fw_fit`` when the run reaches the first of them, and drops
     each mixture once the run has passed its point.  Fitting a later point
     early is causal: its fit reads only the rows before that point, and no
-    fit draws from the mixture generator.  Each fit also keeps its own
-    decision product, because a taller product's rows can round otherwise.
-    So the mixtures, and with them every prediction and mixture draw, are
-    the same bits as one refit at a time.  The group bound caps the mixtures
-    held at once, about 1.3 MB for 100 iterations at m = 20 multiclass.
+    fit draws from the mixture generator.  So every prediction and mixture
+    draw is the same bits as with one refit at a time.
     """
 
     def __init__(self, cfg: LearnerConfig, use_labels: bool):

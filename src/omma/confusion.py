@@ -47,13 +47,12 @@ class Task:
         if self.m < 1:
             raise ValueError("need at least one label")
 
-    @property
+    @cached_property  # cached, like shape: every learner step reads them
     def is_multiclass(self) -> bool:
         return self.kind == MULTICLASS
 
     @cached_property
     def shape(self) -> tuple[int, ...]:
-        # cached: a stacked gradient checks it on every Frank-Wolfe iteration
         return (self.m, self.m) if self.is_multiclass else (self.m, 2, 2)
 
 
@@ -207,6 +206,8 @@ def multiclass_to_multilabel(C: np.ndarray) -> np.ndarray:
 
     Per label j: tp is the diagonal cell, fp the rest of column j, fn the
     rest of row j, tn everything else; each block sums to the total mass.
+    tn, ``total - row - col + diag``, can round below zero: it is clamped at 0
+    by ``np.maximum(0.0, tn)``, which keeps every tn >= 0 (-0.0 too) as it is.
     """
     C = np.asarray(C, dtype=np.float64)
     if C.ndim < 2 or C.shape[-1] != C.shape[-2]:
@@ -215,7 +216,7 @@ def multiclass_to_multilabel(C: np.ndarray) -> np.ndarray:
     row = C.sum(axis=-1)
     col = C.sum(axis=-2)
     total = C.sum(axis=(-2, -1))[..., None]
-    return _pack(total - row - col + diag, col - diag, row - diag, diag,
+    return _pack(np.maximum(0.0, total - row - col + diag), col - diag, row - diag, diag,
                  C.shape[:-1] + (2, 2))
 
 

@@ -4,17 +4,17 @@ Every metric is a scalar function of a confusion matrix.  Binary formulas act
 on a single ``tn/fp/fn/tp`` block; they extend to m labels through macro
 averaging (mean of per-block values) and micro averaging (value of the mean
 block).  A handful of metrics additionally have native ``(m, m)`` multiclass
-forms built from per-class recalls.  A recall depends only on its own row of
-the matrix, so each native recall gradient is built in one pass over the
-diagonal and the row sums, as a per-row constant plus a diagonal term.
+forms built from per-class recalls.  A recall depends only on its own row, so
+each native gradient is a per-row constant plus a diagonal, and its kernel
+returns that (row, diag) pair from one pass over the diagonal and row sums.
 
-Each binary base has a value function and a gradient function; the gradient
-function returns the four partials ``(dtn, dfp, dfn, dtp)`` per block, a
-structural zero as the scalar 0.0.  One method divides them by m for macro and
-micro averaging; :meth:`Metric.gradient` packs the result into the gradient
-tensor, and :meth:`Metric.coefficients` forms the multilabel rule's per-label
-``alpha = dtp + dtn - dfp - dfn`` and ``beta = dtn - dfp`` from it directly,
-bit for bit equal to ``policy.cost_coefficients`` of the tensor.
+Each binary base returns the gradient's four partials ``(dtn, dfp, dfn, dtp)``
+per block, a structural zero as the scalar 0.0, and one method divides them
+by m for macro and micro averaging.  :meth:`Metric.gradient` packs them into
+the gradient; :meth:`Metric.coefficients` forms the decision rule's ``alpha =
+dtp + dtn - dfp - dfn`` and ``beta = dtn - dfp`` from them directly, per label
+or, through the one-vs-rest blocks, per class.  A native metric's
+coefficients are its diagonal and 0.
 
 All denominators are stabilized by adding ``epsilon``, and the ratio factors of
 the mean-family metrics (G/H/Q-mean) are stabilized as ``(num + eps) /
@@ -50,21 +50,24 @@ EPSILON_FLOOR = 1e-100
 
 
 class CostCoefficients(NamedTuple):
-    """Per-label weights of the multilabel rule: predict j when alpha_j eta_j >= beta_j."""
+    """Weights of the decision rule: predict label j when alpha_j eta_j >= beta_j;
+    score class l as alpha_l eta_l - beta_l sum(eta).  beta is an array, or the
+    scalar 0.0 where every beta is a structural zero."""
 
     alpha: np.ndarray
-    beta: np.ndarray
+    beta: np.ndarray | float
 
 
-def _coefficients(dtn, dfp, dfn, dtp, k: int) -> CostCoefficients:
-    """(alpha, beta) of k labels from the four partials; a scalar is shared by all."""
+def _coefficients(dtn, dfp, dfn, dtp, shape) -> CostCoefficients:
+    """(alpha, beta) of the given shape from the four partials; a scalar, or a
+    micro stack's (R, 1) partial, is shared by the labels it covers."""
     alpha = dtp + dtn - dfp - dfn
     beta = dtn - dfp
-    # python floats have no ndim; numpy scalars and 0-d arrays have ndim 0
-    if getattr(alpha, "ndim", 0) == 0:
-        alpha = np.full(k, alpha)
-    if getattr(beta, "ndim", 0) == 0:
-        beta = np.full(k, beta)
+    # python floats have no shape
+    if getattr(alpha, "shape", ()) != shape:
+        alpha = np.full(shape, alpha)
+    if getattr(beta, "shape", ()) != shape:
+        beta = np.full(shape, beta)
     return CostCoefficients(alpha, beta)
 
 
@@ -274,29 +277,23 @@ def _mc_recalls(C, eps):
 
 
 def _row_plus_diagonal(row, diag):
-    """The (m, m) matrix with row[a] in every entry of row a, plus diag on the
-    diagonal; (R, m) rows and diagonals give the (R, m, m) stack."""
-    m = row.shape[-1]
-    G = np.empty(row.shape + (m,))
-    G[...] = row[..., None]
-    # the diagonal of a C-contiguous square matrix is every (m + 1)-th entry;
-    # one matrix keeps the flat view, which costs less than a 2-d one
-    if row.ndim == 1:
-        G.reshape(-1)[:: m + 1] += diag
-    else:
-        G.reshape(-1, m * m)[:, :: m + 1] += diag
+    """The (m, m) matrix with row[a] in every entry of row a, plus diag on the diagonal."""
+    m = row.shape[0]
+    G = np.empty((m, m))
+    G[...] = row[:, None]
+    # the diagonal of a C-contiguous square matrix is every (m + 1)-th entry
+    G.reshape(-1)[:: m + 1] += diag
     return G
 
 
 def _mc_recall_grad(dpsi_dr, num, d):
-    """Chain dpsi/dr_j back to the (m, m) matrix, or (R, m, m) stack, for
-    recall-based metrics."""
-    return _row_plus_diagonal(dpsi_dr * (-num) / d**2, dpsi_dr / d)
+    """(row, diag) of a recall-based metric: dpsi/dr_j chained back to row j."""
+    return dpsi_dr * (-num) / d**2, dpsi_dr / d
 
 
-# the values read one (m, m) matrix; the gradients also take an (R, m, m)
-# stack, reducing over the class axis so that a per-matrix scalar stays
-# aligned with its own matrix
+# the values read one (m, m) matrix; the gradient kernels return the (row,
+# diag) pair, also of an (R, m, m) stack, reducing over the class axis so that
+# a per-matrix scalar stays aligned with its own matrix
 
 
 def _mc_acc_v(C, eps, beta):
@@ -304,7 +301,7 @@ def _mc_acc_v(C, eps, beta):
 
 
 def _mc_acc_g(C, eps, beta):
-    return _row_plus_diagonal(np.zeros(C.shape[:-1]), 1.0)
+    return np.zeros(C.shape[:-1]), np.ones(C.shape[:-1])
 
 
 # balanced accuracy sums r_j = C_jj / (m row_j + eps): only the denominator
@@ -319,7 +316,7 @@ def _mc_bacc_v(C, eps, beta):
 def _mc_bacc_g(C, eps, beta):
     m = C.shape[-1]
     d = m * C.sum(axis=-1) + eps
-    return _row_plus_diagonal(-C.diagonal(0, -2, -1) * m / d**2, 1.0 / d)
+    return -C.diagonal(0, -2, -1) * m / d**2, 1.0 / d
 
 
 def _mc_gmean_v(C, eps, beta):
@@ -443,53 +440,19 @@ class Metric:
         vals = vfn(blocks, self.epsilon, self.beta)
         return float(np.mean(vals))
 
-    def gradient(self, C: np.ndarray, task: Task | None = None) -> np.ndarray:
-        """Analytic gradient with respect to every entry of C, same shape as C.
-
-        With ``task``, C is a stack of shape (R, *task.shape) and the result
-        is the stack of the R gradients, each slice equal bit for bit to the
-        one-matrix call on its matrix.  The task says how a slice reads, so a
-        stack of two-class (2, 2) matrices is never taken for label blocks.
-        """
+    def gradient(self, C: np.ndarray) -> np.ndarray:
+        """Analytic gradient with respect to every entry of C, same shape as C:
+        an (m, m) matrix or (k, 2, 2) label blocks."""
         C = np.asarray(C, dtype=np.float64)
-        if task is not None:
-            if C.shape[1:] != task.shape:
-                raise ValueError(f"expected an (R, {', '.join(map(str, task.shape))}) "
-                                 f"stack of {task.kind} confusions, got {C.shape}")
-            self.check_task(task)
-            if C.shape[0] != 1:
-                return self._stack_gradient(C, task)
-            # a stack of one is its slice's own call, without numpy's slower
-            # general iteration over small cells under a leading axis of one
-            return self._matrix_gradient(C[0])[None]
-        return self._matrix_gradient(C)
-
-    def _matrix_gradient(self, C: np.ndarray) -> np.ndarray:
-        """:meth:`gradient` of one float64 confusion: an (m, m) matrix or (k, 2, 2) blocks."""
         if self.averaging == MULTICLASS_NATIVE:
             if C.ndim != 2 or C.shape[0] != C.shape[1]:
                 raise ValueError("native multiclass metrics expect an (m, m) matrix")
-            return _NATIVE_BASES[self.base][1](C, self.epsilon, self.beta)
+            return _row_plus_diagonal(*_NATIVE_BASES[self.base][1](C, self.epsilon, self.beta))
         blocks = self._blocks(C)
         Gt = _pack(*self._partials(blocks, blocks.shape[0]), blocks.shape)
-        if C.ndim == 2 and self.averaging != BINARY:
-            return _tensor_grad_to_matrix(Gt)
         if C.ndim == 2:
-            return Gt[0]
+            return Gt[0] if self.averaging == BINARY else _tensor_grad_to_matrix(Gt)
         return Gt
-
-    def _stack_gradient(self, C: np.ndarray, task: Task) -> np.ndarray:
-        """:meth:`gradient` of a checked (R, *task.shape) stack."""
-        if self.averaging == MULTICLASS_NATIVE:
-            return _NATIVE_BASES[self.base][1](C, self.epsilon, self.beta)
-        if not task.is_multiclass:
-            return _pack(*self._partials(C, task.m), C.shape)
-        if self.averaging == BINARY:
-            # two classes: each matrix is its own single block
-            blocks = C[:, None]
-            return _pack(*self._partials(blocks, 1), blocks.shape)[:, 0]
-        blocks = multiclass_to_multilabel(C)
-        return _tensor_grad_to_matrix(_pack(*self._partials(blocks, task.m), blocks.shape))
 
     def _partials(self, blocks: np.ndarray, m: int):
         """The partials (dtn, dfp, dfn, dtp) at k of the m labels' (..., k, 2, 2)
@@ -534,15 +497,33 @@ class Metric:
             raise ValueError("per-block gradients exist only for macro/binary averaging")
         return _pack(*self._partials(blocks, m), blocks.shape)
 
-    def coefficients(self, blocks: np.ndarray, m: int) -> CostCoefficients:
-        """Per-label (alpha, beta) of the multilabel rule at normalized blocks.
-
-        ``blocks`` is a (k, 2, 2) float array of the blocks of k of the m
-        labels (all m for micro averaging, m = 1 for binary).  The result
-        equals ``cost_coefficients`` of the gradient's rows for those labels
-        bit for bit, without building the gradient tensor.
+    def coefficients(self, C: np.ndarray, task: Task) -> CostCoefficients:
+        """(alpha, beta) of the decision rule at a normalized confusion of
+        ``task``, or at each of an (R, *task.shape) stack, bit for bit its
+        own call; the task, not the shape, says how C reads.  Multilabel C
+        holds k of the m labels' blocks (all m for micro averaging).  Every
+        multiclass gradient is ``a 1^T - 1 beta^T + diag(alpha)``: ``eta @ G``
+        is ``eta . a`` plus the class scores.  A binary metric reads two
+        classes as one block, class 1 positive: ([0, alpha], [0, beta]).
         """
-        return _coefficients(*self._partials(blocks, m), blocks.shape[0])
+        if not task.is_multiclass:
+            return _coefficients(*self._partials(C, task.m), C.shape[:-2])
+        if C.ndim not in (2, 3) or C.shape[-2:] != task.shape:
+            raise ValueError(f"expected an ({task.m}, {task.m}) matrix or an (R, {task.m}, "
+                             f"{task.m}) stack of multiclass confusions, got {C.shape}")
+        if self.averaging == MULTICLASS_NATIVE:
+            _, diag = _NATIVE_BASES[self.base][1](C, self.epsilon, self.beta)
+            return CostCoefficients(diag, 0.0)
+        if self.averaging == BINARY:
+            if task.m != 2:
+                raise ValueError("binary averaging expects a single block: two classes")
+            # class 0 scores 0; class 1 takes the block's own (alpha, beta)
+            pair = np.zeros((2, *C.shape[:-2], 2))
+            pair[..., 1:] = _coefficients(*self._partials(C[..., None, :, :], 1),
+                                          C.shape[:-2] + (1,))
+            return CostCoefficients(*pair)
+        return _coefficients(*self._partials(multiclass_to_multilabel(C), task.m),
+                             C.shape[:-1])
 
     def block_values(self, blocks: np.ndarray) -> np.ndarray:
         """Base-formula values of individual blocks, without the macro 1/m factor."""
@@ -553,13 +534,11 @@ class Metric:
 
 def _tensor_grad_to_matrix(Gt: np.ndarray) -> np.ndarray:
     """Adjoint of the multiclass-to-multilabel conversion applied to a gradient:
-    (..., m, 2, 2) tensors to (..., m, m) matrices."""
+    an (m, 2, 2) tensor to an (m, m) matrix."""
     dtn, dfp, dfn, dtp = _cells(Gt)
-    s = dtn.sum(axis=-1, keepdims=True)
-    G = dfp[..., None, :] + dfn[..., :, None] + (
-        s[..., None] - dtn[..., None, :] - dtn[..., :, None])
-    m = dtn.shape[-1]
-    G.reshape(-1, m * m)[:, :: m + 1] = dtp + s - dtn
+    s = dtn.sum()
+    G = dfp[None, :] + dfn[:, None] + (s - dtn[None, :] - dtn[:, None])
+    G.reshape(-1)[:: dtn.shape[0] + 1] = dtp + s - dtn
     return G
 
 

@@ -1,15 +1,17 @@
-"""Turning a utility gradient plus a probability estimate into a prediction.
+"""Turning per-label or per-class coefficients plus an estimate into a prediction.
 
-The linearized objective of a candidate prediction is the dot product between
-the gradient tensor and the expected single-instance confusion.  For
-multilabel tasks this reduces to per-label gains ``g_j = alpha_j * eta_j -
-beta_j`` with ``alpha_j = d_tp + d_tn - d_fp - d_fn`` and ``beta_j = d_tn -
-d_fp``; for multiclass it reduces to per-class column scores.  Ties are broken
-toward the smaller label index everywhere, and a gain of exactly zero predicts
-positive.
+The linearized objective reduces to one (alpha, beta) pair per label or class
+(``Metric.coefficients``): multilabel gains ``alpha_j * eta_j - beta_j`` are
+thresholded at zero, multiclass class scores ``alpha_l * eta_l - beta_l *
+sum(eta)`` are ranked.  One scoring function (:func:`gains`) and one decision
+kernel (:func:`decide`) serve both, and a buffer decides as its rows do, bit
+for bit, in any layout.  Ties go to the smaller label index everywhere, and a
+gain of exactly zero predicts positive.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,21 +20,36 @@ from .metrics import CostCoefficients, _coefficients
 
 
 def cost_coefficients(G: np.ndarray) -> CostCoefficients:
-    """Per-label (alpha, beta) from a multilabel gradient tensor.
-
-    ``Metric.coefficients`` forms the same pair from the metric's partials
-    without the tensor; this form serves callers that hold a tensor.
-    """
+    """Per-label (alpha, beta) of an (m, 2, 2) multilabel gradient tensor: the
+    pair that ``Metric.coefficients`` forms without the tensor."""
     G = np.asarray(G, dtype=np.float64)
     if G.ndim != 3 or G.shape[1:] != (2, 2):
         raise ValueError("expected an (m, 2, 2) gradient tensor")
-    return _coefficients(*_cells(G), G.shape[0])
+    return _coefficients(*_cells(G), G.shape[:1])
 
 
-def gains(coeffs: CostCoefficients, eta: ProbEstimate | np.ndarray) -> np.ndarray:
-    """Dense per-label gains of an estimate or of (n, m) rows; unlisted eta_j = 0."""
-    dense = eta.dense() if isinstance(eta, ProbEstimate) else np.asarray(eta, float)
-    return coeffs.alpha * dense - coeffs.beta
+def class_mass(eta: np.ndarray) -> float | np.ndarray:
+    """sum(eta) of an (m,) row, or of each row of an (n, m) buffer as an (n, 1)
+    column, correctly rounded (``math.fsum``): the same bits for a row alone
+    and in any buffer, whatever its layout."""
+    if eta.ndim == 1:
+        return math.fsum(eta.tolist())
+    return np.array(list(map(math.fsum, eta.tolist())))[:, None]
+
+
+def gains(coeffs: CostCoefficients, eta: ProbEstimate | np.ndarray,
+          mass: float | np.ndarray | None = None) -> np.ndarray:
+    """Scores of an estimate, an (m,) row or (n, m) rows (unlisted eta_j = 0):
+    ``alpha * eta - beta`` without ``mass`` (multilabel gains), ``alpha * eta
+    - beta * mass`` with the rows' :func:`class_mass` (class scores).  A
+    structural zero beta, the scalar 0.0, is skipped: x - 0.0 is x."""
+    if isinstance(eta, ProbEstimate):
+        eta = eta.dense()
+    alpha, beta = coeffs
+    scores = alpha * eta
+    if isinstance(beta, np.ndarray):  # in place: one temporary fewer on a buffer
+        scores -= beta if mass is None else beta * mass
+    return scores
 
 
 def decide(scores: np.ndarray, budget: int | None = None, *,
@@ -57,15 +74,17 @@ def decide(scores: np.ndarray, budget: int | None = None, *,
     return (-scores).argsort(axis=-1, kind="stable").argsort(axis=-1) < budget
 
 
-def decide_gradient(G: np.ndarray, eta: np.ndarray, budget: int | None = None) -> np.ndarray:
-    """Decisions of the classifier with gradient ``G`` on an (m,) estimate row or
-    an (n, m) buffer, as booleans of eta's shape: the column scores eta @ G of
-    an (m, m) G, or the gains of :func:`cost_coefficients` of an (m, 2, 2) one,
-    go to :func:`decide`.  Nothing is checked."""
-    if G.ndim == 2:
-        # matmul takes a 1-d eta as one row: a row is scored by a one-row product
-        return decide(eta @ G, budget, argmax=True)
-    return decide(gains(cost_coefficients(G), eta), budget)
+def decide_coefficients(coeffs: CostCoefficients, eta: np.ndarray,
+                        budget: int | None = None, *, multiclass: bool = False,
+                        mass: np.ndarray | None = None) -> np.ndarray:
+    """Decisions of the classifier ``coeffs`` on an (m,) row or an (n, m) buffer:
+    thresholded gains or ranked class scores.  The rows' :func:`class_mass` is
+    taken here unless given as ``mass`` or beta is 0.0.  Nothing is checked."""
+    if not multiclass:
+        return decide(gains(coeffs, eta), budget)
+    if mass is None and isinstance(coeffs.beta, np.ndarray):
+        mass = class_mass(eta)
+    return decide(gains(coeffs, eta, mass), budget, argmax=True)
 
 
 def _labels(dec: np.ndarray) -> Labels:
@@ -80,14 +99,15 @@ def decide_multilabel(g: np.ndarray, budget: int | None = None) -> Labels:
 
 def decide_multiclass(G: np.ndarray, eta: ProbEstimate | np.ndarray,
                       budget: int | None = None) -> Labels:
-    """Class(es) maximizing the column scores sum_j G[j, l] * eta_j."""
+    """Class(es) maximizing the column scores sum_j G[j, l] * eta_j of any (m, m)
+    G, by one one-row product: the definition the coefficient rule follows."""
     G = np.asarray(G, dtype=np.float64)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError("expected an (m, m) gradient matrix")
     dense = eta.dense() if isinstance(eta, ProbEstimate) else np.asarray(eta, float)
     if dense.shape[0] != G.shape[0]:
         raise ValueError("estimate length does not match the gradient")
-    return _labels(decide_gradient(G, dense, budget))
+    return _labels(decide(dense @ G, budget, argmax=True))
 
 
 def decide_support(coeffs: CostCoefficients, indices: np.ndarray, values: np.ndarray,
@@ -102,7 +122,7 @@ def decide_support(coeffs: CostCoefficients, indices: np.ndarray, values: np.nda
     if coeffs.alpha.shape[0] != indices.shape[0]:
         raise ValueError("coefficients must align with the estimate support")
     dec = np.zeros(m, dtype=bool)
-    dec[indices[decide(coeffs.alpha * values - coeffs.beta, budget)]] = True
+    dec[indices[decide(gains(coeffs, values), budget)]] = True
     return dec
 
 

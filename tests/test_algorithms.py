@@ -309,7 +309,7 @@ def test_fw_weights_sum_to_one():
     mix = fw_fit(estimates, labels, multilabel(4), parse_metric("macro-hmean"),
                  iterations=25)
     assert mix.weights.sum() == pytest.approx(1.0)
-    assert len(mix.tensors) == 25
+    assert mix.coefficients.alpha.shape == (25, 4)
     # gamma-product coefficients: w_q = gamma_q * prod_{r>q} (1 - gamma_r)
     expect = []
     for q in range(25):
@@ -325,10 +325,8 @@ def test_fw_linear_metric_single_step_plugin():
     estimates = rng.random((40, 3))
     mix = fw_fit(estimates, None, multilabel(3), parse_metric("macro-accuracy"),
                  iterations=1)
-    assert len(mix.tensors) == 1 and mix.weights[0] == 1.0
-    from omma import policy
-    coeffs = policy.cost_coefficients(mix.tensors[0])
-    g = policy.gains(coeffs, np.array([0.4, 0.6, 0.5]))
+    assert len(mix.weights) == 1 and mix.weights[0] == 1.0
+    g = policy.gains(mix.component(0), np.array([0.4, 0.6, 0.5]))
     assert policy.decide_multilabel(g) == (1, 2)
 
 
@@ -345,11 +343,11 @@ def test_fw_self_consistency_doubling():
 def test_fw_fit_counts_each_distinct_vertex_once(monkeypatch):
     model = SynthModel(task=multilabel(4), d=3, prior_low=0.2, prior_high=0.5, seed=9)
     eta = synth_generate(model, 300, seed=10).estimate_rows
-    decide_gradient = policy.decide_gradient
+    decide_coefficients = policy.decide_coefficients
     decided, counted = [], []
 
-    def spy_decide(G, estimates, budget=None):
-        dec = decide_gradient(G, estimates, budget)
+    def spy_decide(coeffs, estimates, budget=None, **kwargs):
+        dec = decide_coefficients(coeffs, estimates, budget, **kwargs)
         decided.append(np.packbits(dec).tobytes())
         return dec
 
@@ -358,7 +356,7 @@ def test_fw_fit_counts_each_distinct_vertex_once(monkeypatch):
             counted.append(np.packbits(dec).tobytes())
         return batch_counts(task, ref, dec)
 
-    monkeypatch.setattr(policy, "decide_gradient", spy_decide)
+    monkeypatch.setattr(policy, "decide_coefficients", spy_decide)
     monkeypatch.setattr(algorithms, "batch_counts", spy_counts)
     fw_fit(eta, None, multilabel(4), parse_metric("macro-hmean"), iterations=100)
     assert len(decided) == 100

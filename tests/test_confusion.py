@@ -4,6 +4,8 @@ import pytest
 from omma.confusion import (ProbEstimate, batch_counts, check_labels,
                             expected_instance_confusion, indicator_row, init_state,
                             label_rows, multiclass, multiclass_to_multilabel, multilabel)
+from omma.evaluation import FP_ERRORS
+from omma.metrics import EPSILON_FLOOR, parse_metric
 
 
 def instance_confusion(task, y, yhat):
@@ -216,6 +218,27 @@ def test_multiclass_to_multilabel_hand_case():
     assert T[0, 0, 1] == pytest.approx(0.2)
     assert T[0, 1, 0] == pytest.approx(0.1)
     assert T[0, 0, 0] == pytest.approx(0.3)
+
+
+def test_multiclass_to_multilabel_has_no_negative_cell():
+    # about 1 in 40 of these matrices rounds total - row - col + diag below zero
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        m = int(rng.integers(2, 6))
+        C = rng.random((m, m)) * (rng.random((m, m)) < 0.7) * 1e-9
+        assert np.all(multiclass_to_multilabel(C) >= 0.0)
+
+
+def test_a_tn_that_rounds_below_zero_is_clamped():
+    # class 1's tn rounds to -4e-25 before the clamp, and macro-gmean at the
+    # smallest epsilon then took the square root of a negative rate
+    C = np.array([[0.0, 7.166078337322687e-10], [9.121052609840152e-10, 9.423605323086546e-10]])
+    assert multiclass_to_multilabel(C)[1, 0, 0] == 0.0
+    metric = parse_metric("macro-gmean", epsilon=EPSILON_FLOOR)
+    with np.errstate(**FP_ERRORS):
+        assert np.isfinite(metric.value(C))
+        assert np.all(np.isfinite(metric.gradient(C)))
+        assert all(np.all(np.isfinite(part)) for part in metric.coefficients(C, multiclass(2)))
 
 
 def test_multiclass_to_multilabel_mass_preserved():

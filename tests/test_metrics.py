@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from omma import metrics
+from omma.confusion import multilabel
 from omma.metrics import Metric, list_metrics, lookup, min_tn_tp, parse_metric
 
 
@@ -261,15 +262,15 @@ def test_value_shape_mismatch():
 
 def test_coefficients_reject_what_has_no_per_label_rule():
     with pytest.raises(ValueError, match="native"):
-        parse_metric("mc-gmean").coefficients(np.zeros((3, 2, 2)), 3)
+        parse_metric("mc-gmean").coefficients(np.zeros((3, 2, 2)), multilabel(3))
     with pytest.raises(ValueError, match="single block"):
-        parse_metric("f1").coefficients(np.zeros((1, 2, 2)), 3)
+        parse_metric("f1").coefficients(np.zeros((1, 2, 2)), multilabel(3))
     with pytest.raises(ValueError, match="all m labels"):
-        parse_metric("micro-f1").coefficients(np.zeros((2, 2, 2)), 3)
+        parse_metric("micro-f1").coefficients(np.zeros((2, 2, 2)), multilabel(3))
 
 
 def test_constant_partials_broadcast_to_every_label():
-    alpha, beta = parse_metric("macro-accuracy").coefficients(np.ones((4, 2, 2)), 4)
+    alpha, beta = parse_metric("macro-accuracy").coefficients(np.ones((4, 2, 2)), multilabel(4))
     assert np.array_equal(alpha, np.full(4, 0.5)) and np.array_equal(beta, np.full(4, 0.25))
-    alpha, beta = parse_metric("macro-recall").coefficients(np.ones((3, 2, 2)), 3)
+    alpha, beta = parse_metric("macro-recall").coefficients(np.ones((3, 2, 2)), multilabel(3))
     assert alpha.shape == beta.shape == (3,) and np.array_equal(beta, np.zeros(3))

@@ -1,14 +1,16 @@
-"""Property tests of the decision kernel, the gradient-to-decision rule, the
-accumulation rule, the batch-built estimate streams, the run loop's
-checkpoints, the per-label coefficients of the multilabel rule, the native
-multiclass kernels, stacked gradients, Frank-Wolfe's reuse of vertex
-confusions, its independence of memory layout and its lockstep fits of
-nested prefixes, the refit groups of a run, and a mixture's draws."""
+"""Property tests of the decision kernel, the coefficient decision rule of
+rows and buffers, its exact tie rule, the accumulation rule, the batch-built
+estimate streams, the run loop's checkpoints, the per-label and per-class
+coefficients, the native multiclass kernels, stacked coefficients,
+Frank-Wolfe's reuse of vertex confusions, its independence of memory layout
+and its lockstep fits of nested prefixes, the refit groups of a run, and a
+mixture's draws."""
 
 import itertools
 import os
 import re
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from omma.confusion import (ProbEstimate, Task, batch_counts, expected_instance_
                             indicator_row, init_state)
 from omma.dataio import (InstanceStream, SynthModel, _latent_draw, perturb_estimates,
                          read_estimates, shuffle, sparsify_estimates, synth_generate)
-from omma.metrics import (BINARY, EPSILON_FLOOR, MACRO, MULTICLASS_NATIVE, list_metrics,
-                          lookup, parse_metric)
+from omma.metrics import (BINARY, EPSILON_FLOOR, MACRO, MULTICLASS_NATIVE, CostCoefficients,
+                          list_metrics, lookup, parse_metric)
 
 # few distinct values, zero among them, so that ties and zero gains are common
 SCORES = st.sampled_from([-1.0, -0.25, 0.0, 0.0, 0.5, 1.0])
@@ -110,49 +112,122 @@ def test_a_budget_of_one_keeps_the_first_maximum(rows, one_row, argmax):
     assert np.array_equal(dec, two_argsort_rank_decisions(S, 1))
 
 
-# multiples of 1/4 at most 2 in size: each product and sum of a multiclass
-# score over m <= 8 classes is exact, so every summation order gives it
+# multiples of 1/4 at most 2 in size: with dyadic coefficients and estimates
+# every product and sum of the class scores of m <= 8 classes is exact
 DYADIC_SCORES = st.sampled_from([-1.0, -0.25, 0.0, 0.0, 0.5, 1.0, 2.0])
 DYADIC_PROBS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+DYADIC_CELLS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0])
 
 
 @st.composite
-def gradient_buffers(draw):
-    """A gradient, an (n, m) estimate buffer and a budget.  Multilabel
-    gradients are (m, 2, 2) tensors of arbitrary floats; multiclass ones are
-    (m, m) matrices of dyadic values, with dyadic estimates."""
+def coefficient_buffers(draw):
+    """Coefficients of arbitrary floats, the task kind they decide, an (n, m)
+    estimate buffer of arbitrary probabilities in a row-major, column-major or
+    strided layout, and a budget.  A multiclass beta may be the structural
+    zero 0.0."""
     kind = draw(KINDS)
-    m = draw(st.integers(2 if kind == "multiclass" else 1, 8))
+    m = draw(st.integers(2 if kind == "multiclass" else 1, 20))
     n = draw(st.integers(1, 6))
-    if kind == "multiclass":
-        G = np.array(draw(st.lists(DYADIC_SCORES, min_size=m * m, max_size=m * m)))
-        eta = draw(st.lists(DYADIC_PROBS, min_size=n * m, max_size=n * m))
-    else:
-        G = np.array(draw(st.lists(SCORES | st.floats(-2.0, 2.0), min_size=4 * m,
-                                   max_size=4 * m)))
-        eta = draw(st.lists(PROBS | st.floats(0.0, 1.0), min_size=n * m, max_size=n * m))
-    shape = (m, m) if kind == "multiclass" else (m, 2, 2)
-    budget = draw(st.none() | st.integers(1, m))
-    return G.reshape(shape), np.array(eta).reshape(n, m), budget
+    floats = SCORES | st.floats(-2.0, 2.0)
+    alpha, beta = (np.array(draw(st.lists(floats, min_size=m, max_size=m))) for _ in "ab")
+    if kind == "multiclass" and draw(st.booleans()):
+        beta = 0.0
+    eta = np.array(draw(st.lists(PROBS | st.floats(0.0, 1.0), min_size=n * m,
+                                 max_size=n * m))).reshape(n, m)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    return (CostCoefficients(alpha, beta), kind == "multiclass", in_layout(eta, layout),
+            draw(st.none() | st.integers(1, m)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(gradient_buffers())
+@given(coefficient_buffers())
 def test_buffer_decisions_equal_one_row_gradient_decisions(case):
-    """One ``decide_gradient`` call on an (n, m) buffer equals its n one-row
-    calls.  A multiclass buffer is scored by one matrix product and a row by a
-    one-row product; on general floats the two round differently in the last
-    bit, so the multiclass case draws values whose scores are exact."""
-    G, E, budget = case
-    dec = policy.decide_gradient(G, E, budget)
-    rows = [policy.decide_gradient(G, row, budget) for row in E]
+    """One ``decide_coefficients`` call on an (n, m) buffer equals its n
+    one-row calls, on arbitrary floats and in any memory layout: the
+    gradient's decision rule in its coefficient form is elementwise or reads
+    one row, and a row's mass is correctly rounded."""
+    coeffs, multiclass, E, budget = case
+    dec = policy.decide_coefficients(coeffs, E, budget, multiclass=multiclass)
+    rows = [policy.decide_coefficients(coeffs, row, budget, multiclass=multiclass)
+            for row in E]
     assert dec.dtype == bool and dec.shape == E.shape
     assert all(row.dtype == bool and row.shape == E.shape[1:] for row in rows)
     assert np.array_equal(dec, np.array(rows))
+    assert policy.class_mass(E).tobytes() == np.array(
+        [[policy.class_mass(row)] for row in E]).tobytes()
     if budget is not None:
         assert np.all(dec.sum(axis=1) == budget)
-    elif G.ndim == 2:
+    elif multiclass:
         assert np.all(dec.sum(axis=1) == 1)
+
+
+def exact_column_scores(G, eta):
+    """The column scores eta @ G in exact rational arithmetic on the floats given."""
+    return [sum(Fraction(e) * Fraction(g) for e, g in zip(eta.tolist(), column))
+            for column in G.T.tolist()]
+
+
+def exact_column_decisions(G, eta, budget):
+    """The k best (1 without a budget) of the exact column scores eta @ G,
+    ties to the lowest class."""
+    scores = exact_column_scores(G, eta)
+    dec = np.zeros(G.shape[0], dtype=bool)
+    dec[sorted(range(len(scores)), key=lambda c: (-scores[c], c))[:budget or 1]] = True
+    return dec
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda m: st.tuples(
+    *[st.lists(DYADIC_SCORES, min_size=m, max_size=m)] * 3,
+    st.lists(DYADIC_PROBS, min_size=m, max_size=m),
+    st.none() | st.integers(1, m))), st.booleans())
+def test_class_scores_rank_as_exact_column_scores(case, structural):
+    """The gradient G = a 1^T - 1 beta^T + diag(alpha) of dyadic (a, alpha,
+    beta), and a dyadic estimate: every step of the coefficient rule is then
+    exact, and it picks the exact argmax, or top k, of eta @ G, ties to the
+    lowest class.  A structural zero beta is the scalar 0.0."""
+    *rows, budget = case
+    a, alpha, beta, eta = map(np.array, rows)
+    if structural:
+        beta[...] = 0.0
+    G = a[:, None] - beta[None, :] + np.diag(alpha)
+    coeffs = CostCoefficients(alpha, 0.0 if structural else beta)
+    got = policy.decide_coefficients(coeffs, eta, budget, multiclass=True)
+    assert np.array_equal(got, exact_column_decisions(G, eta, budget))
+
+
+CLASS_METRICS = [i.name for i in list_metrics()]  # each takes a multiclass task
+
+
+@pytest.mark.parametrize("name", CLASS_METRICS)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_class_coefficients_decide_as_the_column_scores_of_the_gradient(name, data):
+    """On dyadic confusions and estimates, the coefficient rule of every
+    metric picks the exact argmax, or top k, of the column scores eta @ G of
+    its gradient, up to rounding: each class it picks scores within ``tol``
+    of the k-th best exact score, and each class it leaves at most ``tol``
+    above it.  ``tol`` is 2^-45 of sum(eta) times the largest magnitude in
+    G, alpha and beta.  Rounding can split a tie that the metric makes
+    exactly, so no closer statement holds for the float gradient."""
+    m = 2 if lookup(name).averaging == BINARY else data.draw(st.integers(2, 8))
+    budget = data.draw(st.none() | st.integers(1, m))
+    metric = parse_metric(name + (f"@{budget}" if budget else ""),
+                          epsilon=data.draw(st.sampled_from([1e-9, 0.25])))
+    C = np.array(data.draw(st.lists(DYADIC_CELLS, min_size=m * m,
+                                     max_size=m * m))).reshape(m, m)
+    eta = np.array(data.draw(st.lists(DYADIC_PROBS, min_size=m, max_size=m)))
+    with np.errstate(**evaluation.FP_ERRORS):
+        G = metric.gradient(C)
+        alpha, beta = coeffs = metric.coefficients(C, Task("multiclass", m))
+    got = policy.decide_coefficients(coeffs, eta, budget, multiclass=True)
+    assert got.sum() == (budget or 1)
+    scores = exact_column_scores(G, eta)
+    kth = sorted(scores, reverse=True)[(budget or 1) - 1]
+    size = max(np.abs(G).max(), np.abs(alpha).max(), np.abs(beta).max())
+    tol = Fraction(2.0**-45) * Fraction(float(eta.sum())) * Fraction(float(size))
+    assert all(scores[c] >= kth - tol for c in np.flatnonzero(got))
+    assert all(scores[c] <= kth + tol for c in np.flatnonzero(~got))
 
 
 @settings(max_examples=100, deadline=None)
@@ -864,7 +939,8 @@ def test_fused_coefficients_equal_the_gradient_tensor_form(name, data):
     metric, C = data.draw(metric_blocks(name))
     G = metric.gradient(C)
     alpha, beta = tensor_coefficients(G)
-    for coeffs in (metric.coefficients(C, C.shape[0]), policy.cost_coefficients(G)):
+    for coeffs in (metric.coefficients(C, Task("multilabel", C.shape[0])),
+                   policy.cost_coefficients(G)):
         assert same_bits(coeffs.alpha, alpha)
         assert same_bits(coeffs.beta, beta)
 
@@ -878,8 +954,8 @@ def test_block_gradient_and_coefficients_on_a_support(name, data):
     support = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1)))), dtype=np.int64)
     G = metric.gradient(C)
     assert same_bits(metric.block_gradient(C[support], m), G[support])
-    dense = metric.coefficients(C, m)
-    sparse = metric.coefficients(C[support], m)
+    dense = metric.coefficients(C, Task("multilabel", m))
+    sparse = metric.coefficients(C[support], Task("multilabel", m))
     assert same_bits(sparse.alpha, dense.alpha[support])
     assert same_bits(sparse.beta, dense.beta[support])
 @st.composite
@@ -902,8 +978,8 @@ def sparse_cases(draw):
 def test_sparse_coefficients_and_decisions_match_the_dense_rule(case):
     metric, state, est = case
     m = state.task.m
-    dense = metric.coefficients(state.normalized(), m)
-    sparse = metric.coefficients(state.normalized_blocks(est.indices), m)
+    dense = metric.coefficients(state.normalized(), state.task)
+    sparse = metric.coefficients(state.normalized_blocks(est.indices), state.task)
     assert same_bits(sparse.alpha, dense.alpha[est.indices])
     assert same_bits(sparse.beta, dense.beta[est.indices])
     off = np.setdiff1d(np.arange(m), est.indices)
@@ -920,15 +996,14 @@ def test_sparse_coefficients_and_decisions_match_the_dense_rule(case):
        st.integers(0, 2**32 - 1))
 def test_values_gradients_and_coefficients_are_finite(info, eps, m, scale, seed):
     metric = parse_metric(info.name, epsilon=eps)
-    shape = {MULTICLASS_NATIVE: (m, m), BINARY: (1, 2, 2)}.get(info.averaging, (m, 2, 2))
     rng = np.random.default_rng(seed)
-    # some entries exactly zero, the rest uniform at the drawn scale
-    C = rng.random(shape) * (rng.random(shape) < 0.7) * scale
-    with np.errstate(**evaluation.FP_ERRORS):
-        assert np.isfinite(metric.value(C))
-        assert np.all(np.isfinite(metric.gradient(C)))
-        if info.averaging != MULTICLASS_NATIVE:
-            alpha, beta = metric.coefficients(C, shape[0])
+    for task in metric_tasks(info, m):
+        # some entries exactly zero, the rest uniform at the drawn scale
+        C = rng.random(task.shape) * (rng.random(task.shape) < 0.7) * scale
+        with np.errstate(**evaluation.FP_ERRORS):
+            assert np.isfinite(metric.value(C))
+            assert np.all(np.isfinite(metric.gradient(C)))
+            alpha, beta = metric.coefficients(C, task)
             assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
 
 
@@ -955,12 +1030,27 @@ def confusion_slice(task, kind, rng, scale):
     return C
 
 
+def same_coefficients(got, want):
+    """Each coefficient of ``got`` equals that of ``want`` bit for bit, a
+    structural zero (the scalar 0.0) included."""
+    return all(type(g) is type(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+               and np.shape(g) == np.shape(w) for g, w in zip(got, want))
+
+
+def stacked(coefficients):
+    """The (alpha, beta) of R one-confusion calls as one stacked result."""
+    return CostCoefficients(*[np.stack(part) if isinstance(part[0], np.ndarray) else part[0]
+                              for part in zip(*coefficients)])
+
+
 @pytest.mark.parametrize("info", list_metrics(), ids=lambda i: i.name)
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 12), st.integers(1, 5),
        st.sampled_from([EPSILON_FLOOR, 1e-12, 1e-9, 1e-3, 1.0]),
        st.sampled_from([1e-9, 1e-3, 1.0, 1e3, 1e6]), st.integers(0, 2**32 - 1), st.data())
 def test_a_stacked_gradient_equals_the_per_slice_calls(info, m, R, eps, scale, seed, data):
+    """The gradient's coefficients of an (R, *task.shape) stack are the R
+    one-confusion calls, bit for bit."""
     metric = parse_metric(info.name, epsilon=eps)
     rng = np.random.default_rng(seed)
     for task in metric_tasks(info, m):
@@ -968,17 +1058,10 @@ def test_a_stacked_gradient_equals_the_per_slice_calls(info, m, R, eps, scale, s
                                    min_size=R, max_size=R))
         stack = np.stack([confusion_slice(task, kind, rng, scale) for kind in kinds])
         with np.errstate(**evaluation.FP_ERRORS):
-            try:
-                want = [metric.gradient(C) for C in stack]
-            except FloatingPointError:
-                # a tn of a multiclass matrix can round below zero, which a
-                # tiny epsilon does not cover; the stack fails alike
-                with pytest.raises(FloatingPointError):
-                    metric.gradient(stack, task)
-                continue
-            got = metric.gradient(stack, task)
-        assert got.shape == stack.shape
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            want = [metric.coefficients(C, task) for C in stack]
+            got = metric.coefficients(stack, task)
+        assert got.alpha.shape == (R, *want[0].alpha.shape)
+        assert same_coefficients(got, stacked(want))
 
 
 @pytest.mark.parametrize("name", ["qmean", "macro-qmean", "micro-qmean", "mc-qmean"])
@@ -995,23 +1078,29 @@ def test_a_q_mean_kink_slice_beside_ordinary_slices(name, eps):
             kink[:, 0, 0] = kink[:, 1, 1] = 0.5
         stack = np.stack([ordinary[0], kink, ordinary[1]])
         with np.errstate(**evaluation.FP_ERRORS):
-            got = metric.gradient(stack, task)
-            want = [metric.gradient(C) for C in stack]
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-        assert not np.any(got[1])  # the gradient at the kink is taken as 0
+            got = metric.coefficients(stack, task)
+            want = [metric.coefficients(C, task) for C in stack]
+        assert same_coefficients(got, stacked(want))
+        # the gradient at the kink is taken as 0
+        assert not np.any(got.alpha[1])
+        assert not np.any(np.broadcast_to(got.beta, got.alpha.shape)[1])
 
 
 def test_a_stack_is_read_by_its_task():
     # two two-class matrices are not two label blocks
     stack = np.array([[[3.0, 1.0], [2.0, 4.0]], [[1.0, 0.0], [5.0, 2.0]]])
+    two_classes = Task("multiclass", 2)
     for name in ("f1", "macro-f1", "micro-gmean"):
         metric = parse_metric(name)
-        got = metric.gradient(stack, Task("multiclass", 2))
-        assert [g.tobytes() for g in got] == [metric.gradient(C).tobytes() for C in stack]
+        want = [metric.coefficients(C, two_classes) for C in stack]
+        assert same_coefficients(metric.coefficients(stack, two_classes), stacked(want))
+    # under a multilabel task the same array is one confusion of two labels
+    blocks = parse_metric("macro-f1").coefficients(stack, Task("multilabel", 2))
+    assert blocks.alpha.shape == (2,)
     with pytest.raises(ValueError, match="stack"):
-        parse_metric("macro-f1").gradient(stack, Task("multilabel", 2))
-    with pytest.raises(ValueError, match="needs a multiclass stream"):
-        parse_metric("mc-qmean").gradient(np.zeros((2, 3, 2, 2)), Task("multilabel", 3))
+        parse_metric("macro-f1").coefficients(np.zeros((2, 3, 3)), two_classes)
+    with pytest.raises(ValueError, match="native"):
+        parse_metric("mc-qmean").coefficients(np.zeros((2, 3, 2, 2)), Task("multilabel", 3))
 
 
 # --- native multiclass kernels against the per-entry formulas they replaced
@@ -1145,16 +1234,41 @@ def test_native_kernels_equal_the_reference_formulas(name, C, eps):
 
 
 def reference_fw_fit(estimates, labels, task, metric, iterations):
-    """``fw_fit`` without the vertex store, scored row-major: every iteration
-    counts its vertex with the four-cell sums."""
+    """``fw_fit`` without the vertex store: every iteration decides each row
+    on its own, as a mixture learner does, and counts its vertex with the
+    four-cell sums."""
     n, m = estimates.shape
     ref = estimates if labels is None else labels
     k = metric.budget_k or (1 if task.is_multiclass else 0)
     cbar = four_cell_counts(task, ref.sum(axis=0)[None] / n, np.full((1, m), k / m))
+    coefficients, weights = [], np.empty(iterations)
+    for q in range(iterations):
+        coeffs = metric.coefficients(cbar, task)
+        dec = np.array([policy.decide_coefficients(coeffs, row, metric.budget_k,
+                                                   multiclass=task.is_multiclass)
+                        for row in estimates])
+        cq = four_cell_counts(task, ref, dec) / n
+        gamma = 2.0 / (q + 2.0)
+        cbar = (1.0 - gamma) * cbar + gamma * cq
+        weights[:q] *= 1.0 - gamma
+        weights[q] = gamma
+        coefficients.append(coeffs)
+    return coefficients, weights, cbar
+
+
+def tensor_fw_fit(estimates, labels, task, metric, iterations):
+    """The multilabel ``fw_fit`` as it stood when mixtures held gradient
+    tensors: each iteration decides through ``cost_coefficients`` of the
+    metric's gradient tensor, which the mixture kept."""
+    n, m = estimates.shape
+    ref = estimates if labels is None else labels
+    k = metric.budget_k or 0
+    cbar = four_cell_counts(task, ref.sum(axis=0)[None] / n, np.full((1, m), k / m))
     tensors, weights = [], np.empty(iterations)
     for q in range(iterations):
         G = metric.gradient(cbar)
-        dec = policy.decide_gradient(G, estimates, metric.budget_k)
+        dec = policy.decide(policy.gains(policy.cost_coefficients(G), estimates),
+                            metric.budget_k)
         cq = four_cell_counts(task, ref, dec) / n
         gamma = 2.0 / (q + 2.0)
         cbar = (1.0 - gamma) * cbar + gamma * cq
@@ -1172,11 +1286,11 @@ FW_NAMES = {"multilabel": ["macro-f1", "macro-hmean", "micro-f1", "micro-gmean",
 
 
 @st.composite
-def fw_buffers(draw):
+def fw_buffers(draw, kinds=KINDS):
     """An (n, m) estimate buffer, aligned labels or None, a task, a metric with
     or without a budget and an iteration count.  Estimates take few distinct
     values, so that the fit revisits its vertices."""
-    kind = draw(KINDS)
+    kind = draw(kinds)
     m = draw(st.integers(2 if kind == "multiclass" else 1, 5))
     n = draw(st.integers(1, 30))
     task = Task(kind, m)
@@ -1198,7 +1312,7 @@ def fw_buffers(draw):
 
 
 def mixture_arrays(mix):
-    return [*mix.tensors, mix.weights, mix.final_cm]
+    return [*map(np.asarray, mix.coefficients), mix.weights, mix.final_cm]
 
 
 def assert_same_arrays(got, want):
@@ -1210,8 +1324,20 @@ def assert_same_arrays(got, want):
 @settings(max_examples=300, deadline=None)
 @given(fw_buffers())
 def test_fw_fit_equals_a_fit_that_counts_every_vertex(case):
-    tensors, weights, final_cm = reference_fw_fit(*case)
-    assert_same_arrays(mixture_arrays(fw_fit(*case)), [*tensors, weights, final_cm])
+    coefficients, weights, final_cm = reference_fw_fit(*case)
+    mix = fw_fit(*case)
+    assert same_coefficients(mix.coefficients, stacked(coefficients))
+    assert_same_arrays([mix.weights, mix.final_cm], [weights, final_cm])
+
+
+@settings(max_examples=200, deadline=None)
+@given(fw_buffers(st.just("multilabel")))
+def test_multilabel_mixture_coefficients_are_those_of_the_gradient_tensors(case):
+    tensors, weights, final_cm = tensor_fw_fit(*case)
+    mix = fw_fit(*case)
+    assert same_coefficients(mix.coefficients,
+                             stacked([policy.cost_coefficients(G) for G in tensors]))
+    assert_same_arrays([mix.weights, mix.final_cm], [weights, final_cm])
 
 
 @settings(max_examples=300, deadline=None)
@@ -1225,10 +1351,10 @@ def test_lockstep_fw_fit_equals_one_fit_per_prefix(case, data):
     assert len(mixes) == len(prefixes)
     for size, mix in zip(prefixes, mixes):
         part = eta[:size], None if labels is None else labels[:size], task, metric, iterations
-        tensors, weights, final_cm = reference_fw_fit(*part)
-        assert_same_arrays(mixture_arrays(mix), [*tensors, weights, final_cm])
+        coefficients, weights, final_cm = reference_fw_fit(*part)
+        assert same_coefficients(mix.coefficients, stacked(coefficients))
+        assert_same_arrays([mix.weights, mix.final_cm], [weights, final_cm])
         assert_same_arrays(mixture_arrays(mix), mixture_arrays(fw_fit(*part)))
-        assert all(G.flags.c_contiguous for G in mix.tensors)
 
 
 def test_lockstep_prefixes_must_increase_within_the_buffer():
@@ -1245,10 +1371,7 @@ def test_fw_fit_does_not_depend_on_the_memory_layout(case, layout):
     eta, labels, task, metric, iterations = case
     mix = fw_fit(in_layout(eta, layout), None if labels is None else in_layout(labels, layout),
                  task, metric, iterations)
-    want = fw_fit(*case)
-    for got, expect in zip([*mix.tensors, mix.weights, mix.final_cm],
-                           [*want.tensors, want.weights, want.final_cm]):
-        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+    assert_same_arrays(mixture_arrays(mix), mixture_arrays(fw_fit(*case)))
 
 
 # --- a mixture's draws against Generator.choice
@@ -1261,9 +1384,9 @@ def test_fw_fit_does_not_depend_on_the_memory_layout(case, layout):
 def test_mixture_sample_draws_as_generator_choice(raw, seed):
     weights = np.array(raw) / sum(raw)
     assume(abs(weights.sum() - 1.0) <= 1e-9)
-    mix = MixtureClassifier([np.array(i) for i in range(len(weights))], weights)
+    mix = MixtureClassifier(CostCoefficients(np.arange(len(weights))[:, None], 0.0), weights)
     by_choice, by_sample = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
     for _ in range(5):
-        assert int(mix.sample(by_sample)) == by_choice.choice(len(weights), p=weights)
+        assert mix.sample(by_sample).alpha[0] == by_choice.choice(len(weights), p=weights)
     # each draw takes one uniform, so the generators stay in step
     assert by_sample.random() == by_choice.random()
