@@ -30,8 +30,7 @@ import numpy as np
 
 from . import policy
 from .confusion import (Labels, ProbEstimate, Task, _pack, batch_counts, check_labels,
-                        check_regularizer, indicator_row, init_state,
-                        multiclass_to_multilabel, top_entries)
+                        check_regularizer, indicator_row, init_state, top_entries)
 from .metrics import BINARY, CostCoefficients, Metric
 
 
@@ -202,17 +201,11 @@ class GreedyLearner(OnlineLearner):
         self.state = init_state(cfg.task, cfg.lam)
         self._two_class = cfg.task.is_multiclass and cfg.metric.averaging == BINARY
 
-    def _label_blocks(self) -> np.ndarray:
-        if self._two_class:
-            return self.state.counts[None]
-        if self.task.is_multiclass:
-            return multiclass_to_multilabel(self.state.counts)
-        return self.state.counts
-
     def _gain_table(self, eta_dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Expected per-label utility for predicting 0 vs 1 on this instance."""
         # the blocks after one more instance, one stack per cell tn, fp, fn, tp
-        nxt = (self._label_blocks()[None] + _UNIT_CELLS[:, None]) / (self.state.t + 1)
+        blocks = self.metric.blocks(self.state.counts)
+        nxt = (blocks[None] + _UNIT_CELLS[:, None]) / (self.state.t + 1)
         v_tn, v_fp, v_fn, v_tp = self.metric.block_values(nxt)
         gain0 = eta_dense * v_fn + (1.0 - eta_dense) * v_tn
         gain1 = eta_dense * v_tp + (1.0 - eta_dense) * v_fp
@@ -263,22 +256,26 @@ class MixtureClassifier:
         return self.component(int(self._cdf.searchsorted(rng.random(), side="right")))
 
 
-def refit_thresholds(mode: str = "interval", base: float = 10.0, ratio: float = 1.1):
+_REFIT_BASE = 10.0
+_REFIT_RATIO = 1.1
+
+
+def refit_thresholds(mode: str = "interval"):
     """Yield strictly increasing buffer sizes at which to re-run the batch fit.
 
     ``interval`` grows the gap between refits geometrically (cumulative sums of
-    base * ratio^i); ``cumulative`` refits at base * ratio^i directly.
-    ``LearnerConfig`` rejects any other mode.
+    base * ratio^i, the module's ``_REFIT_*``); ``cumulative`` refits at base
+    * ratio^i directly.  ``LearnerConfig`` rejects any other mode.
     """
     total = 0.0
-    term = base
+    term = _REFIT_BASE
     last = 0
     while True:
         if mode == "interval":
             total += term
         else:
             total = term
-        term *= ratio
+        term *= _REFIT_RATIO
         nxt = int(total)
         if nxt > last:
             last = nxt

@@ -20,7 +20,6 @@ weight ``lam / t`` after normalization at step ``t``.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -147,10 +146,6 @@ class ProbEstimate:
             return self
         return ProbEstimate(self.m, *top_entries(self.indices, self.values, k))
 
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
 
 def top_entries(indices: np.ndarray, values: np.ndarray,
                 k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -165,9 +160,14 @@ def top_entries(indices: np.ndarray, values: np.ndarray,
 
 
 def check_labels(task: Task, labels: Labels, *, prediction: bool = False) -> Labels:
-    """Validate a sorted tuple of label indices against the task."""
+    """Validate a sorted tuple of label indices against the task: ints (numpy
+    integers too, bools not) in 0..m-1, strictly increasing, and exactly one
+    class for a multiclass label (a prediction may hold any number)."""
     prev = -1
     for j in labels:
+        # type(j) is int holds for no bool, unlike isinstance(j, int)
+        if type(j) is not int and not isinstance(j, np.integer):
+            raise ValueError(f"label indices must be integers in 0..{task.m - 1}")
         if not prev < j < task.m:
             raise ValueError(f"bad label set {labels!r} for m={task.m}")
         prev = j
@@ -295,34 +295,6 @@ def indicator_row(m: int, labels: Labels, dtype) -> np.ndarray:
     row = np.zeros(m, dtype=dtype)
     row[list(labels)] = 1
     return row
-
-
-def label_rows(task: Task, labels: Sequence[Labels]) -> np.ndarray:
-    """(n, m) float64 0/1 rows of n label tuples (one-hot for multiclass labels),
-    checked as a whole with the rule of :func:`check_labels`.
-
-    A ``ValueError`` names the first bad tuple: an index that is not an int in
-    0..m-1, indices not strictly increasing (unsorted or repeated), or a
-    multiclass tuple without exactly one class.
-    """
-    n = len(labels)
-    sizes = np.fromiter(map(len, labels), dtype=np.intp, count=n)
-    flat = np.array([j for y in labels for j in y])
-    if flat.size and flat.dtype.kind not in "iu":
-        raise ValueError(f"label indices must be integers in 0..{task.m - 1}")
-    owner = np.repeat(np.arange(n), sizes)
-    # a bad element: out of range, or not above its predecessor in the same row
-    wrong = (flat < 0) | (flat >= task.m)
-    wrong[1:] |= (flat[1:] <= flat[:-1]) & (owner[1:] == owner[:-1])
-    if wrong.any():
-        y = labels[owner[wrong.argmax()]]
-        raise ValueError(f"bad label set {y!r} for m={task.m}")
-    if task.is_multiclass and np.any(sizes != 1):
-        y = labels[int(np.argmax(sizes != 1))]
-        raise ValueError(f"multiclass labels must contain exactly one class, got {y!r}")
-    rows = np.zeros((n, task.m))
-    rows[owner, flat.astype(np.intp, copy=False)] = 1.0
-    return rows
 
 
 def check_label_rows(task: Task, rows: np.ndarray) -> None:

@@ -5,8 +5,11 @@ estimates, one read-only (n, m) matrix of 0/1 label rows (one-hot for
 multiclass), an optional (n, m) boolean support of the labels each sparse
 estimate lists, and, for synthetic streams, the exact conditionals (the
 estimate matrix itself until the estimates are perturbed or cut).  The
-builders below index or fill these matrices directly; label tuples and
-:class:`ProbEstimate` objects exist only as list views for readers.
+builders below index or fill these matrices directly, and the file readers
+parse each line straight into its row: ``read_labels`` returns the (n, m)
+label matrix, checking every line by the one label rule
+:func:`~omma.confusion.check_labels`.  Label tuples and :class:`ProbEstimate`
+objects exist only as list views for readers.
 
 Text formats are line-oriented (one instance per line) so streams never need
 to be loaded wholesale:
@@ -26,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .confusion import (Labels, ProbEstimate, Task, _check_probabilities, check_label_rows,
-                        check_labels, label_rows)
+                        check_labels)
 
 _MC_SUM_SLACK = 1e-3
 
@@ -54,6 +57,14 @@ def _listed_columns(n: int, m: int, owner, cols, vals) -> tuple[np.ndarray, np.n
     support = np.zeros((n, m), dtype=bool)
     support[owner, cols] = True
     return rows, support
+
+
+def _label_columns(m: int, sizes, cols) -> np.ndarray:
+    """The (n, m) 0/1 label rows of n = len(sizes) rows: row i has ones at
+    its sizes[i] labels, which ``cols`` lists row after row."""
+    rows = np.zeros((len(sizes), m))
+    rows[np.repeat(np.arange(len(sizes)), sizes), np.asarray(cols, dtype=np.intp)] = 1.0
+    return rows
 
 
 def _estimate_columns(task: Task, estimates) -> tuple[np.ndarray, np.ndarray | None]:
@@ -94,12 +105,12 @@ class InstanceStream:
     * ``truth_rows``: exact conditionals, only for synthetic / oracle streams,
       else None; a synthetic stream's truth is its estimate matrix itself.
 
-    The constructor takes label tuples or an (n, m) 0/1 matrix, and lists of
-    :class:`ProbEstimate` or (n, m) probability matrices, copies them into
-    row-major columns and checks each once as a whole.  ``labels``,
-    ``estimates`` and ``truth`` are list views for readers, built on first
-    use (or the lists given to the constructor); the run loop never reads
-    them.
+    The constructor takes label tuples, each checked by :func:`check_labels`,
+    or an (n, m) 0/1 matrix, and lists of :class:`ProbEstimate` or (n, m)
+    probability matrices, copies them into row-major columns and checks each
+    matrix once as a whole.  ``labels``, ``estimates`` and ``truth`` are list
+    views for readers, built on first use (or the lists given to the
+    constructor); the run loop never reads them.
     """
 
     def __init__(self, task: Task, labels, estimates, truth=None):
@@ -107,7 +118,9 @@ class InstanceStream:
             y = np.array(labels, dtype=np.float64, order="C")
             check_label_rows(task, y)
         else:
-            y = label_rows(task, labels)
+            for t in labels:
+                check_labels(task, t)
+            y = _label_columns(task.m, [len(t) for t in labels], [j for t in labels for j in t])
             self.__dict__["labels"] = list(labels)
         eta, support = _estimate_columns(task, estimates)
         if not isinstance(estimates, np.ndarray):
@@ -164,16 +177,15 @@ class InstanceStream:
         return ProbEstimate._row_views(self.truth_rows)
 
 
-def read_labels(path, task: Task) -> list[Labels]:
-    out = []
+def read_labels(path, task: Task) -> np.ndarray:
+    """The (n, m) 0/1 label rows of a label file, one per line, each line
+    checked by :func:`check_labels`."""
+    sizes, cols = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                out.append(())
-                continue
             try:
-                idx = tuple(sorted(int(tok) for tok in line.split(",")))
+                idx = tuple(sorted(int(tok) for tok in line.split(","))) if line else ()
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: bad label line {line!r}") from None
             if len(set(idx)) != len(idx):
@@ -182,8 +194,9 @@ def read_labels(path, task: Task) -> list[Labels]:
                 check_labels(task, idx)
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            out.append(idx)
-    return out
+            sizes.append(len(idx))
+            cols.extend(idx)
+    return _label_columns(task.m, sizes, cols)
 
 
 def _read_estimate_columns(path, m: int, *, multiclass: bool = False
@@ -217,7 +230,8 @@ def _read_estimate_columns(path, m: int, *, multiclass: bool = False
             # in range and distinct, probabilities in [0, 1] with NaN rejected
             pairs.sort()
             if multiclass:
-                # summed in index order, as ProbEstimate.total sums its values
+                # a line's total is summed in index order, the order in which
+                # the estimate lists its values, whatever the order written
                 total = float(np.array([p for _, p in pairs], dtype=np.float64).sum())
                 if abs(total - 1.0) > _MC_SUM_SLACK:
                     raise DataFormatError(
@@ -256,10 +270,12 @@ def write_estimates(path, estimate_rows: np.ndarray, support: np.ndarray | None 
 
 
 def load_stream(labels_path, probs_path, task: Task) -> InstanceStream:
+    """The stream of a label file and an estimate file, parsed straight into
+    its columns; each line is checked once, as it is read."""
     labels = read_labels(labels_path, task)
     rows, support = _read_estimate_columns(probs_path, task.m,
                                            multiclass=task.is_multiclass)
-    return InstanceStream._of_columns(task, label_rows(task, labels), rows, support)
+    return InstanceStream._of_columns(task, labels, rows, support)
 
 
 @dataclass(frozen=True)

@@ -412,7 +412,10 @@ class Metric:
         if self.budget_k is not None and self.budget_k > task.m:
             raise ValueError(f"budget {self.budget_k} exceeds the {task.m} labels")
 
-    def _blocks(self, C: np.ndarray) -> np.ndarray:
+    def blocks(self, C: np.ndarray) -> np.ndarray:
+        """The (k, 2, 2) blocks this metric reads from a confusion: multilabel
+        blocks as they are, a binary metric's 2x2 matrix as its one block,
+        any other (m, m) matrix as its one-vs-rest blocks."""
         C = np.asarray(C, dtype=np.float64)
         if C.ndim == 3 and C.shape[1:] == (2, 2):
             if self.averaging == BINARY and C.shape[0] != 1:
@@ -433,7 +436,7 @@ class Metric:
             if C.ndim != 2 or C.shape[0] != C.shape[1]:
                 raise ValueError("native multiclass metrics expect an (m, m) matrix")
             return float(_NATIVE_BASES[self.base][0](C, self.epsilon, self.beta))
-        blocks = self._blocks(C)
+        blocks = self.blocks(C)
         vfn = _BINARY_BASES[self.base][0]
         if self.averaging == MICRO:
             return float(vfn(blocks.mean(axis=0), self.epsilon, self.beta))
@@ -448,7 +451,7 @@ class Metric:
             if C.ndim != 2 or C.shape[0] != C.shape[1]:
                 raise ValueError("native multiclass metrics expect an (m, m) matrix")
             return _row_plus_diagonal(*_NATIVE_BASES[self.base][1](C, self.epsilon, self.beta))
-        blocks = self._blocks(C)
+        blocks = self.blocks(C)
         Gt = _pack(*self._partials(blocks, blocks.shape[0]), blocks.shape)
         if C.ndim == 2:
             return Gt[0] if self.averaging == BINARY else _tensor_grad_to_matrix(Gt)

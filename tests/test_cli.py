@@ -142,6 +142,18 @@ def test_data_error_exit_3(tmp_path, capsys):
     assert code == 3 and "bad.labels:1" in err
 
 
+def test_empty_multiclass_label_line_is_a_data_error_with_its_line(tmp_path, capsys):
+    labels = tmp_path / "a.labels"
+    labels.write_text("0\n\n1\n")
+    probs = tmp_path / "a.probs"
+    probs.write_text("0:1\n" * 3)
+    code, out, err = run_cli(capsys, "run", "--metric", "macro-f1", "--alg", "omma",
+                             "--task", "multiclass", "--labels", str(labels),
+                             "--probs", str(probs), "--m", "2", "--out", str(tmp_path / "o"))
+    assert code == 3 and out == ""
+    assert err == f"data error: {labels}:2: multiclass labels must contain exactly one class\n"
+
+
 def test_missing_file_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--metric", "macro-f1", "--alg", "omma",
                            "--labels", str(tmp_path / "nope.labels"),

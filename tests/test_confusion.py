@@ -3,7 +3,9 @@ import pytest
 
 from omma.confusion import (ProbEstimate, batch_counts, check_labels,
                             expected_instance_confusion, indicator_row, init_state,
-                            label_rows, multiclass, multiclass_to_multilabel, multilabel)
+                            multiclass, multiclass_to_multilabel, multilabel)
+from omma.algorithms import LearnerConfig, make_learner
+from omma.dataio import InstanceStream
 from omma.evaluation import FP_ERRORS
 from omma.metrics import EPSILON_FLOOR, parse_metric
 
@@ -11,8 +13,10 @@ from omma.metrics import EPSILON_FLOOR, parse_metric
 def instance_confusion(task, y, yhat):
     """The confusion of one checked (label, prediction) pair: ``batch_counts`` of
     its label row against its decision row."""
+    check_labels(task, y)
     check_labels(task, yhat, prediction=True)
-    return batch_counts(task, label_rows(task, [y]), indicator_row(task.m, yhat, bool)[None])
+    return batch_counts(task, indicator_row(task.m, y, np.float64)[None],
+                        indicator_row(task.m, yhat, bool)[None])
 
 
 def test_init_state_zero():
@@ -60,6 +64,28 @@ def test_instance_confusion_out_of_range():
         instance_confusion(multilabel(2), (2,), ())
     with pytest.raises(ValueError):
         instance_confusion(multiclass(3), (0,), (3,))
+
+
+@pytest.mark.parametrize("bad", [0.5, "1", True, np.float64(1.0)])
+def test_non_integer_label_indices_are_rejected_where_they_enter(bad):
+    task = multilabel(3)
+    est = ProbEstimate.from_dense(np.array([0.2, 0.5, 0.3]))
+    state = init_state(task, 0.0)
+    learner = make_learner(LearnerConfig("omma", task, parse_metric("macro-f1")))
+    learner.step(est)
+    calls = [lambda: learner.observe((bad,)),
+             lambda: state.update((bad,), ()),
+             lambda: state.update((), (bad,)),
+             lambda: state.update_semi(est, (bad,)),
+             lambda: expected_instance_confusion(task, est, (bad,)),
+             lambda: InstanceStream(task, [(0,), (bad,)], [est, est])]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"label indices must be integers in 0\.\.2"):
+            call()
+    # nothing was counted, and the learner still waits for its label
+    assert state.t == 0 and np.all(state.counts == 0.0)
+    learner.observe((np.int64(1),))
+    assert learner.state.t == 1
 
 
 def test_expected_confusion_binary_predict():

@@ -1,9 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from omma import dataio
 from omma.algorithms import LearnerConfig, make_learner
-from omma.confusion import label_rows, multiclass, multilabel
+from omma.confusion import indicator_row, multiclass, multilabel
 from omma.dataio import (DataFormatError, InstanceStream, SynthModel, load_stream,
                          parse_model_file, perturb_estimates, read_estimates,
                          read_labels, shuffle, sparsify_estimates, synth_generate,
@@ -15,13 +18,13 @@ def test_read_labels_sorted(tmp_path):
     p = tmp_path / "a.labels"
     p.write_text("3,0,7\n\n2\n")
     got = read_labels(p, multilabel(8))
-    assert got == [(0, 3, 7), (), (2,)]
+    assert got.tolist() == [[1, 0, 0, 1, 0, 0, 0, 1], [0] * 8, [0, 0, 1, 0, 0, 0, 0, 0]]
 
 
 def test_read_labels_multiclass_single_index(tmp_path):
     p = tmp_path / "a.labels"
     p.write_text("2\n0\n")
-    assert read_labels(p, multiclass(3)) == [(2,), (0,)]
+    assert read_labels(p, multiclass(3)).tolist() == [[0, 0, 1], [1, 0, 0]]
     p.write_text("1,2\n")
     with pytest.raises(DataFormatError):
         read_labels(p, multiclass(3))
@@ -38,6 +41,29 @@ def test_read_labels_errors_carry_line_number(tmp_path):
     p.write_text("1,1\n")
     with pytest.raises(DataFormatError, match="duplicate"):
         read_labels(p, multilabel(4))
+
+
+def test_perfbench_tracer_sees_one_label_parse_per_load(tmp_path):
+    """The benchmark's tracer wraps ``read_labels`` by name and books the
+    length of its result as work: one span per ``load_stream``, one unit of
+    work per label line, whatever the parse returns."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    (tmp_path / "a.labels").write_text("0,2\n\n1\n")
+    (tmp_path / "a.probs").write_text("0:0.5\n\n2:0.1\n")
+    tracer = tracing.Tracer()
+    undo = tracing.install(["dataio.read_labels"], tracer.wrapper)
+    try:
+        for _ in range(2):
+            stream = load_stream(tmp_path / "a.labels", tmp_path / "a.probs", multilabel(3))
+    finally:
+        undo()
+    assert len(stream) == 3
+    assert tracer.calls["dataio.read_labels"] == 2
+    assert tracer.work["dataio.read_labels"] == 6
+    assert tracer.total_ns["dataio.read_labels"] > 0
 
 
 def test_read_estimates_basic(tmp_path):
@@ -73,19 +99,20 @@ def test_read_estimates_multiclass_renormalizes(tmp_path):
     p = tmp_path / "a.probs"
     p.write_text("0:0.5 1:0.5005\n")
     got = read_estimates(p, 2, multiclass=True)
-    assert got[0].total == pytest.approx(1.0)
+    assert float(got[0].values.sum()) == pytest.approx(1.0)
     p.write_text("0:0.5 1:0.3\n")
     with pytest.raises(DataFormatError, match="sum"):
         read_estimates(p, 2, multiclass=True)
 
 
 def test_roundtrip_labels(tmp_path):
-    labels = [(0, 3), (), (1,), (0, 1, 2)]
+    rows = np.array([indicator_row(4, y, np.float64)
+                     for y in [(0, 3), (), (1,), (0, 1, 2)]])
     p = tmp_path / "x.labels"
-    write_labels(p, label_rows(multilabel(4), labels))
+    write_labels(p, rows)
     back = read_labels(p, multilabel(4))
-    assert back == labels
-    write_labels(tmp_path / "y.labels", label_rows(multilabel(4), back))
+    assert back.tolist() == rows.tolist()
+    write_labels(tmp_path / "y.labels", back)
     assert (tmp_path / "y.labels").read_bytes() == p.read_bytes()
 
 
@@ -164,7 +191,7 @@ def test_synth_multiclass_normalized():
     model = SynthModel(task=multiclass(4), d=2, seed=8)
     stream = synth_generate(model, 50, seed=9)
     for t in stream.truth:
-        assert t.total == pytest.approx(1.0)
+        assert float(t.values.sum()) == pytest.approx(1.0)
     for y in stream.labels:
         assert len(y) == 1
 

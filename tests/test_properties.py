@@ -1,6 +1,6 @@
 """Property tests of the decision kernel, the coefficient decision rule of
 rows and buffers, its exact tie rule, the accumulation rule, the batch-built
-estimate streams, the run loop's checkpoints, the per-label and per-class
+estimate streams, the label-file parse, the run loop's checkpoints, the per-label and per-class
 coefficients, the native multiclass kernels, stacked coefficients,
 Frank-Wolfe's reuse of vertex confusions, its independence of memory layout
 and its lockstep fits of nested prefixes, the refit groups of a run, and a
@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 from omma import algorithms, evaluation, policy
 from omma.algorithms import (ALGORITHMS, LearnerConfig, MixtureClassifier, OfflineFWLearner,
                              UnsupportedMetricError, fw_fit, make_learner)
-from omma.confusion import (ProbEstimate, Task, batch_counts, expected_instance_confusion,
-                            indicator_row, init_state)
-from omma.dataio import (InstanceStream, SynthModel, _latent_draw, perturb_estimates,
-                         read_estimates, shuffle, sparsify_estimates, synth_generate)
+from omma.confusion import (ProbEstimate, Task, batch_counts, check_labels,
+                            expected_instance_confusion, indicator_row, init_state)
+from omma.dataio import (DataFormatError, InstanceStream, SynthModel, _latent_draw,
+                         load_stream, perturb_estimates, read_estimates, shuffle,
+                         sparsify_estimates, synth_generate)
 from omma.metrics import (BINARY, EPSILON_FLOOR, MACRO, MULTICLASS_NATIVE, CostCoefficients,
                           list_metrics, lookup, parse_metric)
 
@@ -521,6 +522,57 @@ def test_read_estimates_equal_pair_estimates(case):
     assert len(got) == len(lines)
     for est, pairs in zip(got, lines):
         assert_same_estimate(est, ProbEstimate.from_pairs(m, list(pairs.items())))
+
+
+@st.composite
+def label_files(draw):
+    """(task, lines) of a label file: each line its label indices in any order,
+    none on an empty line (multilabel only), one class for multiclass."""
+    kind = draw(KINDS)
+    m = draw(st.integers(2 if kind == "multiclass" else 1, 8))
+    if kind == "multiclass":
+        line = st.lists(st.integers(0, m - 1), min_size=1, max_size=1)
+    else:
+        line = st.lists(st.integers(0, m - 1), max_size=m, unique=True)
+    return Task(kind, m), draw(st.lists(line, max_size=12))
+
+
+def load_label_file(tmp, task, lines):
+    """``load_stream`` of the label lines given, with estimates that parse."""
+    labels, probs = os.path.join(tmp, "s.labels"), os.path.join(tmp, "s.probs")
+    with open(labels, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    with open(probs, "w", encoding="utf-8") as fh:
+        fh.writelines(("0:1" if task.is_multiclass else "") + "\n" for _ in lines)
+    return load_stream(labels, probs, task)
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_files())
+def test_label_files_load_as_the_rows_of_their_checked_lines(case):
+    task, lines = case
+    with tempfile.TemporaryDirectory() as tmp:
+        stream = load_label_file(tmp, task, [",".join(map(str, idx)) for idx in lines])
+    want = np.zeros((len(lines), task.m))
+    for i, idx in enumerate(lines):
+        want[i] = indicator_row(task.m, check_labels(task, tuple(sorted(idx))), np.float64)
+    assert same_bits(stream.label_rows, want)
+    assert stream.labels == [tuple(sorted(idx)) for idx in lines]
+
+
+@settings(max_examples=100, deadline=None)
+@given(label_files(), st.data())
+def test_a_bad_label_line_is_named_by_its_line_number(case, data):
+    task, lines = case
+    good = [",".join(map(str, idx)) for idx in lines]
+    bad = data.draw(st.sampled_from(
+        [str(task.m), "-1", "x", "0,0", "1.5", "0,,1"]
+        + ["", "0,1"] * task.is_multiclass))
+    k = data.draw(st.integers(0, len(good)))
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(DataFormatError) as info:
+            load_label_file(tmp, task, good[:k] + [bad] + good[k:])
+        assert str(info.value).startswith(f"{os.path.join(tmp, 's.labels')}:{k + 1}: ")
 
 
 # --- the run loop's checkpoints against a per-step evaluation accumulator
