@@ -409,8 +409,7 @@ class _MixtureLearner(OnlineLearner):
     def __init__(self, cfg: LearnerConfig):
         super().__init__(cfg)
         self.mixture: MixtureClassifier | None = None
-        self._rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(cfg.seed)))
+        self._rng = np.random.default_rng(cfg.seed)
 
     def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
         mix = self.mixture
@@ -430,23 +429,23 @@ class FrankWolfeLearner(_MixtureLearner):
     Before the first refit it falls back to the top-k / 0.5-threshold baseline.
     The refit at point p fits the first p instances of the stream.
 
-    A learner stepped on its own, row by row, refits its buffer with one
-    ``fw_fit`` at each point.  Given the stream's columns first
-    (:meth:`use_columns`, which ``run_online`` calls), it fits the next
-    points of the schedule up to n, at most ``_REFIT_GROUP`` (4) of them, in
-    one lockstep ``fw_fit`` when the run reaches the first of them, and drops
-    each mixture once the run has passed its point.  Fitting a later point
-    early is causal: its fit reads only the rows before that point, and no
-    fit draws from the mixture generator.  So every prediction and mixture
-    draw is the same bits as with one refit at a time.
+    ``ofw`` fits the label confusions, ``ofw-eta`` the expected ones.  A refit
+    fits the next points of the schedule whose rows are at hand, at most
+    ``_REFIT_GROUP`` (4) of them, in one lockstep ``fw_fit``, and drops each
+    mixture once the run has passed its point.  The rows are the stream's
+    columns if :meth:`use_columns` (which ``run_online`` calls) handed them
+    over, else the learner's own rows, which reach no point past the current
+    one.  Fitting a later point early is causal: its fit reads only the rows
+    before that point, and no fit draws from the mixture generator.  So every
+    prediction and mixture draw is the same bits as with one refit at a time.
     """
 
-    def __init__(self, cfg: LearnerConfig, use_labels: bool):
+    def __init__(self, cfg: LearnerConfig):
         super().__init__(cfg)
-        self.use_labels = use_labels
+        self.use_labels = cfg.algorithm == "ofw"
         self._est_rows: list[np.ndarray] = []
         self._label_rows: list[np.ndarray] = []
-        self._columns: tuple[np.ndarray, np.ndarray | None] | None = None
+        self._columns: tuple[np.ndarray, np.ndarray] | None = None
         self._t = 0
         self._schedule = refit_thresholds(cfg.refit_mode)
         self._next_refit = next(self._schedule)
@@ -454,7 +453,7 @@ class FrankWolfeLearner(_MixtureLearner):
         self._fallback = _fallback_learner(cfg)
 
     def use_columns(self, estimates: np.ndarray, labels: np.ndarray) -> None:
-        self._columns = estimates, labels if self.use_labels else None
+        self._columns = estimates, labels
 
     def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
         if self.mixture is None:
@@ -474,34 +473,30 @@ class FrankWolfeLearner(_MixtureLearner):
 
     def _refit(self) -> list[MixtureClassifier]:
         """The mixtures of the refit points from the current one on."""
-        cfg = self.cfg
         if self._columns is None:
-            labels = np.vstack(self._label_rows) if self.use_labels else None
-            return [fw_fit(np.vstack(self._est_rows), labels, self.task, self.metric,
-                           cfg.fw_iterations)]
-        estimates, labels = self._columns
+            estimates, labels = np.vstack(self._est_rows), np.vstack(self._label_rows)
+        else:
+            estimates, labels = self._columns
         self._schedule, ahead = tee(self._schedule)
         points = [self._t, *takewhile(lambda p: p <= len(estimates),
                                       islice(ahead, _REFIT_GROUP - 1))]
         rows = points[-1]
-        return fw_fit(estimates[:rows], None if labels is None else labels[:rows],
-                      self.task, self.metric, cfg.fw_iterations, points)
+        return fw_fit(estimates[:rows], labels[:rows] if self.use_labels else None,
+                      self.task, self.metric, self.cfg.fw_iterations, points)
 
 
 class OfflineFWLearner(_MixtureLearner):
     """Frank-Wolfe mixture fitted once on the estimate sequence, then frozen."""
 
-    def prefit(self, estimates: np.ndarray) -> None:
-        """Fit on the (n, m) estimate matrix of the whole sequence."""
+    def use_columns(self, estimates: np.ndarray, labels: np.ndarray) -> None:
+        """Fit on the (n, m) estimate matrix of the whole sequence; the labels
+        are not read."""
         self.mixture = fw_fit(estimates, None, self.task, self.metric,
                               self.cfg.fw_iterations)
 
-    def use_columns(self, estimates: np.ndarray, labels: np.ndarray) -> None:
-        self.prefit(estimates)
-
     def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
         if self.mixture is None:
-            raise ProtocolError("offline-fw must be prefit on the estimate sequence")
+            raise ProtocolError("offline-fw must be fitted on the estimate sequence first")
         return super()._predict(eta, support)
 
 
@@ -533,8 +528,8 @@ _LEARNERS = {
     "omma": OmmaLearner,
     "omma-eta": OmmaEtaLearner,
     "greedy": GreedyLearner,
-    "ofw": lambda cfg: FrankWolfeLearner(cfg, use_labels=True),
-    "ofw-eta": lambda cfg: FrankWolfeLearner(cfg, use_labels=False),
+    "ofw": FrankWolfeLearner,
+    "ofw-eta": FrankWolfeLearner,
     "offline-fw": OfflineFWLearner,
     "topk": TopKLearner,
     "thresh05": ThresholdLearner,

@@ -82,7 +82,11 @@ class ProbEstimate:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = np.asarray(self.indices)
+        # an empty list is float64; a bool is no index, and a float must not truncate
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"label indices must be integers in 0..{self.m - 1}")
+        idx = idx.astype(np.int64, copy=False)
         val = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
@@ -280,14 +284,12 @@ class ConfusionState:
         self.t += 1
 
     def normalized(self) -> np.ndarray:
-        """Counts divided by t; at t=0 the raw lam-filled accumulator."""
-        if self.t == 0:
-            return self.counts.copy()
-        return self.counts / self.t
+        """Counts divided by t; at t=0 a copy of the raw lam-filled accumulator."""
+        return self.counts / (self.t or 1)
 
     def normalized_blocks(self, indices: np.ndarray) -> np.ndarray:
         """Normalized per-label blocks for a label subset (multilabel only)."""
-        return self.counts[indices] / max(self.t, 1)
+        return self.counts[indices] / (self.t or 1)
 
 
 def indicator_row(m: int, labels: Labels, dtype) -> np.ndarray:

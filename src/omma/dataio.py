@@ -305,8 +305,7 @@ class SynthModel:
 
     def params(self) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic (priors, weights) drawn from the model seed."""
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([int(self.seed), 0xA11CE])))
+        rng = np.random.default_rng([int(self.seed), 0xA11CE])
         m = self.task.m
         priors = rng.uniform(self.prior_low, self.prior_high, size=m)
         if self.d == 0:
@@ -371,9 +370,9 @@ def _latent_draw(model: SynthModel, n: int,
     """
     entropy = model.seed if seed is None else seed
     ss_x, ss_y = np.random.SeedSequence([int(entropy), 0xDA7A]).spawn(2)
-    rng_x = np.random.Generator(np.random.PCG64(ss_x))
+    rng_x = np.random.default_rng(ss_x)
     x = rng_x.standard_normal((n, model.d)) if model.d > 0 else np.zeros((n, 0))
-    return model.conditionals(x), np.random.Generator(np.random.PCG64(ss_y))
+    return model.conditionals(x), np.random.default_rng(ss_y)
 
 
 def synth_generate(model: SynthModel, n: int, seed: int | None = None) -> InstanceStream:
@@ -400,12 +399,14 @@ def perturb_estimates(stream: InstanceStream, sigma: float,
                       seed: int) -> tuple[InstanceStream, float]:
     """Replace estimates with truth + clipped Gaussian noise.
 
-    Returns the new stream and the realized mean per-instance L2 estimation
-    error, the quantity the regret bookkeeping needs.
+    A multiclass row is renormalized to sum to one; a row that clips to all
+    zeros becomes the uniform row 1/m.  Returns the new stream and the
+    realized mean per-instance L2 estimation error of the rows returned, the
+    quantity the regret bookkeeping needs.
     """
     if stream.truth_rows is None:
         raise ValueError("perturbation requires exact conditionals in the stream")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 0x5E11])))
+    rng = np.random.default_rng([int(seed), 0x5E11])
     n, m = len(stream), stream.task.m
     dense = stream.truth_rows
     # one (n, m) draw gives the same numbers as n draws of size m
@@ -413,6 +414,7 @@ def perturb_estimates(stream: InstanceStream, sigma: float,
     if stream.task.is_multiclass:
         totals = noisy.sum(axis=1, keepdims=True)
         np.divide(noisy, totals, out=noisy, where=totals > 0)
+        noisy[totals[:, 0] == 0] = 1.0 / m
     # row by row: norm(axis=1) can differ in the last bit from the 1-d norm
     err = sum(float(np.linalg.norm(row)) for row in noisy - dense)
     return (InstanceStream._of_columns(stream.task, stream.label_rows, noisy,
@@ -437,7 +439,7 @@ def sparsify_estimates(stream: InstanceStream, k: int) -> InstanceStream:
 
 def shuffle(stream: InstanceStream, seed: int) -> InstanceStream:
     """Seeded permutation preserving label/estimate/support/truth alignment."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 0x5F1E])))
+    rng = np.random.default_rng([int(seed), 0x5F1E])
     perm = rng.permutation(len(stream))
     eta = stream.estimate_rows[perm]
     truth = stream.truth_rows

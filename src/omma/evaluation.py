@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import LearnerConfig, fw_fit, make_learner
-from .confusion import Task, _pack, batch_counts, multilabel
+from .confusion import _pack, batch_counts, multilabel
 from .dataio import InstanceStream, SynthModel, _latent_draw, synth_generate
 from .metrics import Metric, min_tn_tp
 
@@ -177,11 +177,7 @@ def _grid_optimal(metric: Metric, eta: np.ndarray) -> float:
     return float(np.mean(best))
 
 
-def _fw_optimal(metric: Metric, task: Task, eta: np.ndarray, iterations: int) -> float:
-    mix = fw_fit(eta, None, task, metric, iterations)
-    return float(metric.value(mix.final_cm))
-
-
+@np.errstate(**FP_ERRORS)
 def estimate_optimal(metric: Metric, model: SynthModel, method: str = "both",
                      n_opt: int = 200_000, seed: int = 0,
                      fw_iterations: int = 200) -> float:
@@ -191,7 +187,8 @@ def estimate_optimal(metric: Metric, model: SynthModel, method: str = "both",
     ``fw`` runs the batch linearization fit on an oracle sample.  With
     ``both`` the larger of the two estimates wins.  Both read only the (n_opt,
     m) conditionals matrix of ``synth_generate(model, n_opt, seed)``; no
-    labels are drawn.
+    labels are drawn.  A division by zero, overflow or invalid value raises
+    ``FloatingPointError``, as in :func:`run_online`.
     """
     if method not in ("fw", "threshold-grid", "both"):
         raise ValueError(f"unknown estimation method: {method!r}")
@@ -208,7 +205,8 @@ def estimate_optimal(metric: Metric, model: SynthModel, method: str = "both",
     if grid:
         values.append(_grid_optimal(metric, eta))
     if fw:
-        values.append(_fw_optimal(metric, model.task, eta, fw_iterations))
+        mix = fw_fit(eta, None, model.task, metric, fw_iterations)
+        values.append(float(metric.value(mix.final_cm)))
     return max(values)
 
 
@@ -314,8 +312,7 @@ def adversarial_run(algorithm: str, n: int, runs: int, seed: int = 0,
         estimates = eta_seq[:, None]
         psis = []
         for r in range(runs):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence([seed, s, r, 0xADE])))
+            rng = np.random.default_rng([seed, s, r, 0xADE])
             labels = (rng.random(n) < eta_seq)[:, None].astype(np.float64)
             cfg = LearnerConfig(algorithm=algorithm, task=task, metric=metric,
                                 lam=lam, seed=seed + r)

@@ -9,6 +9,7 @@ from omma.algorithms import (LearnerConfig, ProtocolError, UnsupportedMetricErro
 from omma.confusion import ProbEstimate, batch_counts, indicator_row, multiclass, \
     multilabel
 from omma.dataio import SynthModel, synth_generate
+from omma.evaluation import run_online
 from omma.metrics import parse_metric
 
 
@@ -414,6 +415,32 @@ def test_ofw_same_seed_same_predictions():
     assert run(4) != run(5)  # overwhelmingly likely with 80 sampled components
 
 
+@pytest.mark.parametrize("alg", ["ofw", "ofw-eta"])
+def test_ofw_fits_labels_and_ofw_eta_estimates(alg, monkeypatch):
+    model = SynthModel(task=multilabel(3), d=2, seed=14)
+    stream = synth_generate(model, 40, seed=15)
+    seen = []
+
+    def spy(estimates, labels, *args, **kw):
+        seen.append(labels)
+        return fw_fit(estimates, labels, *args, **kw)
+
+    monkeypatch.setattr(algorithms, "fw_fit", spy)
+    cfg = cfg_for(alg, multilabel(3), "macro-f1", fw_iterations=3)
+    learner = make_learner(cfg)
+    for y, eta in stream:
+        learner.step(eta)
+        learner.observe(y)
+    stepped = len(seen)
+    run_online(stream, cfg)
+    assert 0 < stepped < len(seen)
+    for labels in seen:
+        if alg == "ofw":
+            assert labels.tobytes() == stream.label_rows[:len(labels)].tobytes()
+        else:
+            assert labels is None
+
+
 def test_offline_fw_requires_prefit():
     learner = make_learner(cfg_for("offline-fw", multilabel(2), "macro-f1"))
     with pytest.raises(ProtocolError):
@@ -425,7 +452,7 @@ def test_offline_fw_prefit_predicts():
     stream = synth_generate(model, 100, seed=13)
     learner = make_learner(cfg_for("offline-fw", multilabel(3), "macro-f1",
                                    fw_iterations=20, seed=2))
-    learner.prefit(stream.estimate_rows)
+    learner.use_columns(stream.estimate_rows, stream.label_rows)
     pred = learner.step(stream.estimates[0])
     assert isinstance(pred, tuple)
 

@@ -208,6 +208,20 @@ def test_multiclass_synth_and_run(tmp_path, capsys):
     assert report["averaging"] == "multiclass"
 
 
+def test_noisy_multiclass_estimates_stay_distributions(tmp_path, capsys):
+    # at noise 2 some rows clip to all zeros; they are written as uniform rows
+    prefix = str(tmp_path / "s")
+    code, _, err = run_cli(capsys, "synth", "--task", "multiclass", "--m", "3", "--n", "300",
+                           "--noise", "2", "--seed", "1", "--out", prefix)
+    assert code == 0 and err == ""
+    rows = [line.split() for line in (tmp_path / "s.probs").read_text().splitlines()]
+    assert ["0:0.333333", "1:0.333333", "2:0.333333"] in rows
+    code, _, err = run_cli(capsys, "run", "--labels", prefix + ".labels",
+                           "--probs", prefix + ".probs", "--m", "3", "--task", "multiclass",
+                           "--metric", "mc-qmean", "--alg", "omma", "--out", str(tmp_path / "o"))
+    assert code == 0 and err == ""
+
+
 def test_multiclass_metric_on_multilabel_stream_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--metric", "mc-gmean", "--alg", "omma",
                            "--m", "4", "--n", "20", "--seed", "1",

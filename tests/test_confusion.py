@@ -88,6 +88,15 @@ def test_non_integer_label_indices_are_rejected_where_they_enter(bad):
     assert learner.state.t == 1
 
 
+@pytest.mark.parametrize("indices", [[0.5, 1.7], [True], np.array([1.0]), ["1"]])
+def test_estimate_indices_must_be_integers(indices):
+    with pytest.raises(ValueError, match=r"label indices must be integers in 0\.\.2"):
+        ProbEstimate(3, indices, [0.2] * len(indices))
+    # an empty list is float64 and stays valid, as do unsigned indices
+    assert ProbEstimate(3, [], []).indices.dtype == np.int64
+    assert ProbEstimate(3, np.array([0, 2], np.uint8), [0.2, 0.3]).indices.tolist() == [0, 2]
+
+
 def test_expected_confusion_binary_predict():
     est = ProbEstimate.from_dense(np.array([0.7]))
     C = expected_instance_confusion(multilabel(1), est, (0,))

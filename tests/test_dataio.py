@@ -349,7 +349,7 @@ def test_streams_store_row_major_columns_and_fit_the_row_major_mixture(layout):
         fits = []
         for s in (stream, other):
             learner = make_learner(LearnerConfig("offline-fw", model.task, metric))
-            learner.prefit(s.estimate_rows)
+            learner.use_columns(s.estimate_rows, s.label_rows)
             fits.append(learner.mixture.final_cm)
         assert fits[0].tobytes() == fits[1].tobytes()
 

@@ -187,7 +187,7 @@ def adversarial_steps(algorithm, n, runs, seed=0, lam=0.0):
             learner = make_learner(LearnerConfig(algorithm, task, min_tn_tp(), lam=lam,
                                                  seed=seed + r))
             if isinstance(learner, OfflineFWLearner):
-                learner.prefit(rows)
+                learner.use_columns(rows, None)  # offline-fw reads no labels
             steps = []
             for p, y, eta in zip(eta_seq, labels, estimates):
                 pred = learner.step(eta)
@@ -284,6 +284,17 @@ def test_run_online_raises_floating_point_errors():
     before = np.geterr()
     with pytest.raises(FloatingPointError):
         run_online(stream, cfg, 10)
+    assert np.geterr() == before
+
+
+def test_estimate_optimal_raises_floating_point_errors():
+    """The optimum divides as a run does: epsilon 0 raises instead of scoring
+    NaN, and the caller's error state is left alone."""
+    metric = parse_metric("macro-precision", epsilon=0.0)
+    model = SynthModel(task=multilabel(3), seed=1)
+    before = np.geterr()
+    with pytest.raises(FloatingPointError):
+        estimate_optimal(metric, model, n_opt=50, fw_iterations=5)
     assert np.geterr() == before
 
 

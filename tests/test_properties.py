@@ -491,7 +491,7 @@ def test_optimum_conditionals_equal_the_stream_truth(model, n, seed):
 
 
 @settings(max_examples=50, deadline=None)
-@given(synth_models(), st.integers(0, 30), st.sampled_from([0.0, 0.05, 0.3]),
+@given(synth_models(), st.integers(0, 30), st.sampled_from([0.0, 0.05, 0.3, 2.0]),
        st.integers(0, 2**32 - 1))
 def test_perturbation_equals_row_by_row_noise(model, n, sigma, seed):
     stream = synth_generate(model, n, seed=seed)
@@ -503,6 +503,8 @@ def test_perturbation_equals_row_by_row_noise(model, n, sigma, seed):
         row = np.clip(dense + rng.normal(0.0, sigma, size=model.task.m), 0.0, 1.0)
         if model.task.is_multiclass and row.sum() > 0:
             row = row / row.sum()
+        elif model.task.is_multiclass:  # a row clipped to all zeros becomes uniform
+            row = np.full(model.task.m, 1.0 / model.task.m)
         assert_same_estimate(got, ProbEstimate.from_dense(row))
         total_err += float(np.linalg.norm(row - dense))
     assert err == total_err / max(n, 1)
@@ -582,7 +584,7 @@ def reference_checkpoints(stream, cfg, stride):
     """The online protocol with its own ``ConfusionState`` updated at every step."""
     learner = make_learner(cfg)
     if isinstance(learner, OfflineFWLearner):
-        learner.prefit(stream.estimate_rows)
+        learner.use_columns(stream.estimate_rows, stream.label_rows)
     state = init_state(stream.task, 0.0)
     n = len(stream)
     checkpoints = []
@@ -771,7 +773,7 @@ def per_instance_reference(labels, estimates, cfg, marks):
     ProbEstimates, scored by its own ConfusionState at every mark."""
     learner = make_learner(cfg)
     if isinstance(learner, OfflineFWLearner):
-        learner.prefit(np.array([est.dense() for est in estimates]))
+        learner.use_columns(np.array([est.dense() for est in estimates]), None)
     state = init_state(cfg.task, 0.0)
     checkpoints = []
     for t, (y, eta) in enumerate(zip(labels, estimates), start=1):
@@ -890,7 +892,7 @@ def test_a_run_fits_its_refit_points_in_groups(monkeypatch):
     for y, eta in stream:
         learner.step(eta)
         learner.observe(y)
-    assert calls == [(p, None) for p in points]
+    assert calls == [(p, [p]) for p in points]
 
 
 @settings(max_examples=300, deadline=None)
