@@ -141,7 +141,10 @@ def _load_or_synth(args) -> InstanceStream:
         raise ConfigError("provide --labels and --probs, or --model/--m with --n")
     if not args.m:
         raise ConfigError("file streams need --m (label count)")
-    return dataio.load_stream(args.labels, args.probs, Task(args.task, args.m))
+    stream = dataio.load_stream(args.labels, args.probs, Task(args.task, args.m))
+    if len(stream) == 0:
+        raise DataFormatError(f"{args.labels}: no instances")
+    return stream
 
 
 def _check_jobs(jobs: int) -> None:

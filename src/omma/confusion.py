@@ -146,6 +146,8 @@ class ProbEstimate:
 
     def top(self, k: int) -> "ProbEstimate":
         """Keep the k largest-probability entries (ties: smaller label index)."""
+        if k < 0:
+            raise ValueError(f"top-k size must be at least 0, got {k}")
         if self.indices.size <= k:
             return self
         return ProbEstimate(self.m, *top_entries(self.indices, self.values, k))

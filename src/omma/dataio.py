@@ -404,6 +404,8 @@ def perturb_estimates(stream: InstanceStream, sigma: float,
     realized mean per-instance L2 estimation error of the rows returned, the
     quantity the regret bookkeeping needs.
     """
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"noise sigma must be finite and >= 0, got {sigma!r}")
     if stream.truth_rows is None:
         raise ValueError("perturbation requires exact conditionals in the stream")
     rng = np.random.default_rng([int(seed), 0x5E11])
@@ -424,6 +426,8 @@ def perturb_estimates(stream: InstanceStream, sigma: float,
 def sparsify_estimates(stream: InstanceStream, k: int) -> InstanceStream:
     """Keep only the k largest-probability listed entries of every estimate
     (ties: smaller label index); the dropped labels get probability 0."""
+    if k < 0:
+        raise ValueError(f"top-k size must be at least 0, got {k}")
     eta, listed = stream.estimate_rows, stream.support
     # unlisted labels sort after every listed one, so they are never kept
     keys = -eta if listed is None else np.where(listed, -eta, np.inf)

@@ -119,6 +119,8 @@ def run_online(stream: InstanceStream, cfg: LearnerConfig,
     if len(stream) == 0:
         raise ValueError("empty stream")
     task, metric, n = stream.task, cfg.metric, len(stream)
+    if cfg.task != task:
+        raise ValueError(f"the learner's task {cfg.task} is not the stream's {task}")
     if isinstance(checkpoints, int):
         if checkpoints < 1:
             raise ValueError("checkpoint stride must be at least 1")

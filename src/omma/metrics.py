@@ -10,8 +10,11 @@ returns that (row, diag) pair from one pass over the diagonal and row sums.
 
 Each binary base returns the gradient's four partials ``(dtn, dfp, dfn, dtp)``
 per block, a structural zero as the scalar 0.0, and one method divides them
-by m for macro and micro averaging.  :meth:`Metric.gradient` packs them into
-the gradient; :meth:`Metric.coefficients` forms the decision rule's ``alpha =
+by m for macro and micro averaging.  Values and partials read micro
+averaging's mean block on a label axis of length 1, shared by the m labels,
+and macro and binary blocks as given, so one confusion and an (R, ...) stack
+run the same array code.  :meth:`Metric.gradient` packs the partials into the
+gradient; :meth:`Metric.coefficients` forms the decision rule's ``alpha =
 dtp + dtn - dfp - dfn`` and ``beta = dtn - dfp`` from them directly, per label
 or, through the one-vs-rest blocks, per class.  A native metric's
 coefficients are its diagonal and 0.
@@ -60,7 +63,7 @@ class CostCoefficients(NamedTuple):
 
 def _coefficients(dtn, dfp, dfn, dtp, shape) -> CostCoefficients:
     """(alpha, beta) of the given shape from the four partials; a scalar, or a
-    micro stack's (R, 1) partial, is shared by the labels it covers."""
+    micro partial on its length-1 label axis, is shared by the labels it covers."""
     alpha = dtp + dtn - dfp - dfn
     beta = dtn - dfp
     # python floats have no shape
@@ -436,11 +439,7 @@ class Metric:
             if C.ndim != 2 or C.shape[0] != C.shape[1]:
                 raise ValueError("native multiclass metrics expect an (m, m) matrix")
             return float(_NATIVE_BASES[self.base][0](C, self.epsilon, self.beta))
-        blocks = self.blocks(C)
-        vfn = _BINARY_BASES[self.base][0]
-        if self.averaging == MICRO:
-            return float(vfn(blocks.mean(axis=0), self.epsilon, self.beta))
-        vals = vfn(blocks, self.epsilon, self.beta)
+        vals = _BINARY_BASES[self.base][0](self._read(self.blocks(C)), self.epsilon, self.beta)
         return float(np.mean(vals))
 
     def gradient(self, C: np.ndarray) -> np.ndarray:
@@ -457,10 +456,18 @@ class Metric:
             return Gt[0] if self.averaging == BINARY else _tensor_grad_to_matrix(Gt)
         return Gt
 
+    def _read(self, blocks: np.ndarray) -> np.ndarray:
+        """What the base formula reads of (..., k, 2, 2) blocks: micro averaging's
+        mean block on a label axis of length 1, shared by the k labels, else the blocks."""
+        if self.averaging == MICRO:
+            return blocks.mean(axis=-3, keepdims=True)
+        return blocks
+
     def _partials(self, blocks: np.ndarray, m: int):
         """The partials (dtn, dfp, dfn, dtp) at k of the m labels' (..., k, 2, 2)
-        blocks, each divided by m for macro and micro averaging (micro: at the
-        mean of all m blocks); binary averaging has one block and no factor."""
+        blocks as :meth:`_read` reads them (micro: (..., 1) partials at the mean
+        block of all m), each divided by m for macro and micro averaging;
+        binary averaging has one block and no factor."""
         gfn = _BINARY_BASES[self.base][1]
         if self.averaging == BINARY:
             if m != 1:
@@ -469,30 +476,11 @@ class Metric:
         if self.averaging == MICRO:
             if blocks.shape[-3] != m:
                 raise ValueError("micro averaging needs the blocks of all m labels")
-            blocks = blocks.mean(axis=-3)
-            if blocks.ndim > 2:
-                return self._stack_micro_partials(blocks, float(m))
         elif self.averaging != MACRO:
             raise ValueError("native multiclass metrics have no per-label coefficients")
         # the same division as by the int m, without numpy's int-scalar path
         scale = float(m)
-        return [p / scale for p in gfn(blocks, self.epsilon, self.beta)]
-
-    def _stack_micro_partials(self, mean_blocks: np.ndarray, scale: float):
-        """Micro partials of a stack of (..., 2, 2) mean blocks, each kept on a
-        label axis of length 1 that spreads it over its slice's m labels.
-
-        Each block's partials are taken as the one-matrix call takes them, on
-        numpy scalars: a scalar's x ** 2 is pow(x, 2), which can round one
-        unit apart from an array's x * x.
-        """
-        gfn = _BINARY_BASES[self.base][1]
-        flat = mean_blocks.reshape(-1, 2, 2)
-        out = np.empty((4, flat.shape[0]))
-        for i, block in enumerate(flat):
-            out[:, i] = gfn(block, self.epsilon, self.beta)
-        out /= scale
-        return list(out.reshape(4, *mean_blocks.shape[:-2], 1))
+        return [p / scale for p in gfn(self._read(blocks), self.epsilon, self.beta)]
 
     def block_gradient(self, blocks: np.ndarray, m: int) -> np.ndarray:
         """Gradient of selected per-label blocks (macro/binary), incl. the 1/m factor."""

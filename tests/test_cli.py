@@ -356,9 +356,15 @@ REGRET_M3 = ["regret", "--metric", "macro-f1", "--alg", "omma", "--n-grid", "20"
     # only omma and omma-eta have a sparse top-k' path
     ([*RUN_M3, "--alg", "greedy", "--kprime", "2"], 2,
      "error: greedy has no sparse top-k' path", None),
+    # empty stream files hold no instance to run: a data error
+    (["run", "--labels", "{tmp}/empty.labels", "--probs", "{tmp}/empty.probs", "--m", "3",
+      "--metric", "macro-f1", "--alg", "omma", "--out", "{tmp}/o"], 3,
+     "data error:", None),
 ])
 def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, check):
     (tmp_path / "exp.cfg").write_text("metric=macro-f1\nm=3\nn=30\nlambda=0.5\nruns=2\n")
+    (tmp_path / "empty.labels").write_text("")
+    (tmp_path / "empty.probs").write_text("")
     got, out, err = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
     assert got == code
     if error is None:

@@ -312,3 +312,8 @@ def test_probe_estimate_top():
     top = est.top(2)
     assert top.indices.tolist() == [1, 3]  # tie between 1 and 7 keeps smaller index
     assert top.values.tolist() == [0.5, 0.9]
+
+
+def test_probe_estimate_top_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="top-k size must be at least 0"):
+        ProbEstimate.from_dense([0.1, 0.5, 0.3]).top(-1)

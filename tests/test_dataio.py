@@ -221,6 +221,13 @@ def test_perturb_requires_truth():
         perturb_estimates(stream, 0.1, seed=0)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+def test_perturb_rejects_a_bad_sigma(sigma):
+    stream = synth_generate(SynthModel(task=multilabel(3), seed=1), 10, seed=2)
+    with pytest.raises(ValueError, match="noise sigma must be finite and >= 0"):
+        perturb_estimates(stream, sigma, seed=0)
+
+
 def test_shuffle_preserves_multiset_and_alignment():
     model = SynthModel(task=multilabel(3), seed=4)
     stream = synth_generate(model, 40, seed=5)
@@ -247,6 +254,12 @@ def test_sparsify_keeps_top_entries():
         assert cut.indices.size == 3
         kept = set(cut.values.tolist())
         assert max(full.values) in kept
+
+
+def test_sparsify_rejects_a_negative_size():
+    stream = synth_generate(SynthModel(task=multilabel(3), seed=4), 5, seed=5)
+    with pytest.raises(ValueError, match="top-k size must be at least 0"):
+        sparsify_estimates(stream, -1)
 
 
 def test_parse_model_file(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,17 @@ def test_run_online_empty_stream():
     stream = InstanceStream(multilabel(2), [], [])
     with pytest.raises(ValueError):
         run_online(stream, LearnerConfig("omma", stream.task, parse_metric("macro-f1")))
+
+
+@pytest.mark.parametrize("task", [multiclass(3), multilabel(5)])
+def test_run_online_rejects_a_config_for_another_task(task):
+    """A learner configured for one task is never stepped on another task's
+    rows: the run stops before any step, naming both tasks."""
+    stream = synth_generate(SynthModel(multilabel(3), seed=1), 50, seed=2)
+    cfg = LearnerConfig("omma", task, parse_metric("macro-f1"))
+    with pytest.raises(ValueError, match=re.escape(
+            f"the learner's task {task} is not the stream's {stream.task}")):
+        run_online(stream, cfg)
 
 
 def test_run_online_raises_floating_point_errors():
