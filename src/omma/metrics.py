@@ -10,14 +10,17 @@ returns that (row, diag) pair from one pass over the diagonal and row sums.
 
 Each binary base returns the gradient's four partials ``(dtn, dfp, dfn, dtp)``
 per block, a structural zero as the scalar 0.0, and one method divides them
-by m for macro and micro averaging.  Values and partials read micro
-averaging's mean block on a label axis of length 1, shared by the m labels,
-and macro and binary blocks as given, so one confusion and an (R, ...) stack
-run the same array code.  :meth:`Metric.gradient` packs the partials into the
-gradient; :meth:`Metric.coefficients` forms the decision rule's ``alpha =
-dtp + dtn - dfp - dfn`` and ``beta = dtn - dfp`` from them directly, per label
-or, through the one-vs-rest blocks, per class.  A native metric's
-coefficients are its diagonal and 0.
+by m for macro and micro averaging.  Values and partials read macro and
+binary blocks as given and micro averaging's mean block, shared by the m
+labels: one confusion's as numpy scalars, a stack's on a label axis of length
+1.  The bases square as ``x * x``, never ``x ** 2`` (a numpy scalar's ``** 2``
+is ``pow(x, 2)``, which can round one unit apart from an array's), so one
+confusion and an (R, ...) stack run the same formulas to the same bits.
+:meth:`Metric.gradient` packs the partials into the gradient;
+:meth:`Metric.coefficients` forms the decision rule's ``alpha = dtp + dtn -
+dfp - dfn`` and ``beta = dtn - dfp`` from them directly, per label or,
+through the one-vs-rest blocks, per class.  A native metric's coefficients
+are its diagonal and 0.
 
 All denominators are stabilized by adding ``epsilon``, and the ratio factors of
 the mean-family metrics (G/H/Q-mean) are stabilized as ``(num + eps) /
@@ -63,7 +66,7 @@ class CostCoefficients(NamedTuple):
 
 def _coefficients(dtn, dfp, dfn, dtp, shape) -> CostCoefficients:
     """(alpha, beta) of the given shape from the four partials; a scalar, or a
-    micro partial on its length-1 label axis, is shared by the labels it covers."""
+    micro stack's (R, 1) partial, is shared by the labels it covers."""
     alpha = dtp + dtn - dfp - dfn
     beta = dtn - dfp
     # python floats have no shape
@@ -104,8 +107,8 @@ def _bacc_v(blocks, eps, beta):
 
 def _bacc_g(blocks, eps, beta):
     tn, fp, fn, tp = _cells(blocks)
-    d1 = (2.0 * (tp + fn) + eps) ** 2
-    d2 = (2.0 * (tn + fp) + eps) ** 2
+    d1, d2 = 2.0 * (tp + fn) + eps, 2.0 * (tn + fp) + eps
+    d1, d2 = d1 * d1, d2 * d2
     return (2.0 * fp + eps) / d2, -2.0 * tn / d2, -2.0 * tp / d1, (2.0 * fn + eps) / d1
 
 
@@ -116,7 +119,8 @@ def _recall_v(blocks, eps, beta):
 
 def _recall_g(blocks, eps, beta):
     tn, fp, fn, tp = _cells(blocks)
-    d2 = (tp + fn + eps) ** 2
+    d = tp + fn + eps
+    d2 = d * d
     return 0.0, 0.0, -tp / d2, (fn + eps) / d2
 
 
@@ -127,7 +131,8 @@ def _precision_v(blocks, eps, beta):
 
 def _precision_g(blocks, eps, beta):
     tn, fp, fn, tp = _cells(blocks)
-    d2 = (tp + fp + eps) ** 2
+    d = tp + fp + eps
+    d2 = d * d
     return 0.0, -tp / d2, 0.0, (fp + eps) / d2
 
 
@@ -141,7 +146,8 @@ def _fbeta_g(blocks, eps, beta):
     tn, fp, fn, tp = _cells(blocks)
     b2 = beta * beta
     b2fn = b2 * fn
-    d2 = ((1.0 + b2) * tp + b2fn + fp + eps) ** 2
+    d = (1.0 + b2) * tp + b2fn + fp + eps
+    d2 = d * d
     return (0.0, -(1.0 + b2) * tp / d2, -(1.0 + b2) * b2 * tp / d2,
             (1.0 + b2) * (b2fn + fp + eps) / d2)
 
@@ -153,7 +159,8 @@ def _jaccard_v(blocks, eps, beta):
 
 def _jaccard_g(blocks, eps, beta):
     tn, fp, fn, tp = _cells(blocks)
-    d2 = (tp + fp + fn + eps) ** 2
+    d = tp + fp + fn + eps
+    d2 = d * d
     dfp = -tp / d2
     return 0.0, dfp, dfp, (fp + fn + eps) / d2
 
@@ -169,8 +176,8 @@ def _rates(blocks, eps):
 def _rate_partials(blocks, eps, dv_drp, dv_drn, dp, dn):
     """Chain dv/drp and dv/drn through the two stabilized rates to the cells."""
     tn, fp, fn, tp = _cells(blocks)
-    dp2 = dp**2
-    dn2 = dn**2
+    dp2 = dp * dp
+    dn2 = dn * dn
     return (dv_drn * fp / dn2, dv_drn * (-(tn + eps)) / dn2,
             dv_drp * (-(tp + eps)) / dp2, dv_drp * fn / dp2)
 
@@ -194,20 +201,23 @@ def _hmean_v(blocks, eps, beta):
 
 def _hmean_g(blocks, eps, beta):
     rp, rn, dp, dn = _rates(blocks, eps)
-    s2 = (rp + rn) ** 2
-    return _rate_partials(blocks, eps, 2.0 * rn**2 / s2, 2.0 * rp**2 / s2, dp, dn)
+    s = rp + rn
+    s2 = s * s
+    return _rate_partials(blocks, eps, 2.0 * (rn * rn) / s2, 2.0 * (rp * rp) / s2, dp, dn)
 
 
 def _qmean_v(blocks, eps, beta):
     rp, rn, _, _ = _rates(blocks, eps)
-    return 1.0 - np.sqrt(0.5 * ((1.0 - rp) ** 2 + (1.0 - rn) ** 2))
+    up, un = 1.0 - rp, 1.0 - rn
+    return 1.0 - np.sqrt(0.5 * (up * up + un * un))
 
 
 def _qmean_g(blocks, eps, beta):
     rp, rn, dp, dn = _rates(blocks, eps)
-    root = np.sqrt(0.5 * ((1.0 - rp) ** 2 + (1.0 - rn) ** 2))
-    return _rate_partials(blocks, eps, _safe_div(0.5 * (1.0 - rp), root),
-                          _safe_div(0.5 * (1.0 - rn), root), dp, dn)
+    up, un = 1.0 - rp, 1.0 - rn
+    root = np.sqrt(0.5 * (up * up + un * un))
+    return _rate_partials(blocks, eps, _safe_div(0.5 * up, root),
+                          _safe_div(0.5 * un, root), dp, dn)
 
 
 def _matthews_v(blocks, eps, beta):
@@ -458,16 +468,18 @@ class Metric:
 
     def _read(self, blocks: np.ndarray) -> np.ndarray:
         """What the base formula reads of (..., k, 2, 2) blocks: micro averaging's
-        mean block on a label axis of length 1, shared by the k labels, else the blocks."""
-        if self.averaging == MICRO:
-            return blocks.mean(axis=-3, keepdims=True)
-        return blocks
+        mean block, of one confusion as numpy scalars (fast), of a stack on a
+        label axis of length 1; else the blocks."""
+        if self.averaging != MICRO:
+            return blocks
+        mean = blocks.mean(axis=-3)
+        return mean if mean.ndim == 2 else mean[..., None, :, :]
 
     def _partials(self, blocks: np.ndarray, m: int):
         """The partials (dtn, dfp, dfn, dtp) at k of the m labels' (..., k, 2, 2)
-        blocks as :meth:`_read` reads them (micro: (..., 1) partials at the mean
-        block of all m), each divided by m for macro and micro averaging;
-        binary averaging has one block and no factor."""
+        blocks as :meth:`_read` reads them (micro: at the mean block of all m),
+        each divided by m for macro and micro averaging; binary averaging has
+        one block and no factor."""
         gfn = _BINARY_BASES[self.base][1]
         if self.averaging == BINARY:
             if m != 1:
