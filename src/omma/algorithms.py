@@ -207,8 +207,9 @@ class GreedyLearner(OnlineLearner):
         blocks = self.metric.blocks(self.state.counts)
         nxt = (blocks[None] + _UNIT_CELLS[:, None]) / (self.state.t + 1)
         v_tn, v_fp, v_fn, v_tp = self.metric.block_values(nxt)
-        gain0 = eta_dense * v_fn + (1.0 - eta_dense) * v_tn
-        gain1 = eta_dense * v_tp + (1.0 - eta_dense) * v_fp
+        not_eta = 1.0 - eta_dense
+        gain0 = eta_dense * v_fn + not_eta * v_tn
+        gain1 = eta_dense * v_tp + not_eta * v_fp
         return gain0, gain1
 
     def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:

@@ -165,14 +165,19 @@ def top_entries(indices: np.ndarray, values: np.ndarray,
     return keep, values[np.searchsorted(indices, keep)]
 
 
+def is_integer(x) -> bool:
+    """An int or a numpy integer, and no bool."""
+    # type(x) is int holds for no bool, unlike isinstance(x, int)
+    return type(x) is int or isinstance(x, np.integer)
+
+
 def check_labels(task: Task, labels: Labels, *, prediction: bool = False) -> Labels:
     """Validate a sorted tuple of label indices against the task: ints (numpy
     integers too, bools not) in 0..m-1, strictly increasing, and exactly one
     class for a multiclass label (a prediction may hold any number)."""
     prev = -1
     for j in labels:
-        # type(j) is int holds for no bool, unlike isinstance(j, int)
-        if type(j) is not int and not isinstance(j, np.integer):
+        if not is_integer(j):
             raise ValueError(f"label indices must be integers in 0..{task.m - 1}")
         if not prev < j < task.m:
             raise ValueError(f"bad label set {labels!r} for m={task.m}")

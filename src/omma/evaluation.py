@@ -22,13 +22,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections.abc import Collection
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algorithms import LearnerConfig, fw_fit, make_learner
-from .confusion import _pack, batch_counts, multilabel
+from .confusion import _pack, batch_counts, is_integer, multilabel
 from .dataio import InstanceStream, SynthModel, _latent_draw, synth_generate
 from .metrics import Metric, min_tn_tp
 
@@ -106,26 +106,34 @@ _FLUSH = 1024
 
 @np.errstate(**FP_ERRORS)
 def run_online(stream: InstanceStream, cfg: LearnerConfig,
-               checkpoints: int | Collection[int] | None = None) -> RunTrace:
+               checkpoints: int | Iterable[int] | None = None) -> RunTrace:
     """Drive step/observe over the stream and record the running utility.
 
     The learner is first handed the stream's columns: ``offline-fw`` fits
     the whole estimate sequence, and ``ofw`` / ``ofw-eta`` fit their refit
     points from the rows before each point.
-    ``checkpoints`` is a stride (every t it divides) or a collection of t
-    values in 1..n; the last instance is always a checkpoint.  A division by
-    zero, overflow or invalid value raises ``FloatingPointError``.
+    ``checkpoints`` is a stride (every t it divides) or any iterable of t
+    values in 1..n, a numpy array too; a stride and every t are ints or numpy
+    integers, never bools.  The last instance is always a checkpoint.  A
+    division by zero, overflow or invalid value raises ``FloatingPointError``.
     """
     if len(stream) == 0:
         raise ValueError("empty stream")
     task, metric, n = stream.task, cfg.metric, len(stream)
     if cfg.task != task:
         raise ValueError(f"the learner's task {cfg.task} is not the stream's {task}")
-    if isinstance(checkpoints, int):
+    if isinstance(checkpoints, np.ndarray):
+        checkpoints = checkpoints.tolist()  # python numbers; a 0-d array's is a stride
+    if is_integer(checkpoints):
         if checkpoints < 1:
             raise ValueError("checkpoint stride must be at least 1")
         checkpoints = range(checkpoints, n + 1, checkpoints)
-    marks = {*(checkpoints or ()), n}
+    elif checkpoints is None:
+        checkpoints = ()
+    marks = [*checkpoints] if isinstance(checkpoints, Iterable) else [checkpoints]
+    if not all(map(is_integer, marks)):
+        raise ValueError("checkpoints must be an integer stride or integer t values")
+    marks = {*marks, n}
     if not all(1 <= t <= n for t in marks):
         raise ValueError(f"checkpoints must lie in 1..{n}")
     learner = make_learner(cfg)
@@ -216,9 +224,12 @@ def estimate_optimal(metric: Metric, model: SynthModel, method: str = "both",
 
 
 def check_regret_grid(n_grid: list[int], runs: int) -> None:
-    """The counts :func:`measure_regret` needs: runs >= 1 and every n >= 1."""
+    """The counts :func:`measure_regret` needs: runs >= 1, at least one n and
+    every n >= 1."""
     if runs < 1:
         raise ValueError("need at least one run")
+    if len(n_grid) == 0:
+        raise ValueError("need at least one sequence length")
     if any(n < 1 for n in n_grid):
         raise ValueError("every sequence length must be at least 1")
 

@@ -9,8 +9,10 @@ each native gradient is a per-row constant plus a diagonal, and its kernel
 returns that (row, diag) pair from one pass over the diagonal and row sums.
 
 Each binary base returns the gradient's four partials ``(dtn, dfp, dfn, dtp)``
-per block, a structural zero as the scalar 0.0, and one method divides them
-by m for macro and micro averaging.  Values and partials read macro and
+per block, a structural zero as the scalar 0.0, already divided by the
+averaging's scale: m for macro and micro averaging, 1 for binary.  A base
+folds the scale into the factor its partials share (F-beta's ``(1 + b2) /
+(d * d * m)``), so no partial takes a division of its own.  Values and partials read macro and
 binary blocks as given and micro averaging's mean block, shared by the m
 labels: one confusion's as numpy scalars, a stack's on a label axis of length
 1.  The bases square as ``x * x``, never ``x ** 2`` (a numpy scalar's ``** 2``
@@ -88,7 +90,9 @@ def _safe_div(num, den):
 
 
 # --- binary bases: value(blocks) and the gradient's four partials (dtn, dfp,
-# dfn, dtp), vectorized over leading axes; a structural zero is a scalar 0.0
+# dfn, dtp) times the averaging scale's reciprocal (1 / m, or 1), vectorized
+# over leading axes; a structural zero is a scalar 0.0.  A base folds the
+# scale into a factor its partials share, or divides each one by it
 
 
 def _acc_v(blocks, eps, beta):
@@ -96,8 +100,9 @@ def _acc_v(blocks, eps, beta):
     return tp + tn
 
 
-def _acc_g(blocks, eps, beta):
-    return 1.0, 0.0, 0.0, 1.0
+def _acc_g(blocks, eps, beta, scale):
+    one = 1.0 / scale
+    return one, 0.0, 0.0, one
 
 
 def _bacc_v(blocks, eps, beta):
@@ -105,10 +110,10 @@ def _bacc_v(blocks, eps, beta):
     return tp / (2.0 * (tp + fn) + eps) + tn / (2.0 * (tn + fp) + eps)
 
 
-def _bacc_g(blocks, eps, beta):
+def _bacc_g(blocks, eps, beta, scale):
     tn, fp, fn, tp = _cells(blocks)
     d1, d2 = 2.0 * (tp + fn) + eps, 2.0 * (tn + fp) + eps
-    d1, d2 = d1 * d1, d2 * d2
+    d1, d2 = d1 * d1 * scale, d2 * d2 * scale
     return (2.0 * fp + eps) / d2, -2.0 * tn / d2, -2.0 * tp / d1, (2.0 * fn + eps) / d1
 
 
@@ -117,10 +122,10 @@ def _recall_v(blocks, eps, beta):
     return tp / (tp + fn + eps)
 
 
-def _recall_g(blocks, eps, beta):
+def _recall_g(blocks, eps, beta, scale):
     tn, fp, fn, tp = _cells(blocks)
     d = tp + fn + eps
-    d2 = d * d
+    d2 = d * d * scale
     return 0.0, 0.0, -tp / d2, (fn + eps) / d2
 
 
@@ -129,27 +134,28 @@ def _precision_v(blocks, eps, beta):
     return tp / (tp + fp + eps)
 
 
-def _precision_g(blocks, eps, beta):
+def _precision_g(blocks, eps, beta, scale):
     tn, fp, fn, tp = _cells(blocks)
     d = tp + fp + eps
-    d2 = d * d
+    d2 = d * d * scale
     return 0.0, -tp / d2, 0.0, (fp + eps) / d2
 
 
 def _fbeta_v(blocks, eps, beta):
     tn, fp, fn, tp = _cells(blocks)
     b2 = beta * beta
-    return (1.0 + b2) * tp / ((1.0 + b2) * tp + b2 * fn + fp + eps)
+    wtp = (1.0 + b2) * tp
+    return wtp / (wtp + b2 * fn + fp + eps)
 
 
-def _fbeta_g(blocks, eps, beta):
+def _fbeta_g(blocks, eps, beta, scale):
     tn, fp, fn, tp = _cells(blocks)
     b2 = beta * beta
-    b2fn = b2 * fn
-    d = (1.0 + b2) * tp + b2fn + fp + eps
-    d2 = d * d
-    return (0.0, -(1.0 + b2) * tp / d2, -(1.0 + b2) * b2 * tp / d2,
-            (1.0 + b2) * (b2fn + fp + eps) / d2)
+    rest = b2 * fn + fp + eps
+    d = (1.0 + b2) * tp + rest
+    k = (1.0 + b2) / (d * d * scale)
+    dfp = -tp * k
+    return 0.0, dfp, b2 * dfp, rest * k
 
 
 def _jaccard_v(blocks, eps, beta):
@@ -157,10 +163,10 @@ def _jaccard_v(blocks, eps, beta):
     return tp / (tp + fp + fn + eps)
 
 
-def _jaccard_g(blocks, eps, beta):
+def _jaccard_g(blocks, eps, beta, scale):
     tn, fp, fn, tp = _cells(blocks)
     d = tp + fp + fn + eps
-    d2 = d * d
+    d2 = d * d * scale
     dfp = -tp / d2
     return 0.0, dfp, dfp, (fp + fn + eps) / d2
 
@@ -173,11 +179,11 @@ def _rates(blocks, eps):
     return (tp + eps) / dp, (tn + eps) / dn, dp, dn
 
 
-def _rate_partials(blocks, eps, dv_drp, dv_drn, dp, dn):
+def _rate_partials(blocks, eps, scale, dv_drp, dv_drn, dp, dn):
     """Chain dv/drp and dv/drn through the two stabilized rates to the cells."""
     tn, fp, fn, tp = _cells(blocks)
-    dp2 = dp * dp
-    dn2 = dn * dn
+    dp2 = dp * dp * scale
+    dn2 = dn * dn * scale
     return (dv_drn * fp / dn2, dv_drn * (-(tn + eps)) / dn2,
             dv_drp * (-(tp + eps)) / dp2, dv_drp * fn / dp2)
 
@@ -187,10 +193,10 @@ def _gmean_v(blocks, eps, beta):
     return np.sqrt(rp * rn)
 
 
-def _gmean_g(blocks, eps, beta):
+def _gmean_g(blocks, eps, beta, scale):
     rp, rn, dp, dn = _rates(blocks, eps)
     v = np.sqrt(rp * rn)
-    return _rate_partials(blocks, eps, _safe_div(rn, 2.0 * v), _safe_div(rp, 2.0 * v),
+    return _rate_partials(blocks, eps, scale, _safe_div(rn, 2.0 * v), _safe_div(rp, 2.0 * v),
                           dp, dn)
 
 
@@ -199,11 +205,11 @@ def _hmean_v(blocks, eps, beta):
     return 2.0 * rp * rn / (rp + rn)
 
 
-def _hmean_g(blocks, eps, beta):
+def _hmean_g(blocks, eps, beta, scale):
     rp, rn, dp, dn = _rates(blocks, eps)
     s = rp + rn
     s2 = s * s
-    return _rate_partials(blocks, eps, 2.0 * (rn * rn) / s2, 2.0 * (rp * rp) / s2, dp, dn)
+    return _rate_partials(blocks, eps, scale, 2.0 * (rn * rn) / s2, 2.0 * (rp * rp) / s2, dp, dn)
 
 
 def _qmean_v(blocks, eps, beta):
@@ -212,11 +218,11 @@ def _qmean_v(blocks, eps, beta):
     return 1.0 - np.sqrt(0.5 * (up * up + un * un))
 
 
-def _qmean_g(blocks, eps, beta):
+def _qmean_g(blocks, eps, beta, scale):
     rp, rn, dp, dn = _rates(blocks, eps)
     up, un = 1.0 - rp, 1.0 - rn
     root = np.sqrt(0.5 * (up * up + un * un))
-    return _rate_partials(blocks, eps, _safe_div(0.5 * up, root),
+    return _rate_partials(blocks, eps, scale, _safe_div(0.5 * up, root),
                           _safe_div(0.5 * un, root), dp, dn)
 
 
@@ -226,7 +232,7 @@ def _matthews_v(blocks, eps, beta):
     return _safe_div(tp * tn - fp * fn, den)
 
 
-def _matthews_g(blocks, eps, beta):
+def _matthews_g(blocks, eps, beta, scale):
     tn, fp, fn, tp = _cells(blocks)
     f1 = tp + fp + eps
     f2 = tp + fn + eps
@@ -238,7 +244,7 @@ def _matthews_g(blocks, eps, beta):
     dtn = _safe_div(tp, den) - 0.5 * v * (1.0 / f3 + 1.0 / f4)
     dfp = _safe_div(-fn, den) - 0.5 * v * (1.0 / f1 + 1.0 / f3)
     dfn = _safe_div(-fp, den) - 0.5 * v * (1.0 / f2 + 1.0 / f4)
-    return dtn, dfp, dfn, dtp
+    return dtn / scale, dfp / scale, dfn / scale, dtp / scale
 
 
 _TIE_WIDTH = 1e-12
@@ -249,13 +255,13 @@ def _min_tn_tp_v(blocks, eps, beta):
     return np.minimum(tn, tp)
 
 
-def _min_tn_tp_g(blocks, eps, beta):
+def _min_tn_tp_g(blocks, eps, beta, scale):
     """Supergradient of min(tn, tp): indicator of the smaller entry, split at ties."""
     tn, fp, fn, tp = _cells(blocks)
     tie = np.abs(tn - tp) <= _TIE_WIDTH
     dtn = np.where(tie, 0.5, (tn < tp).astype(float))
     dtp = np.where(tie, 0.5, (tp < tn).astype(float))
-    return dtn, 0.0, 0.0, dtp
+    return dtn / scale, 0.0, 0.0, dtp / scale
 
 
 _BINARY_BASES = {
@@ -478,21 +484,21 @@ class Metric:
     def _partials(self, blocks: np.ndarray, m: int):
         """The partials (dtn, dfp, dfn, dtp) at k of the m labels' (..., k, 2, 2)
         blocks as :meth:`_read` reads them (micro: at the mean block of all m),
-        each divided by m for macro and micro averaging; binary averaging has
-        one block and no factor."""
+        as the base returns them with the averaging's scale: 1 / m for macro
+        and micro averaging; binary averaging has one block and scale 1."""
         gfn = _BINARY_BASES[self.base][1]
         if self.averaging == BINARY:
             if m != 1:
                 raise ValueError("binary averaging expects a single block")
-            return gfn(blocks, self.epsilon, self.beta)
+            return gfn(blocks, self.epsilon, self.beta, 1.0)
         if self.averaging == MICRO:
             if blocks.shape[-3] != m:
                 raise ValueError("micro averaging needs the blocks of all m labels")
         elif self.averaging != MACRO:
             raise ValueError("native multiclass metrics have no per-label coefficients")
-        # the same division as by the int m, without numpy's int-scalar path
-        scale = float(m)
-        return [p / scale for p in gfn(self._read(blocks), self.epsilon, self.beta)]
+        # a float m: the same arithmetic as with the int, without numpy's
+        # int-scalar path
+        return gfn(self._read(blocks), self.epsilon, self.beta, float(m))
 
     def block_gradient(self, blocks: np.ndarray, m: int) -> np.ndarray:
         """Gradient of selected per-label blocks (macro/binary), incl. the 1/m factor."""

@@ -5,7 +5,9 @@ The linearized objective reduces to one (alpha, beta) pair per label or class
 thresholded at zero, multiclass class scores ``alpha_l * eta_l - beta_l *
 sum(eta)`` are ranked.  One scoring function (:func:`gains`) and one decision
 kernel (:func:`decide`) serve both, and a buffer decides as its rows do, bit
-for bit, in any layout.  Ties go to the smaller label index everywhere, and a
+for bit, in any layout.  Without a budget a multilabel decision is the one
+comparison ``alpha * eta >= beta``, which for finite operands is the gain
+threshold exactly.  Ties go to the smaller label index everywhere, and a
 gain of exactly zero predicts positive.
 """
 
@@ -79,8 +81,17 @@ def decide_coefficients(coeffs: CostCoefficients, eta: np.ndarray,
                         mass: np.ndarray | None = None) -> np.ndarray:
     """Decisions of the classifier ``coeffs`` on an (m,) row or an (n, m) buffer:
     thresholded gains or ranked class scores.  The rows' :func:`class_mass` is
-    taken here unless given as ``mass`` or beta is 0.0.  Nothing is checked."""
+    taken here unless given as ``mass`` or beta is 0.0.  Nothing is checked.
+
+    An unbudgeted multilabel decision is ``alpha * eta >= beta``.  For finite
+    x and y, x - y is 0 only where x == y and has the sign of the exact
+    difference, so this equals ``decide(gains(coeffs, eta))`` bit for bit.
+    The one exception is both sides the same infinity, where the gain is NaN
+    (not >= 0) and the comparison true; a run raises on the overflow first.
+    """
     if not multiclass:
+        if budget is None:
+            return coeffs.alpha * eta >= coeffs.beta
         return decide(gains(coeffs, eta), budget)
     if mass is None and isinstance(coeffs.beta, np.ndarray):
         mass = class_mass(eta)
@@ -122,7 +133,7 @@ def decide_support(coeffs: CostCoefficients, indices: np.ndarray, values: np.nda
     if coeffs.alpha.shape[0] != indices.shape[0]:
         raise ValueError("coefficients must align with the estimate support")
     dec = np.zeros(m, dtype=bool)
-    dec[indices[decide(gains(coeffs, values), budget)]] = True
+    dec[indices[decide_coefficients(coeffs, values, budget)]] = True
     return dec
 
 

@@ -377,6 +377,45 @@ def test_run_online_checkpoint_set_equals_stride():
             run_online(stream, cfg, bad)
 
 
+def test_run_online_takes_numpy_integer_strides_and_any_iterable_of_marks():
+    stream = _stream(n=30)
+    cfg = LearnerConfig("omma", stream.task, parse_metric("macro-f1"))
+    by_stride = run_online(stream, cfg, 7)
+    assert run_online(stream, cfg, np.int64(7)) == by_stride
+    assert run_online(stream, cfg, np.array(7)) == by_stride  # a 0-d array is a stride
+    assert run_online(stream, cfg, np.array([7, 14, 21, 28])) == by_stride
+    assert run_online(stream, cfg, np.array([28, 7], dtype=np.uint8)).checkpoints == [
+        c for c in by_stride.checkpoints if c[0] in (7, 28, 30)]
+    assert run_online(stream, cfg, iter([28, 7, 21, 14])) == by_stride
+    assert run_online(stream, cfg, [np.int32(7), 14, 21, 28]) == by_stride
+    assert run_online(stream, cfg, np.array([], dtype=np.int64)) == run_online(stream, cfg)
+    with pytest.raises(ValueError, match="checkpoint stride must be at least 1"):
+        run_online(stream, cfg, np.int64(0))
+    with pytest.raises(ValueError, match=r"checkpoints must lie in 1\.\.30"):
+        run_online(stream, cfg, np.array([0, 5]))
+
+
+@pytest.mark.parametrize("bad", [2.5, 7.0, np.float64(7.0), True, np.bool_(True), [2.5, 4],
+                                 [4, 7.0], [True, 4], np.array([2.0, 4.0]),
+                                 np.array([True, False]), "7", [[7]]],
+                         ids=repr)
+def test_run_online_rejects_non_integer_checkpoints(bad):
+    stream = _stream(n=30)
+    cfg = LearnerConfig("omma", stream.task, parse_metric("macro-f1"))
+    with pytest.raises(ValueError, match="checkpoints must be an integer stride or "
+                                         "integer t values"):
+        run_online(stream, cfg, bad)
+
+
+def test_an_empty_regret_grid_is_rejected():
+    model = SynthModel(task=multilabel(2), seed=5)
+    for call in (lambda: evaluation.check_regret_grid([], 1),
+                 lambda: measure_regret(parse_metric("macro-f1"), model, "omma", [], 1,
+                                        psi_star=0.5)):
+        with pytest.raises(ValueError, match="need at least one sequence length"):
+            call()
+
+
 @pytest.mark.parametrize("alg", ["omma", "ofw", "offline-fw"])
 def test_measure_regret_runs_each_run_index_once(monkeypatch, alg):
     calls = []

@@ -88,6 +88,17 @@ def test_decide_multiclass_tie_break():
     assert policy.decide_multiclass(G, np.array([0.3, 0.3, 0.4])) == (0,)
 
 
+def test_the_threshold_comparison_differs_from_the_gain_only_at_one_infinity():
+    # alpha * eta overflows to +inf, -inf and +inf; the first two meet a beta
+    # of the same infinity, where the gain inf - inf is NaN
+    coeffs = policy.CostCoefficients(np.array([1e308, -1e308, 1e308]),
+                                     np.array([np.inf, -np.inf, 1e308]))
+    eta = np.full(3, 10.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert policy.decide_coefficients(coeffs, eta).tolist() == [True, True, True]
+        assert policy.decide(policy.gains(coeffs, eta)).tolist() == [False, False, True]
+
+
 def test_decide_sparse_threshold():
     # accuracy-style coefficients: threshold 0.5 on every label
     est = ProbEstimate.from_pairs(10_000, [(3, 0.9), (7, 0.4)])

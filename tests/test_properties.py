@@ -162,6 +162,40 @@ def test_buffer_decisions_equal_one_row_gradient_decisions(case):
         assert np.all(dec.sum(axis=1) == 1)
 
 
+# finite floats: signed zeros, subnormals and the ends of the range among them
+FINITE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                          1.7976931348623157e308, -1.7976931348623157e308]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 5), st.sampled_from(["C", "F"]), st.booleans(),
+       st.data())
+def test_the_threshold_comparison_equals_the_thresholded_gains(m, n, layout, structural,
+                                                               data):
+    """The unbudgeted multilabel rule ``alpha * eta >= beta`` of
+    ``decide_coefficients`` and ``decide_support`` equals ``decide(gains(coeffs,
+    eta))``, the gain ``alpha * eta - beta`` thresholded at 0, bit for bit:
+    on finite floats (signed zeros and subnormals among them), an (m,) row
+    (n = 0) or an (n, m) buffer in C or F order, and the structural zero
+    beta 0.0.  For finite x and y, x - y is 0 exactly where x == y and
+    otherwise has the sign of x - y, also where alpha * eta overflows.  The
+    one exception is both sides the same infinity (the gain is NaN), which
+    needs an infinite beta; under ``FP_ERRORS`` a run raises first."""
+    def floats(k):
+        return np.array(data.draw(st.lists(FINITE, min_size=k, max_size=k)))
+
+    coeffs = CostCoefficients(floats(m), 0.0 if structural else floats(m))
+    eta = floats(m) if n == 0 else in_layout(floats(n * m).reshape(n, m), layout)
+    with np.errstate(over="ignore"):
+        want = policy.decide(policy.gains(coeffs, eta))
+        got = policy.decide_coefficients(coeffs, eta)
+        if n == 0:
+            listed = np.arange(m)
+            assert np.array_equal(policy.decide_support(coeffs, listed, eta, m), want)
+    assert got.dtype == bool and got.shape == want.shape and np.array_equal(got, want)
+
+
 def exact_column_scores(G, eta):
     """The column scores eta @ G in exact rational arithmetic on the floats given."""
     return [sum(Fraction(e) * Fraction(g) for e, g in zip(eta.tolist(), column))
