@@ -11,13 +11,14 @@ returns that (row, diag) pair from one pass over the diagonal and row sums.
 Each binary base returns the gradient's four partials ``(dtn, dfp, dfn, dtp)``
 per block, a structural zero as the scalar 0.0, already divided by the
 averaging's scale: m for macro and micro averaging, 1 for binary.  A base
-folds the scale into the factor its partials share (F-beta's ``(1 + b2) /
-(d * d * m)``), so no partial takes a division of its own.  Values and partials read macro and
-binary blocks as given and micro averaging's mean block, shared by the m
-labels: one confusion's as numpy scalars, a stack's on a label axis of length
-1.  The bases square as ``x * x``, never ``x ** 2`` (a numpy scalar's ``** 2``
-is ``pow(x, 2)``, which can round one unit apart from an array's), so one
-confusion and an (R, ...) stack run the same formulas to the same bits.
+folds the scale into the factor its partials share, such as F-beta's ``(1 +
+b2) / (d * d * m)``, so that no partial takes a division of its own.  Values
+and partials read macro and binary blocks as given and micro averaging's
+mean block, shared by the m labels: one confusion's as numpy scalars, a
+stack's on a label axis of length 1.  The bases square as ``x * x``, never
+``x ** 2`` (a numpy scalar's ``** 2`` is ``pow(x, 2)``, which can round one
+unit apart from an array's), so one confusion and an (R, ...) stack run the
+same formulas to the same bits.
 :meth:`Metric.gradient` packs the partials into the gradient;
 :meth:`Metric.coefficients` forms the decision rule's ``alpha = dtp + dtn -
 dfp - dfn`` and ``beta = dtn - dfp`` from them directly, per label or,
@@ -90,7 +91,7 @@ def _safe_div(num, den):
 
 
 # --- binary bases: value(blocks) and the gradient's four partials (dtn, dfp,
-# dfn, dtp) times the averaging scale's reciprocal (1 / m, or 1), vectorized
+# dfn, dtp) divided by the averaging's scale (m, or 1 for binary), vectorized
 # over leading axes; a structural zero is a scalar 0.0.  A base folds the
 # scale into a factor its partials share, or divides each one by it
 

@@ -1,0 +1,41 @@
+"""Smoke test of tools/steps.py: every stage is timed, in text and JSON output."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "tools", "steps.py")
+_SPEC = importlib.util.spec_from_file_location("steps", _PATH)
+steps = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(steps)
+
+STAGES = ["normalized", "coefficients", "decision", "add", "step", "overhead"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--metric", "micro-f1", "--m", "3"],
+    ["--metric", "mc-qmean", "--task", "multiclass", "--m", "4", "--alg", "omma-eta"],
+    ["--metric", "macro-f1@2", "--m", "4", "--alg", "greedy"],
+])
+def test_every_stage_gets_a_positive_time(capsys, args):
+    assert steps.main([*args, "--n", "20", "--calls", "3", "--rounds", "2", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert sorted(out["us_per_call"]) == sorted(STAGES)
+    assert all(us > 0.0 for us in out["us_per_call"].values())
+
+
+def test_the_text_output_names_the_setting_and_each_stage(capsys):
+    assert steps.main(["--n", "10", "--calls", "2", "--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("omma macro-f1 multilabel m=5: fastest of 1 rounds")
+    assert [line.split()[0] for line in lines[1:]] == STAGES
+
+
+def test_a_setting_the_library_rejects_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        steps.main(["--metric", "mc-qmean", "--task", "multilabel", "--calls", "1"])
+    assert exc.value.code == 2
+    assert "needs a multiclass stream" in capsys.readouterr().err

@@ -4,9 +4,9 @@
 
 Imports ``omma`` from the ``src/`` beside this file, so a copy of the file
 in another checkout times that checkout.  It draws a synthetic stream of
-``--n`` instances (label model seed 2024, as perfbench uses), runs the
-learner over its first half, so that the confusion state is one a run
-reaches, and then times each stage on the second half's rows:
+``--n`` instances (stream seed 0; label model seed 2024, as perfbench
+uses), runs the learner over its first half, so that the confusion state is
+one a run reaches, and then times each stage on the second half's rows:
 
 * ``normalized``: ``ConfusionState.normalized()`` of the learner's state;
 * ``coefficients``: ``Metric.coefficients`` at that normalized confusion;
@@ -86,14 +86,16 @@ def fastest(calls: dict, rows: int, per_round: int, rounds: int) -> dict[str, fl
     return {name: 1e6 * s for name, s in best.items()}
 
 
-def measure(metric: str, kind: str, m: int, alg: str, n: int, per_round: int,
-            rounds: int, seed: int) -> dict[str, float]:
+def setting(metric: str, kind: str, m: int, alg: str) -> LearnerConfig:
+    """The learner config of a setting; raises ValueError on one the library rejects."""
+    return LearnerConfig(algorithm=alg, task=Task(kind, m), metric=parse_metric(metric))
+
+
+def measure(cfg: LearnerConfig, n: int, per_round: int, rounds: int) -> dict[str, float]:
     """The stage timings of one setting (see the module docstring)."""
-    task = Task(kind, m)
-    stream = synth_generate(SynthModel(task=task, seed=2024), n, seed=seed)
+    stream = synth_generate(SynthModel(task=cfg.task, seed=2024), n, seed=0)
     estimates, labels = stream.estimate_rows, stream.label_rows
-    learner = make_learner(LearnerConfig(algorithm=alg, task=task,
-                                         metric=parse_metric(metric), seed=seed))
+    learner = make_learner(cfg)
     half = n // 2
     with np.errstate(**FP_ERRORS):
         for eta, y in zip(estimates[:half], labels[:half]):
@@ -112,16 +114,15 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=400, help="stream length (at least 2)")
     parser.add_argument("--calls", type=int, default=100, help="calls per stage per round")
     parser.add_argument("--rounds", type=int, default=300)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
     if args.n < 2 or args.calls < 1 or args.rounds < 1:
         parser.error("need --n >= 2, --calls >= 1 and --rounds >= 1")
     try:
-        us = measure(args.metric, args.task, args.m, args.alg, args.n, args.calls,
-                     args.rounds, args.seed)
+        cfg = setting(args.metric, args.task, args.m, args.alg)
     except ValueError as err:
         parser.error(str(err))
+    us = measure(cfg, args.n, args.calls, args.rounds)
     if args.json:
         print(json.dumps({"metric": args.metric, "task": args.task, "m": args.m,
                           "alg": args.alg, "us_per_call": us}, sort_keys=True))
