@@ -30,7 +30,7 @@ import numpy as np
 
 from . import policy
 from .confusion import (Labels, ProbEstimate, Task, _pack, batch_counts, check_labels,
-                        check_regularizer, indicator_row, init_state, top_entries)
+                        check_regularizer, indicator_row, init_state, is_integer, top_entries)
 from .metrics import BINARY, CostCoefficients, Metric
 
 
@@ -309,7 +309,8 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     classifier mixture; the first step has weight one, so the trivial initial
     classifier never survives.
 
-    With ``prefixes``, strictly increasing lengths in 1..n, it fits the first
+    With ``prefixes``, strictly increasing integer lengths in 1..n (numpy
+    integers too, bools not), it fits the first
     n_r rows of the buffer for every n_r in lockstep and returns their
     mixtures in that order, each equal bit for bit to ``fw_fit`` of its
     prefix alone; without them it is the one-prefix case of the same loop.
@@ -338,7 +339,10 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     ref = estimates if labels is None else np.ascontiguousarray(labels, dtype=np.float64)
     if ref.shape != estimates.shape:
         raise ValueError("labels must be (n, m) rows aligned with the estimates")
-    sizes = [n] if prefixes is None else [int(p) for p in prefixes]
+    sizes = [n] if prefixes is None else [*prefixes]
+    if not all(map(is_integer, sizes)):
+        raise ValueError("prefixes must be integer lengths")
+    sizes = [*map(int, sizes)]
     if not sizes or sizes[0] < 1 or sizes[-1] > n or any(
             a >= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"prefixes must be strictly increasing lengths in 1..{n}")

@@ -22,8 +22,10 @@ same formulas to the same bits.
 :meth:`Metric.gradient` packs the partials into the gradient;
 :meth:`Metric.coefficients` forms the decision rule's ``alpha = dtp + dtn -
 dfp - dfn`` and ``beta = dtn - dfp`` from them directly, per label or,
-through the one-vs-rest blocks, per class.  A native metric's coefficients
-are its diagonal and 0.
+through the one-vs-rest blocks, per class.  It does not subtract a
+structural zero, since ``x - 0.0`` is ``x`` bit for bit: where ``dfp`` is
+one, ``beta`` is ``dtn``.  A native metric's coefficients are its diagonal
+term ``dpsi/dr_j / d_j`` and 0; its kernel forms no row term for them.
 
 All denominators are stabilized by adding ``epsilon``, and the ratio factors of
 the mean-family metrics (G/H/Q-mean) are stabilized as ``(num + eps) /
@@ -70,8 +72,15 @@ class CostCoefficients(NamedTuple):
 def _coefficients(dtn, dfp, dfn, dtp, shape) -> CostCoefficients:
     """(alpha, beta) of the given shape from the four partials; a scalar, or a
     micro stack's (R, 1) partial, is shared by the labels it covers."""
-    alpha = dtp + dtn - dfp - dfn
-    beta = dtn - dfp
+    # x - 0.0 is x bit for bit, so a structural zero (a python float; a
+    # micro partial is a numpy scalar, a float subclass) is not subtracted
+    alpha = dtp + dtn
+    beta = dtn
+    if type(dfp) is not float:
+        alpha = alpha - dfp
+        beta = dtn - dfp
+    if type(dfn) is not float:
+        alpha = alpha - dfn
     # python floats have no shape
     if getattr(alpha, "shape", ()) != shape:
         alpha = np.full(shape, alpha)
@@ -80,14 +89,16 @@ def _coefficients(dtn, dfp, dfn, dtp, shape) -> CostCoefficients:
     return CostCoefficients(alpha, beta)
 
 
-def _safe_div(num, den):
-    """num / den with 0/0 -> 0 (used only where num vanishes with den)."""
-    den = np.asarray(den, dtype=np.float64)
-    zero = den == 0.0
-    if np.any(zero):
+def _safe_div(den, *nums):
+    """Each num / den, with 0/0 -> 0 (used only where each num vanishes with
+    den); den is an array or a numpy scalar."""
+    # count_nonzero skips the Python wrapper of np.any; NaN counts as nonzero,
+    # as it compares unequal to 0
+    if np.count_nonzero(den) < den.size:
+        zero = den == 0.0
         den = np.where(zero, 1.0, den)
-        return np.where(zero, 0.0, num / den)
-    return num / den
+        return [np.where(zero, 0.0, num / den) for num in nums]
+    return [num / den for num in nums]
 
 
 # --- binary bases: value(blocks) and the gradient's four partials (dtn, dfp,
@@ -173,64 +184,63 @@ def _jaccard_g(blocks, eps, beta, scale):
 
 
 def _rates(blocks, eps):
-    """Stabilized true-positive and true-negative rates and their denominators."""
+    """Stabilized true-positive and true-negative rates, and what
+    :func:`_rate_partials` chains through, from one read of the cells."""
     tn, fp, fn, tp = _cells(blocks)
     dp = tp + fn + eps
     dn = tn + fp + eps
-    return (tp + eps) / dp, (tn + eps) / dn, dp, dn
+    tpe = tp + eps
+    tne = tn + eps
+    return tpe / dp, tne / dn, (fp, fn, tpe, tne, dp, dn)
 
 
-def _rate_partials(blocks, eps, scale, dv_drp, dv_drn, dp, dn):
+def _rate_partials(chain, scale, dv_drp, dv_drn):
     """Chain dv/drp and dv/drn through the two stabilized rates to the cells."""
-    tn, fp, fn, tp = _cells(blocks)
+    fp, fn, tpe, tne, dp, dn = chain
     dp2 = dp * dp * scale
     dn2 = dn * dn * scale
-    return (dv_drn * fp / dn2, dv_drn * (-(tn + eps)) / dn2,
-            dv_drp * (-(tp + eps)) / dp2, dv_drp * fn / dp2)
+    return dv_drn * fp / dn2, dv_drn * (-tne) / dn2, dv_drp * (-tpe) / dp2, dv_drp * fn / dp2
 
 
 def _gmean_v(blocks, eps, beta):
-    rp, rn, _, _ = _rates(blocks, eps)
+    rp, rn, _ = _rates(blocks, eps)
     return np.sqrt(rp * rn)
 
 
 def _gmean_g(blocks, eps, beta, scale):
-    rp, rn, dp, dn = _rates(blocks, eps)
-    v = np.sqrt(rp * rn)
-    return _rate_partials(blocks, eps, scale, _safe_div(rn, 2.0 * v), _safe_div(rp, 2.0 * v),
-                          dp, dn)
+    rp, rn, chain = _rates(blocks, eps)
+    return _rate_partials(chain, scale, *_safe_div(2.0 * np.sqrt(rp * rn), rn, rp))
 
 
 def _hmean_v(blocks, eps, beta):
-    rp, rn, _, _ = _rates(blocks, eps)
+    rp, rn, _ = _rates(blocks, eps)
     return 2.0 * rp * rn / (rp + rn)
 
 
 def _hmean_g(blocks, eps, beta, scale):
-    rp, rn, dp, dn = _rates(blocks, eps)
+    rp, rn, chain = _rates(blocks, eps)
     s = rp + rn
     s2 = s * s
-    return _rate_partials(blocks, eps, scale, 2.0 * (rn * rn) / s2, 2.0 * (rp * rp) / s2, dp, dn)
+    return _rate_partials(chain, scale, 2.0 * (rn * rn) / s2, 2.0 * (rp * rp) / s2)
 
 
 def _qmean_v(blocks, eps, beta):
-    rp, rn, _, _ = _rates(blocks, eps)
+    rp, rn, _ = _rates(blocks, eps)
     up, un = 1.0 - rp, 1.0 - rn
     return 1.0 - np.sqrt(0.5 * (up * up + un * un))
 
 
 def _qmean_g(blocks, eps, beta, scale):
-    rp, rn, dp, dn = _rates(blocks, eps)
+    rp, rn, chain = _rates(blocks, eps)
     up, un = 1.0 - rp, 1.0 - rn
     root = np.sqrt(0.5 * (up * up + un * un))
-    return _rate_partials(blocks, eps, scale, _safe_div(0.5 * up, root),
-                          _safe_div(0.5 * un, root), dp, dn)
+    return _rate_partials(chain, scale, *_safe_div(root, 0.5 * up, 0.5 * un))
 
 
 def _matthews_v(blocks, eps, beta):
     tn, fp, fn, tp = _cells(blocks)
     den = np.sqrt((tp + fp + eps) * (tp + fn + eps) * (tn + fp + eps) * (tn + fn + eps))
-    return _safe_div(tp * tn - fp * fn, den)
+    return _safe_div(den, tp * tn - fp * fn)[0]
 
 
 def _matthews_g(blocks, eps, beta, scale):
@@ -240,11 +250,13 @@ def _matthews_g(blocks, eps, beta, scale):
     f3 = tn + fp + eps
     f4 = tn + fn + eps
     den = np.sqrt(f1 * f2 * f3 * f4)
-    v = _safe_div(tp * tn - fp * fn, den)
-    dtp = _safe_div(tn, den) - 0.5 * v * (1.0 / f1 + 1.0 / f2)
-    dtn = _safe_div(tp, den) - 0.5 * v * (1.0 / f3 + 1.0 / f4)
-    dfp = _safe_div(-fn, den) - 0.5 * v * (1.0 / f1 + 1.0 / f3)
-    dfn = _safe_div(-fp, den) - 0.5 * v * (1.0 / f2 + 1.0 / f4)
+    v, tn_den, tp_den, fn_den, fp_den = _safe_div(den, tp * tn - fp * fn, tn, tp, -fn, -fp)
+    half_v = 0.5 * v
+    i1, i2, i3, i4 = 1.0 / f1, 1.0 / f2, 1.0 / f3, 1.0 / f4
+    dtp = tn_den - half_v * (i1 + i2)
+    dtn = tp_den - half_v * (i3 + i4)
+    dfp = fn_den - half_v * (i1 + i3)
+    dfn = fp_den - half_v * (i2 + i4)
     return dtn / scale, dfp / scale, dfn / scale, dtp / scale
 
 
@@ -258,11 +270,12 @@ def _min_tn_tp_v(blocks, eps, beta):
 
 def _min_tn_tp_g(blocks, eps, beta, scale):
     """Supergradient of min(tn, tp): indicator of the smaller entry, split at ties."""
-    tn, fp, fn, tp = _cells(blocks)
-    tie = np.abs(tn - tp) <= _TIE_WIDTH
-    dtn = np.where(tie, 0.5, (tn < tp).astype(float))
-    dtp = np.where(tie, 0.5, (tp < tn).astype(float))
-    return dtn / scale, 0.0, 0.0, dtp / scale
+    # tn < tp exactly where tn - tp < 0: a difference of finite floats is 0
+    # only where they are equal
+    tn, _, _, tp = _cells(blocks)
+    gap = tn - tp
+    dtn = np.where(abs(gap) <= _TIE_WIDTH, 0.5, gap < 0.0) / scale
+    return dtn, 0.0, 0.0, 1.0 / scale - dtn
 
 
 _BINARY_BASES = {
@@ -306,22 +319,24 @@ def _row_plus_diagonal(row, diag):
     return G
 
 
-def _mc_recall_grad(dpsi_dr, num, d):
-    """(row, diag) of a recall-based metric: dpsi/dr_j chained back to row j."""
-    return dpsi_dr * (-num) / d**2, dpsi_dr / d
+def _mc_recall_grad(dpsi_dr, num, d, rows):
+    """(row, diag) of a recall-based metric: dpsi/dr_j chained back to row j;
+    the row is None unless ``rows``."""
+    return (dpsi_dr * (-num) / d**2 if rows else None), dpsi_dr / d
 
 
 # the values read one (m, m) matrix; the gradient kernels return the (row,
 # diag) pair, also of an (R, m, m) stack, reducing over the class axis so that
-# a per-matrix scalar stays aligned with its own matrix
+# a per-matrix scalar stays aligned with its own matrix.  The coefficients
+# read the diagonal alone, so with rows=False a kernel forms no row (None)
 
 
 def _mc_acc_v(C, eps, beta):
     return float(np.trace(C))
 
 
-def _mc_acc_g(C, eps, beta):
-    return np.zeros(C.shape[:-1]), np.ones(C.shape[:-1])
+def _mc_acc_g(C, eps, beta, rows=True):
+    return (np.zeros(C.shape[:-1]) if rows else None), np.ones(C.shape[:-1])
 
 
 # balanced accuracy sums r_j = C_jj / (m row_j + eps): only the denominator
@@ -333,10 +348,10 @@ def _mc_bacc_v(C, eps, beta):
     return float(np.add.reduce(np.diagonal(C) / d))
 
 
-def _mc_bacc_g(C, eps, beta):
+def _mc_bacc_g(C, eps, beta, rows=True):
     m = C.shape[-1]
     d = m * C.sum(axis=-1) + eps
-    return -C.diagonal(0, -2, -1) * m / d**2, 1.0 / d
+    return (-C.diagonal(0, -2, -1) * m / d**2 if rows else None), 1.0 / d
 
 
 def _mc_gmean_v(C, eps, beta):
@@ -344,11 +359,11 @@ def _mc_gmean_v(C, eps, beta):
     return float(np.exp(np.add.reduce(np.log(r)) / C.shape[0]))
 
 
-def _mc_gmean_g(C, eps, beta):
+def _mc_gmean_g(C, eps, beta, rows=True):
     r, num, d = _mc_recalls(C, eps)
     m = C.shape[-1]
     v = np.exp(np.add.reduce(np.log(r), axis=-1, keepdims=True) / m)
-    return _mc_recall_grad(v / (m * r), num, d)
+    return _mc_recall_grad(v / (m * r), num, d, rows)
 
 
 def _mc_hmean_v(C, eps, beta):
@@ -356,13 +371,13 @@ def _mc_hmean_v(C, eps, beta):
     return float(C.shape[0] / np.add.reduce(1.0 / r))
 
 
-def _mc_hmean_g(C, eps, beta):
+def _mc_hmean_g(C, eps, beta, rows=True):
     r, num, d = _mc_recalls(C, eps)
     s = np.add.reduce(1.0 / r, axis=-1, keepdims=True)
     # pow(s, 2): how s ** 2 rounds where s is a numpy scalar, as it is for
     # one matrix without keepdims; an array's ** 2 is s * s, which can round
     # one unit apart
-    return _mc_recall_grad(C.shape[-1] / (np.float_power(s, 2) * r**2), num, d)
+    return _mc_recall_grad(C.shape[-1] / (np.float_power(s, 2) * r**2), num, d, rows)
 
 
 def _mc_qmean_v(C, eps, beta):
@@ -370,13 +385,14 @@ def _mc_qmean_v(C, eps, beta):
     return float(1.0 - np.sqrt(np.add.reduce((1.0 - r) ** 2) / C.shape[0]))
 
 
-def _mc_qmean_g(C, eps, beta):
+def _mc_qmean_g(C, eps, beta, rows=True):
     r, num, d = _mc_recalls(C, eps)
     m = C.shape[-1]
-    root = np.sqrt(np.add.reduce((1.0 - r) ** 2, -1) / m)
+    u = 1.0 - r
+    root = np.sqrt(np.add.reduce(u**2, -1) / m)
     # at the kink (root 0) every recall is 1 and every 1 - r is +0.0, so
     # dividing by 1 there instead gives the gradient taken there, 0
-    return _mc_recall_grad((1.0 - r) / m / (root + (root == 0.0))[..., None], num, d)
+    return _mc_recall_grad(u / m / (root + (root == 0.0))[..., None], num, d, rows)
 
 
 _NATIVE_BASES = {
@@ -479,7 +495,8 @@ class Metric:
         label axis of length 1; else the blocks."""
         if self.averaging != MICRO:
             return blocks
-        mean = blocks.mean(axis=-3)
+        # the mean's own arithmetic (see the native forms), without its wrapper
+        mean = np.add.reduce(blocks, axis=-3) / blocks.shape[-3]
         return mean if mean.ndim == 2 else mean[..., None, :, :]
 
     def _partials(self, blocks: np.ndarray, m: int):
@@ -522,7 +539,7 @@ class Metric:
             raise ValueError(f"expected an ({task.m}, {task.m}) matrix or an (R, {task.m}, "
                              f"{task.m}) stack of multiclass confusions, got {C.shape}")
         if self.averaging == MULTICLASS_NATIVE:
-            _, diag = _NATIVE_BASES[self.base][1](C, self.epsilon, self.beta)
+            _, diag = _NATIVE_BASES[self.base][1](C, self.epsilon, self.beta, rows=False)
             return CostCoefficients(diag, 0.0)
         if self.averaging == BINARY:
             if task.m != 2:

@@ -11,22 +11,23 @@ import os
 import re
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from omma import algorithms, evaluation, policy
+from omma import algorithms, evaluation, metrics, policy
 from omma.algorithms import (ALGORITHMS, LearnerConfig, MixtureClassifier, OfflineFWLearner,
                              UnsupportedMetricError, fw_fit, make_learner)
-from omma.confusion import (ProbEstimate, Task, batch_counts, check_labels,
+from omma.confusion import (ProbEstimate, Task, _cells, batch_counts, check_labels,
                             expected_instance_confusion, indicator_row, init_state)
 from omma.dataio import (DataFormatError, InstanceStream, SynthModel, _latent_draw,
                          load_stream, perturb_estimates, read_estimates, shuffle,
                          sparsify_estimates, synth_generate)
 from omma.metrics import (BINARY, EPSILON_FLOOR, MACRO, MULTICLASS_NATIVE, CostCoefficients,
-                          list_metrics, lookup, parse_metric)
+                          MetricInfo, list_metrics, lookup, parse_metric)
 
 # few distinct values, zero among them, so that ties and zero gains are common
 SCORES = st.sampled_from([-1.0, -0.25, 0.0, 0.0, 0.5, 1.0])
@@ -1318,6 +1319,215 @@ def test_native_kernels_equal_the_reference_formulas(name, C, eps):
     assert outcome(metric.gradient, C) == outcome(lambda C: ref_g(C, eps), C)
 
 
+@pytest.mark.parametrize("name", sorted(REF_NATIVE))
+@settings(max_examples=60, deadline=None)
+@given(native_matrices(), st.sampled_from([0.0, EPSILON_FLOOR, 1e-9, 1.0]),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_native_coefficients_are_the_kernels_diagonal_term(name, C, eps, R, seed):
+    metric = parse_metric(name, epsilon=eps)
+    task = Task("multiclass", C.shape[0])
+    kernel = metrics._NATIVE_BASES[metric.base][1]
+    rng = np.random.default_rng(seed)
+    stack = np.stack([C, *(rng.permutation(C.reshape(-1)).reshape(C.shape)
+                           for _ in range(R - 1))])
+    for confusion in (C, stack):
+        want = outcome(lambda C: kernel(C, eps, metric.beta)[1], confusion)
+        got = outcome(lambda C: metric.coefficients(C, task).alpha, confusion)
+        if want[0] == "raised":
+            # the row term, which the coefficients skip, may have raised first
+            # and named another error
+            assert got[0] == "raised"
+        else:
+            assert got == want
+            assert type(metric.coefficients(confusion, task).beta) is float
+
+
+# --- binary bases against their formulas as they stood before their numpy
+# calls were cut: verbatim copies of the gradients of the rate bases and
+# Matthews, of the values that share their helpers, and of the rule that
+# forms (alpha, beta).  The native reference's ref_safe_div is the same
+# _safe_div.
+
+
+def ref_bin_coefficients(dtn, dfp, dfn, dtp, shape) -> CostCoefficients:
+    """(alpha, beta) of the given shape from the four partials; a scalar, or a
+    micro stack's (R, 1) partial, is shared by the labels it covers."""
+    alpha = dtp + dtn - dfp - dfn
+    beta = dtn - dfp
+    # python floats have no shape
+    if getattr(alpha, "shape", ()) != shape:
+        alpha = np.full(shape, alpha)
+    if getattr(beta, "shape", ()) != shape:
+        beta = np.full(shape, beta)
+    return CostCoefficients(alpha, beta)
+
+
+def ref_bin_rates(blocks, eps):
+    """Stabilized true-positive and true-negative rates and their denominators."""
+    tn, fp, fn, tp = _cells(blocks)
+    dp = tp + fn + eps
+    dn = tn + fp + eps
+    return (tp + eps) / dp, (tn + eps) / dn, dp, dn
+
+
+def ref_bin_rate_partials(blocks, eps, scale, dv_drp, dv_drn, dp, dn):
+    """Chain dv/drp and dv/drn through the two stabilized rates to the cells."""
+    tn, fp, fn, tp = _cells(blocks)
+    dp2 = dp * dp * scale
+    dn2 = dn * dn * scale
+    return (dv_drn * fp / dn2, dv_drn * (-(tn + eps)) / dn2,
+            dv_drp * (-(tp + eps)) / dp2, dv_drp * fn / dp2)
+
+
+def ref_bin_gmean_v(blocks, eps, beta):
+    rp, rn, _, _ = ref_bin_rates(blocks, eps)
+    return np.sqrt(rp * rn)
+
+
+def ref_bin_gmean_g(blocks, eps, beta, scale):
+    rp, rn, dp, dn = ref_bin_rates(blocks, eps)
+    v = np.sqrt(rp * rn)
+    return ref_bin_rate_partials(blocks, eps, scale, ref_safe_div(rn, 2.0 * v),
+                                 ref_safe_div(rp, 2.0 * v), dp, dn)
+
+
+def ref_bin_hmean_v(blocks, eps, beta):
+    rp, rn, _, _ = ref_bin_rates(blocks, eps)
+    return 2.0 * rp * rn / (rp + rn)
+
+
+def ref_bin_hmean_g(blocks, eps, beta, scale):
+    rp, rn, dp, dn = ref_bin_rates(blocks, eps)
+    s = rp + rn
+    s2 = s * s
+    return ref_bin_rate_partials(blocks, eps, scale, 2.0 * (rn * rn) / s2,
+                                 2.0 * (rp * rp) / s2, dp, dn)
+
+
+def ref_bin_qmean_v(blocks, eps, beta):
+    rp, rn, _, _ = ref_bin_rates(blocks, eps)
+    up, un = 1.0 - rp, 1.0 - rn
+    return 1.0 - np.sqrt(0.5 * (up * up + un * un))
+
+
+def ref_bin_qmean_g(blocks, eps, beta, scale):
+    rp, rn, dp, dn = ref_bin_rates(blocks, eps)
+    up, un = 1.0 - rp, 1.0 - rn
+    root = np.sqrt(0.5 * (up * up + un * un))
+    return ref_bin_rate_partials(blocks, eps, scale, ref_safe_div(0.5 * up, root),
+                                 ref_safe_div(0.5 * un, root), dp, dn)
+
+
+def ref_bin_matthews_v(blocks, eps, beta):
+    tn, fp, fn, tp = _cells(blocks)
+    den = np.sqrt((tp + fp + eps) * (tp + fn + eps) * (tn + fp + eps) * (tn + fn + eps))
+    return ref_safe_div(tp * tn - fp * fn, den)
+
+
+def ref_bin_matthews_g(blocks, eps, beta, scale):
+    tn, fp, fn, tp = _cells(blocks)
+    f1 = tp + fp + eps
+    f2 = tp + fn + eps
+    f3 = tn + fp + eps
+    f4 = tn + fn + eps
+    den = np.sqrt(f1 * f2 * f3 * f4)
+    v = ref_safe_div(tp * tn - fp * fn, den)
+    dtp = ref_safe_div(tn, den) - 0.5 * v * (1.0 / f1 + 1.0 / f2)
+    dtn = ref_safe_div(tp, den) - 0.5 * v * (1.0 / f3 + 1.0 / f4)
+    dfp = ref_safe_div(-fn, den) - 0.5 * v * (1.0 / f1 + 1.0 / f3)
+    dfn = ref_safe_div(-fp, den) - 0.5 * v * (1.0 / f2 + 1.0 / f4)
+    return dtn / scale, dfp / scale, dfn / scale, dtp / scale
+
+
+def ref_bin_min_tn_tp_g(blocks, eps, beta, scale):
+    """Supergradient of min(tn, tp): indicator of the smaller entry, split at ties."""
+    tn, fp, fn, tp = _cells(blocks)
+    tie = np.abs(tn - tp) <= metrics._TIE_WIDTH
+    dtn = np.where(tie, 0.5, (tn < tp).astype(float))
+    dtp = np.where(tie, 0.5, (tp < tn).astype(float))
+    return dtn / scale, 0.0, 0.0, dtp / scale
+
+
+REF_BINARY = {
+    "g_mean": (ref_bin_gmean_v, ref_bin_gmean_g),
+    "h_mean": (ref_bin_hmean_v, ref_bin_hmean_g),
+    "q_mean": (ref_bin_qmean_v, ref_bin_qmean_g),
+    "matthews": (ref_bin_matthews_v, ref_bin_matthews_g),
+    "min_tn_tp": (metrics._BINARY_BASES["min_tn_tp"][0], ref_bin_min_tn_tp_g),
+}
+
+# every binary, macro and micro metric, and min(tn, tp) as the adversarial
+# scenario runs it (binary) and averaged over labels
+REF_BINARY_NAMES = NON_NATIVE + ["min-tn-tp", "macro-min-tn-tp"]
+
+
+def ref_binary_metric(name, eps):
+    if name == "min-tn-tp":
+        return metrics.min_tn_tp(eps)
+    if name == "macro-min-tn-tp":
+        return metrics.Metric(name=name, base="min_tn_tp", averaging=MACRO, epsilon=eps)
+    return parse_metric(name, epsilon=eps)
+
+
+# min(tn, tp)'s tie band: gaps of exactly +-_TIE_WIDTH and one ulp either side
+TIE_GAPS = [g for w in (metrics._TIE_WIDTH, -metrics._TIE_WIDTH)
+            for g in (w, np.nextafter(w, 0.0), np.nextafter(w, 2.0 * w))]
+
+
+@st.composite
+def ref_binary_cases(draw, name):
+    """A metric of the name, a task it takes, one confusion and an (R, ...)
+    stack of them: random with exact zeros, all zero, at the q-mean kink, or
+    with tn - tp on the edges of min(tn, tp)'s tie band."""
+    eps = draw(st.sampled_from([0.0, EPSILON_FLOOR, 1e-9, 1.0]))
+    metric = ref_binary_metric(name, eps)
+    info = MetricInfo(name, metric.base, metric.averaging, False, True)
+    task = draw(st.sampled_from(metric_tasks(info, draw(st.integers(2, 6)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-12, 1e-6, 1e-3, 1.0, 1e3]))
+    slices = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "zero", "kink", "ties"]))
+        C = confusion_slice(task, "random" if kind == "ties" else kind, rng, scale)
+        if kind == "ties":
+            # one of tn, tp is 0 and the other the gap's size, so tn - tp is the gap
+            gaps = np.array(draw(st.lists(st.sampled_from(TIE_GAPS), min_size=C[..., 0, 0].size,
+                                          max_size=C[..., 0, 0].size)))
+            C[..., 0, 0] = np.maximum(gaps, 0.0).reshape(C[..., 0, 0].shape)
+            C[..., 1, 1] = np.maximum(-gaps, 0.0).reshape(C[..., 1, 1].shape)
+        slices.append(C)
+    return metric, task, slices[0], np.stack(slices)
+
+
+def coefficient_outcome(metric, C, task):
+    """The shapes and bytes of (alpha, beta) at C, whether beta is a scalar
+    structural zero, or the message of the floating-point error raised."""
+    try:
+        with np.errstate(**evaluation.FP_ERRORS):
+            alpha, beta = metric.coefficients(C, task)
+    except FloatingPointError as exc:
+        return "raised", str(exc)
+    return alpha.shape, alpha.tobytes(), type(beta) is float, np.shape(beta), \
+        np.asarray(beta).tobytes()
+
+
+def binary_outcomes(metric, task, C, stack):
+    return (outcome(metric.value, C), outcome(metric.gradient, C),
+            coefficient_outcome(metric, C, task), coefficient_outcome(metric, stack, task))
+
+
+@pytest.mark.parametrize("name", REF_BINARY_NAMES)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_binary_bases_equal_the_reference_formulas(name, data):
+    metric, task, C, stack = data.draw(ref_binary_cases(name))
+    got = binary_outcomes(metric, task, C, stack)
+    with mock.patch.dict(metrics._BINARY_BASES, REF_BINARY), \
+            mock.patch.object(metrics, "_coefficients", ref_bin_coefficients):
+        want = binary_outcomes(metric, task, C, stack)
+    assert got == want
+
+
 # --- Frank-Wolfe's vertex store against a fit that counts every vertex
 
 
@@ -1451,6 +1661,21 @@ def test_lockstep_prefixes_must_increase_within_the_buffer():
         with pytest.raises(ValueError, match="prefixes"):
             fw_fit(eta, None, Task("multilabel", 2), parse_metric("macro-f1"), 2,
                    prefixes=bad)
+
+
+def test_lockstep_prefixes_must_be_integers():
+    eta = np.linspace(0.0, 1.0, 12).reshape(6, 2)
+    task, metric = Task("multilabel", 2), parse_metric("macro-f1")
+    for bad in ([True, 2], [1, 2.5], [np.float64(3.0)], [1, np.bool_(True)]):
+        with pytest.raises(ValueError, match="prefixes must be integer"):
+            fw_fit(eta, None, task, metric, 3, prefixes=bad)
+    got = fw_fit(eta, None, task, metric, 3, prefixes=[np.int64(2), np.int32(4)])
+    want = fw_fit(eta, None, task, metric, 3, prefixes=[2, 4])
+    for a, b in zip(got, want):
+        assert_same_arrays(mixture_arrays(a), mixture_arrays(b))
+    assert_same_arrays(mixture_arrays(fw_fit(eta, None, task, metric, 3,
+                                             prefixes=np.array([2, 4]))[1]),
+                       mixture_arrays(want[1]))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
-"""Smoke test of tools/steps.py: every stage is timed, in text and JSON output."""
+"""Smoke test of tools/steps.py: every stage is timed, in text and JSON output,
+alone and side by side with a checkout (here its own)."""
 
 import importlib.util
 import json
@@ -6,8 +7,8 @@ import os
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "tools", "steps.py")
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_PATH = os.path.join(_ROOT, "tools", "steps.py")
 _SPEC = importlib.util.spec_from_file_location("steps", _PATH)
 steps = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(steps)
@@ -19,6 +20,7 @@ STAGES = ["normalized", "coefficients", "decision", "add", "step", "overhead"]
     ["--metric", "micro-f1", "--m", "3"],
     ["--metric", "mc-qmean", "--task", "multiclass", "--m", "4", "--alg", "omma-eta"],
     ["--metric", "macro-f1@2", "--m", "4", "--alg", "greedy"],
+    ["--metric", "min-tn-tp", "--m", "1"],
 ])
 def test_every_stage_gets_a_positive_time(capsys, args):
     assert steps.main([*args, "--n", "20", "--calls", "3", "--rounds", "2", "--json"]) == 0
@@ -39,3 +41,29 @@ def test_a_setting_the_library_rejects_is_a_usage_error(capsys):
         steps.main(["--metric", "mc-qmean", "--task", "multilabel", "--calls", "1"])
     assert exc.value.code == 2
     assert "needs a multiclass stream" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--metric", "macro-gmean", "--m", "3"],
+    ["--metric", "min-tn-tp", "--m", "1", "--alg", "omma-eta"],
+    ["--metric", "mc-qmean", "--task", "multiclass", "--m", "4"],
+])
+def test_against_a_checkout_reports_both_sides_of_every_stage(capsys, args):
+    argv = [*args, "--n", "20", "--calls", "2", "--rounds", "4", "--against", _ROOT]
+    assert steps.main([*argv, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["against"] == _ROOT and sorted(out["stages"]) == sorted(STAGES)
+    for stage in out["stages"].values():
+        assert all(stage[k] > 0.0 for k in ("this_best", "other_best", "this_median",
+                                             "other_median", "ratio_best", "ratio_median"))
+        assert 0 <= stage["wins"] <= stage["rounds"] == 4
+    assert steps.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[2:]] == STAGES
+
+
+def test_against_a_path_without_the_package_is_a_usage_error(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        steps.main(["--against", str(tmp_path), "--calls", "1"])
+    assert exc.value.code == 2
+    assert "no src/omma package" in capsys.readouterr().err

@@ -1,6 +1,7 @@
-"""Per-stage timing of one online learner step, in the checkout this file is in.
+"""Per-stage timing of one online learner step, alone or side by side with another checkout.
 
     python3 tools/steps.py --metric macro-f1 --task multilabel --m 5 --alg omma
+    python3 tools/steps.py --metric min-tn-tp --m 1 --against ../parent
 
 Imports ``omma`` from the ``src/`` beside this file, so a copy of the file
 in another checkout times that checkout.  It draws a synthetic stream of
@@ -19,37 +20,68 @@ one a run reaches, and then times each stage on the second half's rows:
 
 The first four are the stages of the ``omma`` rule whatever ``--alg`` is;
 ``--alg`` picks the learner whose state they read and whose step is timed.
-Each of ``--rounds`` rounds makes ``--calls`` calls of every stage in turn,
-and a stage's figure is its fastest round, in µs per call.  Runs under the
+``--metric`` takes every name ``parse_metric`` reads, and ``min-tn-tp``, the
+utility of the adversarial scenario (one label: ``--m 1``).  Each of
+``--rounds`` rounds makes ``--calls`` calls of every stage in turn, and a
+stage's figure is its fastest round, in µs per call.  Runs under the
 floating-point error state of ``run_online``.
+
+``--against PATH`` also imports ``PATH/src/omma``, under another package
+name, and times both checkouts in this one process: each side builds its
+learner on the same stream and reaches the same state, and their rounds
+interleave as A B B A, A B B A, ... (A this checkout, B the other), so that a
+host speed phase falls on both alike.  Per stage it reports each side's
+fastest and median round, the ratio this / other of each (below 1: this
+checkout is faster) and the wins, the rounds in which this checkout was
+faster than the other's round of the same index.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import importlib
+import importlib.util
 import json
 import math
 import os
+import statistics
 import sys
 import time
+import types
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "src"))
 
 import numpy as np  # noqa: E402
 
-from omma import policy  # noqa: E402
-from omma.algorithms import LearnerConfig, make_learner  # noqa: E402
-from omma.confusion import Task  # noqa: E402
-from omma.dataio import SynthModel, synth_generate  # noqa: E402
-from omma.evaluation import FP_ERRORS  # noqa: E402
-from omma.metrics import parse_metric  # noqa: E402
-
 ALGORITHMS = ("omma", "omma-eta", "greedy")  # the learners that keep a confusion state
+MODULES = ("algorithms", "confusion", "dataio", "evaluation", "metrics", "policy")
+OTHER = "omma_against"  # the package name the other checkout is imported under
 
 
-def stages(learner, estimates: np.ndarray, labels: np.ndarray) -> dict:
+def library(name: str) -> types.SimpleNamespace:
+    """The modules of the imported package ``name`` that this tool calls."""
+    return types.SimpleNamespace(**{mod: importlib.import_module(f"{name}.{mod}")
+                                    for mod in MODULES})
+
+
+def import_checkout(root: str, name: str = OTHER) -> types.SimpleNamespace:
+    """The package ``root/src/omma``, imported as ``name`` beside this checkout's."""
+    src = os.path.join(os.path.abspath(root), "src", "omma")
+    if not os.path.isfile(os.path.join(src, "__init__.py")):
+        raise ValueError(f"no src/omma package under {root!r}")
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
+    spec = importlib.util.spec_from_file_location(name, os.path.join(src, "__init__.py"),
+                                                  submodule_search_locations=[src])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return library(name)
+
+
+def stages(learner, estimates: np.ndarray, labels: np.ndarray, policy) -> dict:
     """One call of each stage on row i, keyed by stage name."""
     state, metric, task = learner.state, learner.metric, learner.task
     budget, multiclass = metric.budget_k, task.is_multiclass
@@ -74,35 +106,85 @@ def stages(learner, estimates: np.ndarray, labels: np.ndarray) -> dict:
     }
 
 
+def one_round(calls: dict, rows: int, per_round: int) -> dict[str, float]:
+    """Seconds per call of each stage, the stages timed in turn."""
+    out = {}
+    for name, call in calls.items():
+        start = time.perf_counter()
+        for i in range(per_round):
+            call(i % rows)
+        out[name] = (time.perf_counter() - start) / per_round
+    return out
+
+
 def fastest(calls: dict, rows: int, per_round: int, rounds: int) -> dict[str, float]:
     """Each stage's fastest round in µs per call; the rounds interleave the stages."""
     best = dict.fromkeys(calls, math.inf)
     for _ in range(rounds):
-        for name, call in calls.items():
-            start = time.perf_counter()
-            for i in range(per_round):
-                call(i % rows)
-            best[name] = min(best[name], (time.perf_counter() - start) / per_round)
+        for name, s in one_round(calls, rows, per_round).items():
+            best[name] = min(best[name], s)
     return {name: 1e6 * s for name, s in best.items()}
 
 
-def setting(metric: str, kind: str, m: int, alg: str) -> LearnerConfig:
+def side_by_side(this: dict, other: dict, rows: int, per_round: int,
+                 rounds: int) -> dict[str, dict]:
+    """Per stage: each side's fastest and median round in µs per call, the
+    ratios this / other, and the rounds this side won; each side makes
+    ``rounds`` rounds, in the order A B B A, A B B A, ..."""
+    times = {"this": [], "other": []}
+    for r in range(rounds):
+        order = (("this", this), ("other", other)) if r % 2 == 0 else \
+            (("other", other), ("this", this))
+        for side, calls in order:
+            times[side].append(one_round(calls, rows, per_round))
+    out = {}
+    for name in this:
+        a = [1e6 * t[name] for t in times["this"]]
+        b = [1e6 * t[name] for t in times["other"]]
+        out[name] = {"this_best": min(a), "other_best": min(b),
+                     "this_median": statistics.median(a),
+                     "other_median": statistics.median(b),
+                     "ratio_best": min(a) / min(b),
+                     "ratio_median": statistics.median(a) / statistics.median(b),
+                     "wins": sum(x < y for x, y in zip(a, b)), "rounds": rounds}
+    return out
+
+
+def metric_named(lib, name: str):
+    """The metric of a name: ``min-tn-tp`` or any name ``parse_metric`` reads."""
+    return lib.metrics.min_tn_tp() if name == "min-tn-tp" else lib.metrics.parse_metric(name)
+
+
+def setting(metric: str, kind: str, m: int, alg: str, lib=None):
     """The learner config of a setting; raises ValueError on one the library rejects."""
-    return LearnerConfig(algorithm=alg, task=Task(kind, m), metric=parse_metric(metric))
+    lib = lib or library("omma")
+    return lib.algorithms.LearnerConfig(algorithm=alg, task=lib.confusion.Task(kind, m),
+                                        metric=metric_named(lib, metric))
 
 
-def measure(cfg: LearnerConfig, n: int, per_round: int, rounds: int) -> dict[str, float]:
-    """The stage timings of one setting (see the module docstring)."""
-    stream = synth_generate(SynthModel(task=cfg.task, seed=2024), n, seed=0)
+def warmed(lib, cfg, estimates: np.ndarray, labels: np.ndarray, half: int) -> dict:
+    """The stages of a learner of ``cfg`` that has stepped the first ``half`` rows."""
+    learner = lib.algorithms.make_learner(cfg)
+    for eta, y in zip(estimates[:half], labels[:half]):
+        learner.step_row(eta)
+        learner.observe_row(y)
+    return stages(learner, estimates[half:], labels[half:], lib.policy)
+
+
+def measure(libs, cfgs, n: int, per_round: int, rounds: int) -> dict:
+    """The stage timings of a setting (see the module docstring), with one
+    (library, config) pair this checkout's fastest rounds, with two the
+    side-by-side figures of :func:`side_by_side`."""
+    lib = libs[0]
+    stream = lib.dataio.synth_generate(lib.dataio.SynthModel(task=cfgs[0].task, seed=2024),
+                                       n, seed=0)
     estimates, labels = stream.estimate_rows, stream.label_rows
-    learner = make_learner(cfg)
     half = n // 2
-    with np.errstate(**FP_ERRORS):
-        for eta, y in zip(estimates[:half], labels[:half]):
-            learner.step_row(eta)
-            learner.observe_row(y)
-        return fastest(stages(learner, estimates[half:], labels[half:]), n - half,
-                       per_round, rounds)
+    with np.errstate(**lib.evaluation.FP_ERRORS):
+        calls = [warmed(x, cfg, estimates, labels, half) for x, cfg in zip(libs, cfgs)]
+        if len(calls) == 1:
+            return fastest(calls[0], n - half, per_round, rounds)
+        return side_by_side(*calls, n - half, per_round, rounds)
 
 
 def main(argv=None) -> int:
@@ -114,23 +196,43 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=400, help="stream length (at least 2)")
     parser.add_argument("--calls", type=int, default=100, help="calls per stage per round")
     parser.add_argument("--rounds", type=int, default=300)
+    parser.add_argument("--against", metavar="PATH",
+                        help="a second checkout to time side by side with this one")
     parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
     if args.n < 2 or args.calls < 1 or args.rounds < 1:
         parser.error("need --n >= 2, --calls >= 1 and --rounds >= 1")
     try:
-        cfg = setting(args.metric, args.task, args.m, args.alg)
+        libs = [library("omma")]
+        if args.against is not None:
+            libs.append(import_checkout(args.against))
+        cfgs = [setting(args.metric, args.task, args.m, args.alg, lib) for lib in libs]
     except ValueError as err:
         parser.error(str(err))
-    us = measure(cfg, args.n, args.calls, args.rounds)
-    if args.json:
-        print(json.dumps({"metric": args.metric, "task": args.task, "m": args.m,
-                          "alg": args.alg, "us_per_call": us}, sort_keys=True))
-    else:
+    result = measure(libs, cfgs, args.n, args.calls, args.rounds)
+    head = {"metric": args.metric, "task": args.task, "m": args.m, "alg": args.alg,
+            "calls": args.calls, "rounds": args.rounds}
+    if args.against is None:
+        if args.json:
+            print(json.dumps({**head, "us_per_call": result}, sort_keys=True))
+            return 0
         print(f"{args.alg} {args.metric} {args.task} m={args.m}: fastest of "
               f"{args.rounds} rounds of {args.calls} calls, µs per call")
-        for name, value in us.items():
+        for name, value in result.items():
             print(f"  {name:<13}{value:8.2f}")
+        return 0
+    if args.json:
+        print(json.dumps({**head, "against": args.against, "stages": result}, sort_keys=True))
+        return 0
+    print(f"{args.alg} {args.metric} {args.task} m={args.m}: this checkout against "
+          f"{args.against}, {args.rounds} rounds each of {args.calls} calls, A B B A; "
+          "µs per call")
+    print(f"  {'stage':<13}{'this best':>10}{'other best':>11}{'ratio':>7}"
+          f"{'this med':>10}{'other med':>11}{'ratio':>7}{'wins':>10}")
+    for name, s in result.items():
+        print(f"  {name:<13}{s['this_best']:10.2f}{s['other_best']:11.2f}"
+              f"{s['ratio_best']:7.3f}{s['this_median']:10.2f}{s['other_median']:11.2f}"
+              f"{s['ratio_median']:7.3f}{s['wins']:>6}/{s['rounds']}")
     return 0
 
 
