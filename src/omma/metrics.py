@@ -271,7 +271,8 @@ def _min_tn_tp_v(blocks, eps, beta):
 def _min_tn_tp_g(blocks, eps, beta, scale):
     """Supergradient of min(tn, tp): indicator of the smaller entry, split at ties."""
     # tn < tp exactly where tn - tp < 0: a difference of finite floats is 0
-    # only where they are equal
+    # only where they are equal.  dtn is 0, half or all of 1 / scale, so
+    # 1 / scale - dtn is exact
     tn, _, _, tp = _cells(blocks)
     gap = tn - tp
     dtn = np.where(abs(gap) <= _TIE_WIDTH, 0.5, gap < 0.0) / scale

@@ -27,7 +27,7 @@ from omma.dataio import (DataFormatError, InstanceStream, SynthModel, _latent_dr
                          load_stream, perturb_estimates, read_estimates, shuffle,
                          sparsify_estimates, synth_generate)
 from omma.metrics import (BINARY, EPSILON_FLOOR, MACRO, MULTICLASS_NATIVE, CostCoefficients,
-                          MetricInfo, list_metrics, lookup, parse_metric)
+                          list_metrics, lookup, parse_metric)
 
 # few distinct values, zero among them, so that ties and zero gains are common
 SCORES = st.sampled_from([-1.0, -0.25, 0.0, 0.0, 0.5, 1.0])
@@ -1481,8 +1481,8 @@ def ref_binary_cases(draw, name):
     with tn - tp on the edges of min(tn, tp)'s tie band."""
     eps = draw(st.sampled_from([0.0, EPSILON_FLOOR, 1e-9, 1.0]))
     metric = ref_binary_metric(name, eps)
-    info = MetricInfo(name, metric.base, metric.averaging, False, True)
-    task = draw(st.sampled_from(metric_tasks(info, draw(st.integers(2, 6)))))
+    # metric_tasks reads only the averaging, which a Metric carries too
+    task = draw(st.sampled_from(metric_tasks(metric, draw(st.integers(2, 6)))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1e-12, 1e-6, 1e-3, 1.0, 1e3]))
     slices = []

@@ -155,9 +155,8 @@ def metric_named(lib, name: str):
     return lib.metrics.min_tn_tp() if name == "min-tn-tp" else lib.metrics.parse_metric(name)
 
 
-def setting(metric: str, kind: str, m: int, alg: str, lib=None):
+def setting(lib, metric: str, kind: str, m: int, alg: str):
     """The learner config of a setting; raises ValueError on one the library rejects."""
-    lib = lib or library("omma")
     return lib.algorithms.LearnerConfig(algorithm=alg, task=lib.confusion.Task(kind, m),
                                         metric=metric_named(lib, metric))
 
@@ -206,7 +205,7 @@ def main(argv=None) -> int:
         libs = [library("omma")]
         if args.against is not None:
             libs.append(import_checkout(args.against))
-        cfgs = [setting(args.metric, args.task, args.m, args.alg, lib) for lib in libs]
+        cfgs = [setting(lib, args.metric, args.task, args.m, args.alg) for lib in libs]
     except ValueError as err:
         parser.error(str(err))
     result = measure(libs, cfgs, args.n, args.calls, args.rounds)
