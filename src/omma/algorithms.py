@@ -63,9 +63,9 @@ class LearnerConfig:
             raise ValueError(f"unknown algorithm: {alg!r}")
         check_regularizer(self.lam)
         metric.check_task(task)
-        if sparse_k is not None and sparse_k < 1:
+        if sparse_k is not None and not (is_integer(sparse_k) and sparse_k >= 1):
             raise ValueError("the sparse top-k' size must be at least 1")
-        if self.fw_iterations < 1:
+        if not (is_integer(self.fw_iterations) and self.fw_iterations >= 1):
             raise ValueError("need at least one Frank-Wolfe iteration")
         if self.refit_mode not in ("interval", "cumulative"):
             raise ValueError(f"unknown refit mode: {self.refit_mode!r}")
@@ -333,7 +333,7 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     estimates = np.ascontiguousarray(estimates, dtype=np.float64)
     if estimates.ndim != 2 or estimates.shape[0] == 0:
         raise ValueError("need a nonempty (n, m) estimate buffer")
-    if iterations < 1:
+    if not (is_integer(iterations) and iterations >= 1):
         raise ValueError("need at least one iteration")
     n, m = estimates.shape
     ref = estimates if labels is None else np.ascontiguousarray(labels, dtype=np.float64)

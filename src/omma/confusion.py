@@ -14,7 +14,10 @@ label indices; inside a run they are (m,) rows: 0/1 float64 label rows
 :class:`ConfusionState` keeps unnormalized counts plus the instance count so
 that repeated updates stay exact (no recursive rescaling); its regularizer
 ``lam`` is added once to every entry at initialization and therefore carries
-weight ``lam / t`` after normalization at step ``t``.
+weight ``lam / t`` after normalization at step ``t``.  It is at most
+``LAM_MAX`` = 1e50: Matthews multiplies four marginal sums of the
+regularized counts, about lam**4 = 1e200 there, far inside the float64
+range (1.8e308), where a macro-matthews run at lam = 1e77 overflowed.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class Task:
             raise ValueError(f"unknown task kind: {self.kind!r}")
         if self.kind == MULTICLASS and self.m < 2:
             raise ValueError("multiclass tasks need m >= 2")
-        if self.m < 1:
+        if not is_integer(self.m) or self.m < 1:
             raise ValueError("need at least one label")
 
     @cached_property  # cached, like shape: every learner step reads them
@@ -73,8 +76,7 @@ def _check_probabilities(values: np.ndarray) -> None:
 class ProbEstimate:
     """Sparse vector of per-label probabilities; unlisted labels have probability 0.
 
-    Direct construction, :meth:`from_dense`, :meth:`from_pairs` and :meth:`top`
-    check every estimate on its own.
+    Direct construction and :meth:`from_dense` check every estimate on its own.
     """
 
     m: int
@@ -132,25 +134,10 @@ class ProbEstimate:
             out.append(cls._prechecked(m, indices, row[indices]))
         return out
 
-    @classmethod
-    def from_pairs(cls, m: int, pairs: list[tuple[int, float]]) -> "ProbEstimate":
-        pairs = sorted(pairs)
-        idx = np.array([p[0] for p in pairs], dtype=np.int64)
-        val = np.array([p[1] for p in pairs], dtype=np.float64)
-        return cls(m, idx, val)
-
     def dense(self) -> np.ndarray:
         out = np.zeros(self.m)
         out[self.indices] = self.values
         return out
-
-    def top(self, k: int) -> "ProbEstimate":
-        """Keep the k largest-probability entries (ties: smaller label index)."""
-        if k < 0:
-            raise ValueError(f"top-k size must be at least 0, got {k}")
-        if self.indices.size <= k:
-            return self
-        return ProbEstimate(self.m, *top_entries(self.indices, self.values, k))
 
 
 def top_entries(indices: np.ndarray, values: np.ndarray,
@@ -346,10 +333,17 @@ def batch_counts(task: Task, ref: np.ndarray, dec: np.ndarray) -> np.ndarray:
     return _pack(*[np.einsum("ij,ij->j", a, b) for a, b in pairs], task.shape)
 
 
+# the largest regularizer (see the module docstring)
+LAM_MAX = 1e50
+
+
 def check_regularizer(lam: float) -> None:
-    """The regularizer ``lam`` of a confusion state: finite and >= 0."""
+    """The regularizer ``lam`` of a confusion state: finite, >= 0 and at
+    most ``LAM_MAX``."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("regularizer must be finite and nonnegative")
+    if lam > LAM_MAX:
+        raise ValueError(f"regularizer must be at most {LAM_MAX:g}")
 
 
 def init_state(task: Task, lam: float) -> ConfusionState:

@@ -4,12 +4,13 @@ A stream is stored as columns: one read-only (n, m) float64 matrix of
 estimates, one read-only (n, m) matrix of 0/1 label rows (one-hot for
 multiclass), an optional (n, m) boolean support of the labels each sparse
 estimate lists, and, for synthetic streams, the exact conditionals (the
-estimate matrix itself until the estimates are perturbed or cut).  The
-builders below index or fill these matrices directly, and the file readers
-parse each line straight into its row: ``read_labels`` returns the (n, m)
-label matrix, checking every line by the one label rule
-:func:`~omma.confusion.check_labels`.  Label tuples and :class:`ProbEstimate`
-objects exist only as list views for readers.
+estimate matrix itself until the estimates are perturbed or cut).
+:class:`InstanceStream` takes these columns only as numpy arrays, and checks
+and copies them.  The builders below index or fill the matrices directly,
+and the file readers parse each line straight into its row:
+``read_labels`` returns the (n, m) label matrix, checking every line by the
+one label rule :func:`~omma.confusion.check_labels`.  Label tuples and
+:class:`ProbEstimate` objects exist only as list views for readers.
 
 Text formats are line-oriented (one instance per line) so streams never need
 to be loaded wholesale:
@@ -29,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .confusion import (Labels, ProbEstimate, Task, _check_probabilities, check_label_rows,
-                        check_labels)
+                        check_labels, is_integer)
 
 _MC_SUM_SLACK = 1e-3
 
@@ -67,22 +68,13 @@ def _label_columns(m: int, sizes, cols) -> np.ndarray:
     return rows
 
 
-def _estimate_columns(task: Task, estimates) -> tuple[np.ndarray, np.ndarray | None]:
-    """(rows, support) of an (n, m) probability matrix or a list of estimates."""
-    m = task.m
-    if isinstance(estimates, np.ndarray):
-        rows = np.array(estimates, dtype=np.float64, order="C")
-        if rows.ndim != 2 or rows.shape[1] != m:
-            raise ValueError(f"expected an (n, {m}) matrix of probabilities")
-        _check_probabilities(rows)
-        return rows, None
-    if any(est.m != m for est in estimates):
-        raise ValueError("estimate size does not match the task")
-    n = len(estimates)
-    owner = np.repeat(np.arange(n), [est.indices.size for est in estimates])
-    return _listed_columns(
-        n, m, owner, np.concatenate([est.indices for est in estimates] or [np.empty(0, int)]),
-        np.concatenate([est.values for est in estimates] or [np.empty(0)]))
+def _probability_rows(task: Task, rows: np.ndarray) -> np.ndarray:
+    """A row-major float64 copy of an (n, m) probability matrix, checked as a whole."""
+    rows = np.array(rows, dtype=np.float64, order="C")
+    if rows.ndim != 2 or rows.shape[1] != task.m:
+        raise ValueError(f"expected an (n, {task.m}) matrix of probabilities")
+    _check_probabilities(rows)
+    return rows
 
 
 def _row_labels(rows: np.ndarray) -> list[Labels]:
@@ -105,31 +97,36 @@ class InstanceStream:
     * ``truth_rows``: exact conditionals, only for synthetic / oracle streams,
       else None; a synthetic stream's truth is its estimate matrix itself.
 
-    The constructor takes label tuples, each checked by :func:`check_labels`,
-    or an (n, m) 0/1 matrix, and lists of :class:`ProbEstimate` or (n, m)
-    probability matrices, copies them into row-major columns and checks each
-    matrix once as a whole.  ``labels``, ``estimates`` and ``truth`` are list
-    views for readers, built on first use (or the lists given to the
-    constructor); the run loop never reads them.
+    The constructor takes these four columns as numpy arrays and nothing
+    else: a list of label tuples or of :class:`ProbEstimate` is rejected.  It
+    checks each matrix once as a whole and copies it into row-major order.
+    A support is a boolean matrix of the estimate matrix's shape, 0 in the
+    estimates wherever it lists no label; one that lists every label is
+    stored as None.  ``labels`` and ``estimates`` are list views for readers,
+    built on first use; the run loop never reads them.
     """
 
-    def __init__(self, task: Task, labels, estimates, truth=None):
-        if isinstance(labels, np.ndarray):
-            y = np.array(labels, dtype=np.float64, order="C")
-            check_label_rows(task, y)
-        else:
-            for t in labels:
-                check_labels(task, t)
-            y = _label_columns(task.m, [len(t) for t in labels], [j for t in labels for j in t])
-            self.__dict__["labels"] = list(labels)
-        eta, support = _estimate_columns(task, estimates)
-        if not isinstance(estimates, np.ndarray):
-            self.__dict__["estimates"] = list(estimates)
+    def __init__(self, task: Task, label_rows: np.ndarray, estimate_rows: np.ndarray,
+                 support: np.ndarray | None = None, truth_rows: np.ndarray | None = None):
+        # a list is never read as a matrix: at m = 1 the label tuples
+        # [(0,), (0,)] would read as the all-negative rows [[0], [0]]
+        for name, column in (("label_rows", label_rows), ("estimate_rows", estimate_rows),
+                             ("support", support), ("truth_rows", truth_rows)):
+            if not isinstance(column, np.ndarray) and (
+                    column is not None or name in ("label_rows", "estimate_rows")):
+                raise ValueError(f"{name} must be a numpy array, not {type(column).__name__}")
+        y = np.array(label_rows, dtype=np.float64, order="C")
+        check_label_rows(task, y)
+        eta = _probability_rows(task, estimate_rows)
+        if support is not None:
+            if support.dtype != bool or support.shape != eta.shape:
+                raise ValueError(f"support must be a boolean matrix of shape {eta.shape}")
+            if np.any(eta[~support]):
+                raise ValueError("an estimate is nonzero at a label its support does not list")
+            support = None if support.all() else np.array(support, order="C")
         true = None
-        if truth is not None:
-            true, _ = _estimate_columns(task, truth)
-            if not isinstance(truth, np.ndarray):
-                self.__dict__["truth"] = list(truth)
+        if truth_rows is not None:
+            true = eta if truth_rows is estimate_rows else _probability_rows(task, truth_rows)
         self._set_columns(task, y, eta, support, true)
 
     @classmethod
@@ -167,14 +164,6 @@ class InstanceStream:
     @cached_property
     def estimates(self) -> list[ProbEstimate]:
         return ProbEstimate._row_views(self.estimate_rows, self.support)
-
-    @cached_property
-    def truth(self) -> list[ProbEstimate] | None:
-        if self.truth_rows is None:
-            return None
-        if self.truth_rows is self.estimate_rows:
-            return self.estimates
-        return ProbEstimate._row_views(self.truth_rows)
 
 
 def read_labels(path, task: Task) -> np.ndarray:
@@ -298,7 +287,7 @@ class SynthModel:
     def __post_init__(self):
         if not 0.0 < self.prior_low <= self.prior_high < 1.0:
             raise ValueError("priors must satisfy 0 < low <= high < 1")
-        if self.d < 0:
+        if not (is_integer(self.d) and self.d >= 0):
             raise ValueError("latent dimension must be nonnegative")
         if not math.isfinite(self.weight_scale):
             raise ValueError("weight scale must be finite")
@@ -382,6 +371,8 @@ def synth_generate(model: SynthModel, n: int, seed: int | None = None) -> Instan
     labels are drawn straight into 0/1 rows.  For a fixed seed a shorter
     stream is an exact prefix of a longer one.
     """
+    if not (is_integer(n) and n >= 0):
+        raise ValueError(f"stream length must be a nonnegative integer, got {n!r}")
     eta, rng_y = _latent_draw(model, n, seed)
     _check_probabilities(eta)
     m = model.task.m
@@ -426,7 +417,7 @@ def perturb_estimates(stream: InstanceStream, sigma: float,
 def sparsify_estimates(stream: InstanceStream, k: int) -> InstanceStream:
     """Keep only the k largest-probability listed entries of every estimate
     (ties: smaller label index); the dropped labels get probability 0."""
-    if k < 0:
+    if not (is_integer(k) and k >= 0):
         raise ValueError(f"top-k size must be at least 0, got {k}")
     eta, listed = stream.estimate_rows, stream.support
     # unlisted labels sort after every listed one, so they are never kept

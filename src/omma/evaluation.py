@@ -202,7 +202,7 @@ def estimate_optimal(metric: Metric, model: SynthModel, method: str = "both",
     """
     if method not in ("fw", "threshold-grid", "both"):
         raise ValueError(f"unknown estimation method: {method!r}")
-    if n_opt < 1:
+    if not (is_integer(n_opt) and n_opt >= 1):
         raise ValueError("the optimum needs a sample of n_opt >= 1 instances")
     metric.check_task(model.task)
     grid = method in ("threshold-grid", "both") and metric.per_label \
@@ -226,11 +226,11 @@ def estimate_optimal(metric: Metric, model: SynthModel, method: str = "both",
 def check_regret_grid(n_grid: list[int], runs: int) -> None:
     """The counts :func:`measure_regret` needs: runs >= 1, at least one n and
     every n >= 1."""
-    if runs < 1:
+    if not (is_integer(runs) and runs >= 1):
         raise ValueError("need at least one run")
     if len(n_grid) == 0:
         raise ValueError("need at least one sequence length")
-    if any(n < 1 for n in n_grid):
+    if not all(is_integer(n) and n >= 1 for n in n_grid):
         raise ValueError("every sequence length must be at least 1")
 
 
@@ -292,7 +292,7 @@ class AdversarialReport:
 
 
 def adversarial_sequences(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n < 1 or n % 6 != 0:
+    if not (is_integer(n) and n >= 1 and n % 6 == 0):
         raise ValueError("sequence length must be positive and divisible by 6")
     half = n // 2
     seq1 = np.full(n, 2.0 / 3.0)
@@ -314,7 +314,7 @@ def adversarial_run(algorithm: str, n: int, runs: int, seed: int = 0,
     supergradient compare the same counts, and ``omma``, ``omma-eta`` and
     ``greedy`` decide as at lam 0; the other learners never read it.
     """
-    if runs < 1:
+    if not (is_integer(runs) and runs >= 1):
         raise ValueError("need at least one run")
     seqs = adversarial_sequences(n)
     task = multilabel(1)

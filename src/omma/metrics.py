@@ -33,9 +33,13 @@ the mean-family metrics (G/H/Q-mean) are stabilized as ``(num + eps) /
 including the all-zero one.  Gradients square the stabilized denominators,
 and for epsilon below about 1e-154 that square leaves the normal float64
 range, so a positive epsilon is at least ``EPSILON_FLOOR``; 0 turns the
-stabilizer off.  Gradients differentiate exactly the stabilized
-expression that the value computes, which is what makes finite-difference
-checks exact.
+stabilizer off.  F-beta's gradient squares its denominator, about beta**2
+times the regularized counts: with beta at most ``BETA_MAX`` = 1e30 and the
+regularizer at most ``confusion.LAM_MAX`` = 1e50 that square is about 1e220,
+far inside the float64 range (a run at beta = 1e77 overflowed), and at the
+stabilizer floor every partial is below (1 + beta**2) / epsilon = 1e160.
+Gradients differentiate exactly the stabilized expression that the value
+computes, which is what makes finite-difference checks exact.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .confusion import Task, _cells, _pack, multiclass_to_multilabel
+from .confusion import Task, _cells, _pack, is_integer, multiclass_to_multilabel
 
 BINARY = "binary"
 MACRO = "macro"
@@ -58,6 +62,9 @@ _AVERAGINGS = (BINARY, MACRO, MICRO, MULTICLASS_NATIVE)
 # the smallest positive stabilizer; its square and products with 1e6-scale
 # counts stay well inside the float64 range
 EPSILON_FLOOR = 1e-100
+
+# the largest F-beta beta (see the module docstring)
+BETA_MAX = 1e30
 
 
 class CostCoefficients(NamedTuple):
@@ -429,7 +436,9 @@ class Metric:
             raise ValueError(f"epsilon must be 0 or at least {EPSILON_FLOOR:g}")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError("beta must be finite and positive")
-        if self.budget_k is not None and self.budget_k < 1:
+        if self.beta > BETA_MAX:
+            raise ValueError(f"beta must be at most {BETA_MAX:g}")
+        if self.budget_k is not None and not (is_integer(self.budget_k) and self.budget_k >= 1):
             raise ValueError("budget must be a positive integer")
 
     @property

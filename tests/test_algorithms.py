@@ -543,8 +543,7 @@ def test_ofw_multiclass_runs():
 def test_omma_sparse_budget():
     learner = make_learner(cfg_for("omma", multilabel(100), "macro-f1@2",
                                    lam=1e-3, sparse_k=5))
-    eta = ProbEstimate.from_pairs(100, [(3, 0.9), (17, 0.2), (40, 0.5),
-                                        (77, 0.1), (99, 0.8)])
+    eta = ProbEstimate(100, [3, 17, 40, 77, 99], [0.9, 0.2, 0.5, 0.1, 0.8])
     pred = learner.step(eta)
     assert len(pred) == 2
     assert set(pred) <= {3, 17, 40, 77, 99}

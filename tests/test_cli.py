@@ -360,6 +360,10 @@ REGRET_M3 = ["regret", "--metric", "macro-f1", "--alg", "omma", "--n-grid", "20"
     (["run", "--labels", "{tmp}/empty.labels", "--probs", "{tmp}/empty.probs", "--m", "3",
       "--metric", "macro-f1", "--alg", "omma", "--out", "{tmp}/o"], 3,
      "data error:", None),
+    # beyond these bounds a run overflowed partway through
+    ([*RUN_M3, "--metric", "macro-fbeta:1e77"], 2, "error: beta must be at most 1e+30", None),
+    ([*RUN_M3, "--metric", "macro-matthews", "--lambda", "1e77"], 2,
+     "error: regularizer must be at most 1e+50", None),
 ])
 def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, check):
     (tmp_path / "exp.cfg").write_text("metric=macro-f1\nm=3\nn=30\nlambda=0.5\nruns=2\n")

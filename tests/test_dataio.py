@@ -6,7 +6,7 @@ import pytest
 
 from omma import dataio
 from omma.algorithms import LearnerConfig, make_learner
-from omma.confusion import indicator_row, multiclass, multilabel
+from omma.confusion import check_labels, indicator_row, multiclass, multilabel
 from omma.dataio import (DataFormatError, InstanceStream, SynthModel, load_stream,
                          parse_model_file, perturb_estimates, read_estimates,
                          read_labels, shuffle, sparsify_estimates, synth_generate,
@@ -43,14 +43,20 @@ def test_read_labels_errors_carry_line_number(tmp_path):
         read_labels(p, multilabel(4))
 
 
-def test_perfbench_tracer_sees_one_label_parse_per_load(tmp_path):
-    """The benchmark's tracer wraps ``read_labels`` by name and books the
-    length of its result as work: one span per ``load_stream``, one unit of
-    work per label line, whatever the parse returns."""
+def _perfbench_tracing():
+    """The benchmark's tracing module, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_perfbench_tracer_sees_one_label_parse_per_load(tmp_path):
+    """The benchmark's tracer wraps ``read_labels`` by name and books the
+    length of its result as work: one span per ``load_stream``, one unit of
+    work per label line, whatever the parse returns."""
+    tracing = _perfbench_tracing()
     (tmp_path / "a.labels").write_text("0,2\n\n1\n")
     (tmp_path / "a.probs").write_text("0:0.5\n\n2:0.1\n")
     tracer = tracing.Tracer()
@@ -64,6 +70,15 @@ def test_perfbench_tracer_sees_one_label_parse_per_load(tmp_path):
     assert tracer.calls["dataio.read_labels"] == 2
     assert tracer.work["dataio.read_labels"] == 6
     assert tracer.total_ns["dataio.read_labels"] > 0
+
+
+def test_every_traced_entry_point_is_an_attribute_of_its_owner():
+    """The benchmark's tracer looks each entry point up in its owner's
+    ``__dict__``; a renamed or deleted one fails every traced run."""
+    tracing = _perfbench_tracing()
+    for name, (module, path, _) in tracing.ENTRY_POINTS.items():
+        owner, attr = tracing._resolve(module, path)
+        assert callable(owner.__dict__.get(attr)), name
 
 
 def test_read_estimates_basic(tmp_path):
@@ -169,7 +184,7 @@ def test_synth_label_frequency_matches_conditionals():
     model = SynthModel(task=multilabel(4), d=3, prior_low=0.2, prior_high=0.5, seed=9)
     n = 100_000
     stream = synth_generate(model, n, seed=2)
-    eta = np.vstack([t.dense() for t in stream.truth])
+    eta = stream.truth_rows
     freq = np.zeros(4)
     for y in stream.labels:
         freq[list(y)] += 1
@@ -183,15 +198,15 @@ def test_synth_d0_constant_eta():
     model = SynthModel(task=multilabel(3), d=0, prior_low=0.2, prior_high=0.5, seed=5)
     stream = synth_generate(model, 10, seed=6)
     priors, _ = model.params()
-    for t in stream.truth:
-        assert np.allclose(t.dense(), priors)
+    for row in stream.truth_rows:
+        assert np.allclose(row, priors)
 
 
 def test_synth_multiclass_normalized():
     model = SynthModel(task=multiclass(4), d=2, seed=8)
     stream = synth_generate(model, 50, seed=9)
-    for t in stream.truth:
-        assert float(t.values.sum()) == pytest.approx(1.0)
+    for row in stream.truth_rows:
+        assert float(row.sum()) == pytest.approx(1.0)
     for y in stream.labels:
         assert len(y) == 1
 
@@ -201,8 +216,8 @@ def test_perturb_zero_sigma_identity():
     stream = synth_generate(model, 30, seed=2)
     noisy, err = perturb_estimates(stream, 0.0, seed=3)
     assert err == 0.0
-    for a, b in zip(noisy.estimates, stream.truth):
-        assert np.array_equal(a.dense(), b.dense())
+    for a, b in zip(noisy.estimates, stream.truth_rows):
+        assert np.array_equal(a.dense(), b)
 
 
 def test_perturb_reports_error_within_clip_bound():
@@ -216,7 +231,7 @@ def test_perturb_reports_error_within_clip_bound():
 
 
 def test_perturb_requires_truth():
-    stream = InstanceStream(multilabel(1), [()], [dataio.ProbEstimate.from_dense(np.array([0.5]))])
+    stream = InstanceStream(multilabel(1), np.zeros((1, 1)), np.array([[0.5]]))
     with pytest.raises(ValueError):
         perturb_estimates(stream, 0.1, seed=0)
 
@@ -301,8 +316,12 @@ EST3 = dataio.ProbEstimate.from_dense(np.array([0.2, 0.5, 0.3]))
     (multiclass(3), [(3,)], r"bad label set \(3,\)"),
 ])
 def test_stream_rejects_bad_label_tuples_at_construction(task, labels, msg):
+    # a stream takes label rows only; check_labels is the rule of a tuple
+    with pytest.raises(ValueError, match="label_rows must be a numpy array, not list"):
+        InstanceStream(task, labels, np.full((len(labels), 3), 0.5))
     with pytest.raises(ValueError, match=msg):
-        InstanceStream(task, labels, [EST3] * len(labels))
+        for y in labels:
+            check_labels(task, y)
 
 
 @pytest.mark.parametrize("task, rows, msg", [
@@ -318,10 +337,52 @@ def test_stream_rejects_bad_label_rows_at_construction(task, rows, msg):
 
 
 def test_stream_rejects_estimates_of_another_size():
-    with pytest.raises(ValueError, match="estimate size"):
-        InstanceStream(multilabel(4), [()], [EST3])
+    with pytest.raises(ValueError, match=r"\(n, 4\)"):
+        InstanceStream(multilabel(4), np.zeros((1, 4)), EST3.dense()[None])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        InstanceStream(multilabel(3), [()], np.array([[0.5, 1.5, 0.0]]))
+        InstanceStream(multilabel(3), np.zeros((1, 3)), np.array([[0.5, 1.5, 0.0]]))
+
+
+@pytest.mark.parametrize("args, name", [
+    # at m = 1 the label tuples [(0,), (0,)] would read as the negative rows [[0], [0]]
+    (([(0,), (0,)], np.full((2, 1), 0.5)), "label_rows"),
+    (([[1.0], [1.0]], np.full((2, 1), 0.5)), "label_rows"),
+    ((np.ones((2, 1)), [dataio.ProbEstimate.from_dense([0.5])] * 2), "estimate_rows"),
+    ((np.ones((2, 1)), [[0.5], [0.5]]), "estimate_rows"),
+    ((np.ones((2, 1)), np.full((2, 1), 0.5), [[True], [True]]), "support"),
+    ((np.ones((2, 1)), np.full((2, 1), 0.5), None, [[0.5], [0.5]]), "truth_rows"),
+])
+def test_stream_takes_only_numpy_columns(args, name):
+    with pytest.raises(ValueError, match=f"{name} must be a numpy array, not list"):
+        InstanceStream(multilabel(1), *args)
+
+
+@pytest.mark.parametrize("support, msg", [
+    (np.array([[True, False, True]]), "nonzero at a label its support does not list"),
+    (np.array([[True, True]]), r"boolean matrix of shape \(1, 3\)"),
+    (np.array([[True, True, True]] * 2), r"boolean matrix of shape \(1, 3\)"),
+    (np.array([[1, 1, 1]]), r"boolean matrix of shape \(1, 3\)"),
+])
+def test_stream_rejects_a_bad_support(support, msg):
+    with pytest.raises(ValueError, match=msg):
+        InstanceStream(multilabel(3), np.zeros((1, 3)), EST3.dense()[None], support)
+
+
+def test_stream_copies_its_columns():
+    y = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    eta = np.array([[0.2, 0.0, 0.3], [0.5, 0.0, 0.1]])
+    listed = np.array([[True, False, True], [True, True, True]])
+    stream = InstanceStream(multilabel(3), y, eta, listed, eta)
+    for given in (y, eta, listed):
+        given[...] = 0
+    assert stream.label_rows.tolist() == [[1, 0, 1], [0, 0, 0]]
+    assert stream.support.tolist() == [[True, False, True], [True, True, True]]
+    # truth given as the estimate matrix stays that one matrix
+    assert stream.truth_rows is stream.estimate_rows
+    assert stream.estimate_rows.tolist() == [[0.2, 0.0, 0.3], [0.5, 0.0, 0.1]]
+    # a support that lists every label is stored as None
+    full = InstanceStream(multilabel(3), y, eta, np.ones((2, 3), dtype=bool))
+    assert full.support is None
 
 
 def test_stream_columns_and_views():
@@ -329,15 +390,20 @@ def test_stream_columns_and_views():
     labels = [(0, 2), (), (1,)]
     estimates = [EST3, dataio.ProbEstimate(3, [1], [0.0]),
                  dataio.ProbEstimate(3, [0, 2], [0.9, 0.1])]
-    stream = InstanceStream(task, labels, estimates)
+    listed = np.array([[True] * 3, [False, True, False], [True, False, True]])
+    stream = InstanceStream(task, np.array([indicator_row(3, y, float) for y in labels]),
+                            np.array([est.dense() for est in estimates]), listed)
     assert stream.label_rows.tolist() == [[1, 0, 1], [0, 0, 0], [0, 1, 0]]
     assert stream.estimate_rows.tolist() == [[0.2, 0.5, 0.3], [0, 0, 0], [0.9, 0, 0.1]]
     # the listed zero of row 1 stays listed
     assert stream.support.tolist() == [[True] * 3, [False, True, False], [True, False, True]]
     for column in (stream.label_rows, stream.estimate_rows, stream.support):
         assert not column.flags.writeable
-    assert stream.labels == labels and stream.truth is None
-    # views rebuilt from the columns equal the lists given
+    assert stream.labels == labels and stream.truth_rows is None
+    for got, want in zip(stream.estimates, estimates):
+        assert got.indices.tolist() == want.indices.tolist()
+        assert got.values.tolist() == want.values.tolist()
+    # views rebuilt from the shuffled columns equal the estimates given
     mixed = shuffle(stream, 0)
     order = [stream.labels.index(y) for y in mixed.labels]
     for got, i in zip(mixed.estimates, order):
@@ -370,7 +436,6 @@ def test_streams_store_row_major_columns_and_fit_the_row_major_mixture(layout):
 def test_synth_truth_is_the_estimate_matrix():
     stream = synth_generate(SynthModel(task=multiclass(3), seed=1), 20, seed=2)
     assert stream.truth_rows is stream.estimate_rows and stream.support is None
-    assert stream.truth is stream.estimates
     assert np.all(stream.label_rows.sum(axis=1) == 1.0)
     noisy, _ = perturb_estimates(stream, 0.1, seed=3)
     assert noisy.truth_rows is stream.truth_rows

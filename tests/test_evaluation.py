@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from omma import evaluation
 from omma.algorithms import (ALGORITHMS, LearnerConfig, OfflineFWLearner,
                              UnsupportedMetricError, fw_fit, make_learner)
-from omma.confusion import ProbEstimate, init_state, multiclass, multilabel
-from omma.dataio import InstanceStream, SynthModel, synth_generate
+from omma.confusion import (LAM_MAX, ProbEstimate, Task, check_regularizer, init_state,
+                            multiclass, multilabel)
+from omma.dataio import InstanceStream, SynthModel, sparsify_estimates, synth_generate
 from omma.evaluation import (RunReport, adversarial_run, adversarial_sequences,
                              emit_report, emit_trace, estimate_optimal,
                              measure_regret, opt_bounds, run_online)
-from omma.metrics import min_tn_tp, parse_metric
+from omma.metrics import (BETA_MAX, BINARY, EPSILON_FLOOR, MULTICLASS_NATIVE, list_metrics,
+                          min_tn_tp, parse_metric)
 
 
 def _stream(m=3, n=60, seed=1, **kw):
@@ -47,13 +50,7 @@ def test_run_online_perfect_oracle_threshold():
     model = SynthModel(task=multilabel(3), d=0, prior_low=0.2, prior_high=0.4, seed=2)
     stream = synth_generate(model, 50, seed=3)
     # degenerate estimates equal to the labels themselves
-    from omma.confusion import ProbEstimate
-    exact = []
-    for y in stream.labels:
-        dense = np.zeros(3)
-        dense[list(y)] = 1.0
-        exact.append(ProbEstimate.from_dense(dense))
-    stream = InstanceStream(stream.task, stream.labels, exact)
+    stream = InstanceStream(stream.task, stream.label_rows, stream.label_rows)
     metric = parse_metric("macro-accuracy")
     trace = run_online(stream, LearnerConfig("thresh05", stream.task, metric))
     assert trace.final_psi == pytest.approx(1.0)
@@ -81,7 +78,7 @@ def test_estimate_optimal_accuracy_is_half_threshold():
                        weight_scale=1.0, seed=6)
     metric = parse_metric("macro-accuracy")
     stream = synth_generate(model, 50_000, seed=7)
-    eta = np.vstack([t.dense() for t in stream.truth])
+    eta = stream.truth_rows
     half = np.mean(np.where(eta >= 0.5, eta, 1.0 - eta))
     got = estimate_optimal(metric, model, method="threshold-grid", n_opt=50_000, seed=7)
     assert got == pytest.approx(half, abs=1e-9)
@@ -272,7 +269,7 @@ def test_emit_trace_format(tmp_path):
 
 
 def test_run_online_empty_stream():
-    stream = InstanceStream(multilabel(2), [], [])
+    stream = InstanceStream(multilabel(2), np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(ValueError):
         run_online(stream, LearnerConfig("omma", stream.task, parse_metric("macro-f1")))
 
@@ -435,3 +432,89 @@ def test_measure_regret_runs_each_run_index_once(monkeypatch, alg):
         assert sorted(calls) == sorted([10, 25, 40] * 3)
     else:
         assert calls == [40] * 3
+
+
+def _replaced(name, **changes):
+    return dataclasses.replace(parse_metric(name), **changes)
+
+
+MODEL3 = SynthModel(task=multilabel(3), seed=1)
+
+
+@pytest.mark.parametrize("call, msg", [
+    (lambda: Task("multilabel", 2.5), "need at least one label"),
+    (lambda: _replaced("macro-f1", budget_k=2.5), "budget must be a positive integer"),
+    (lambda: _replaced("macro-f1", budget_k=True), "budget must be a positive integer"),
+    (lambda: LearnerConfig("ofw", multilabel(3), parse_metric("macro-f1"),
+                           fw_iterations=True), "need at least one Frank-Wolfe iteration"),
+    (lambda: LearnerConfig("ofw", multilabel(3), parse_metric("macro-f1"),
+                           fw_iterations=2.5), "need at least one Frank-Wolfe iteration"),
+    (lambda: LearnerConfig("omma", multilabel(3), parse_metric("macro-f1"), sparse_k=2.5),
+     "the sparse top-k' size must be at least 1"),
+    (lambda: fw_fit(np.full((4, 3), 0.5), None, multilabel(3), parse_metric("macro-f1"), 2.5),
+     "need at least one iteration"),
+    (lambda: estimate_optimal(parse_metric("macro-f1"), MODEL3, n_opt=2.5),
+     "the optimum needs a sample of n_opt >= 1 instances"),
+    (lambda: adversarial_run("omma", 6.0, 1), "sequence length must be positive"),
+    (lambda: adversarial_run("omma", 6, 1.0), "need at least one run"),
+    (lambda: measure_regret(parse_metric("macro-f1"), MODEL3, "omma", [10.0], 1, psi_star=0.5),
+     "every sequence length must be at least 1"),
+    (lambda: measure_regret(parse_metric("macro-f1"), MODEL3, "omma", [10], 1.0, psi_star=0.5),
+     "need at least one run"),
+    (lambda: synth_generate(MODEL3, -1), "stream length must be a nonnegative integer"),
+    (lambda: synth_generate(MODEL3, 2.5), "stream length must be a nonnegative integer"),
+    (lambda: SynthModel(task=multilabel(3), d=1.5), "latent dimension must be nonnegative"),
+    (lambda: sparsify_estimates(synth_generate(MODEL3, 2), 2.5),
+     "top-k size must be at least 0"),
+], ids=["Task.m", "Metric.budget_k-float", "Metric.budget_k-bool",
+        "LearnerConfig.fw_iterations-bool", "LearnerConfig.fw_iterations-float",
+        "LearnerConfig.sparse_k", "fw_fit.iterations", "estimate_optimal.n_opt",
+        "adversarial_run.n", "adversarial_run.runs", "measure_regret.n_grid",
+        "measure_regret.runs", "synth_generate.n-negative", "synth_generate.n-float",
+        "SynthModel.d", "sparsify_estimates.k"])
+def test_integer_settings_are_checked_where_they_enter(call, msg):
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        call()
+
+
+def _bound_tasks(metric):
+    if metric.averaging == BINARY:
+        return [multilabel(1), multiclass(2)]
+    if metric.averaging == MULTICLASS_NATIVE:
+        return [multiclass(20)]
+    return [multilabel(20), multiclass(20)]
+
+
+@pytest.mark.parametrize("name", [info.name for info in list_metrics()] + ["min-tn-tp"])
+def test_every_metric_family_runs_at_the_beta_and_regularizer_bounds(name):
+    """F-beta's beta and the regularizer at their bounds together, with the
+    default and the smallest stabilizer, raise no floating-point error: not
+    on the regularized state at t = 0, whose cells are all LAM_MAX, not on
+    the zero matrix, and not in a run."""
+    base = min_tn_tp() if name == "min-tn-tp" else parse_metric(name)
+    for eps in (base.epsilon, EPSILON_FLOOR):
+        metric = dataclasses.replace(base, beta=BETA_MAX, epsilon=eps)
+        for task in _bound_tasks(metric):
+            with np.errstate(**evaluation.FP_ERRORS):
+                for C in (init_state(task, LAM_MAX).normalized(), np.zeros(task.shape)):
+                    assert np.isfinite(metric.value(C))
+                    assert np.all(np.isfinite(metric.gradient(C)))
+                    alpha, beta = metric.coefficients(C, task)
+                    assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
+            stream = synth_generate(SynthModel(task=task, seed=1), 30, seed=2)
+            cfg = LearnerConfig("omma", task, metric, lam=LAM_MAX)
+            assert np.isfinite(run_online(stream, cfg).final_psi)
+
+
+def test_a_value_past_the_beta_or_regularizer_bound_is_rejected():
+    past_beta, past_lam = np.nextafter(BETA_MAX, np.inf), np.nextafter(LAM_MAX, np.inf)
+    assert _replaced("macro-f1", beta=BETA_MAX).beta == BETA_MAX
+    with pytest.raises(ValueError, match=re.escape(f"beta must be at most {BETA_MAX:g}")):
+        _replaced("macro-f1", beta=past_beta)
+    init_state(multilabel(2), LAM_MAX)
+    msg = re.escape(f"regularizer must be at most {LAM_MAX:g}")
+    for call in (lambda: check_regularizer(past_lam), lambda: init_state(multilabel(2), past_lam),
+                 lambda: LearnerConfig("omma", multilabel(2), parse_metric("macro-matthews"),
+                                       lam=past_lam)):
+        with pytest.raises(ValueError, match=msg):
+            call()

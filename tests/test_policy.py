@@ -50,7 +50,7 @@ def test_gains_threshold_point():
 
 def test_gains_unlisted_label():
     coeffs = policy.CostCoefficients(np.array([1.0, 1.0]), np.array([0.2, 0.1]))
-    est = ProbEstimate.from_pairs(2, [(0, 0.5)])
+    est = ProbEstimate(2, [0], [0.5])
     g = policy.gains(coeffs, est)
     assert g[1] == pytest.approx(-0.1)
 
@@ -101,20 +101,20 @@ def test_the_threshold_comparison_differs_from_the_gain_only_at_one_infinity():
 
 def test_decide_sparse_threshold():
     # accuracy-style coefficients: threshold 0.5 on every label
-    est = ProbEstimate.from_pairs(10_000, [(3, 0.9), (7, 0.4)])
+    est = ProbEstimate(10_000, [3, 7], [0.9, 0.4])
     coeffs = policy.CostCoefficients(np.array([2.0, 2.0]), np.array([1.0, 1.0]))
     assert policy.decide_sparse(coeffs, est) == (3,)
     assert policy.decide_sparse(coeffs, est, budget=2) == (3, 7)
 
 
 def test_decide_sparse_empty_support():
-    est = ProbEstimate.from_pairs(100, [])
+    est = ProbEstimate(100, [], [])
     coeffs = policy.CostCoefficients(np.zeros(0), np.zeros(0))
     assert policy.decide_sparse(coeffs, est) == ()
 
 
 def test_decide_sparse_budget_exceeds_support():
-    est = ProbEstimate.from_pairs(100, [(3, 0.9)])
+    est = ProbEstimate(100, [3], [0.9])
     coeffs = policy.CostCoefficients(np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         policy.decide_sparse(coeffs, est, budget=2)

@@ -22,7 +22,8 @@ from omma import algorithms, evaluation, metrics, policy
 from omma.algorithms import (ALGORITHMS, LearnerConfig, MixtureClassifier, OfflineFWLearner,
                              UnsupportedMetricError, fw_fit, make_learner)
 from omma.confusion import (ProbEstimate, Task, _cells, batch_counts, check_labels,
-                            expected_instance_confusion, indicator_row, init_state)
+                            expected_instance_confusion, indicator_row, init_state,
+                            top_entries)
 from omma.dataio import (DataFormatError, InstanceStream, SynthModel, _latent_draw,
                          load_stream, perturb_estimates, read_estimates, shuffle,
                          sparsify_estimates, synth_generate)
@@ -512,8 +513,8 @@ def test_synth_labels_equal_row_by_row_draws(model, n, seed):
         reference = [tuple(np.nonzero(row)[0].tolist()) for row in draws]
     assert stream.labels == reference
     assert all(type(j) is int for y in stream.labels for j in y)
-    assert stream.estimates == stream.truth
-    for got, row in zip(stream.truth, eta):
+    assert stream.truth_rows is stream.estimate_rows
+    for got, row in zip(stream.estimates, eta):
         assert_same_estimate(got, ProbEstimate.from_dense(row))
 
 
@@ -521,7 +522,7 @@ def test_synth_labels_equal_row_by_row_draws(model, n, seed):
 @given(synth_models(), st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_optimum_conditionals_equal_the_stream_truth(model, n, seed):
     eta, _ = _latent_draw(model, n, seed)
-    truth = np.vstack([t.dense() for t in synth_generate(model, n, seed=seed).truth])
+    truth = synth_generate(model, n, seed=seed).truth_rows
     assert eta.tobytes() == truth.tobytes()
 
 
@@ -533,8 +534,7 @@ def test_perturbation_equals_row_by_row_noise(model, n, sigma, seed):
     noisy, err = perturb_estimates(stream, sigma, seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x5E11])))
     total_err = 0.0
-    for got, true in zip(noisy.estimates, stream.truth):
-        dense = true.dense()
+    for got, dense in zip(noisy.estimates, stream.truth_rows):
         row = np.clip(dense + rng.normal(0.0, sigma, size=model.task.m), 0.0, 1.0)
         if model.task.is_multiclass and row.sum() > 0:
             row = row / row.sum()
@@ -558,7 +558,9 @@ def test_read_estimates_equal_pair_estimates(case):
         got = read_estimates(path, m)
     assert len(got) == len(lines)
     for est, pairs in zip(got, lines):
-        assert_same_estimate(est, ProbEstimate.from_pairs(m, list(pairs.items())))
+        listed = sorted(pairs)
+        assert_same_estimate(est, ProbEstimate(m, np.array(listed, dtype=np.int64),
+                                               np.array([pairs[j] for j in listed])))
 
 
 @st.composite
@@ -682,7 +684,7 @@ def test_stream_prefix_gives_trace_prefix(run, data):
     k = data.draw(st.integers(1, len(stream)))
     stride = data.draw(st.none() | st.integers(1, k + 1))
     full = evaluation.run_online(stream, cfg, 1).checkpoints
-    prefix = InstanceStream(stream.task, stream.labels[:k], stream.estimates[:k])
+    prefix = InstanceStream(stream.task, stream.label_rows[:k], stream.estimate_rows[:k])
     got = evaluation.run_online(prefix, cfg, stride).checkpoints
     assert exact(got) == exact([(t, psi) for t, psi in full[:k]
                                 if t % (stride or k) == 0 or t == k])
@@ -748,28 +750,36 @@ def test_long_run_counts_in_bounded_batches(monkeypatch, kind, alg, name, stride
 # --- columnar streams against their per-instance forms
 
 
-def listed_estimates(draw, stream):
-    """ProbEstimates of the stream's rows on random supports; about a third of
-    the listed labels have probability exactly 0."""
+def listed_columns(draw, stream):
+    """The stream's estimate matrix masked to a random support, and that
+    support; about a third of the listed labels have probability exactly 0."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, m = stream.estimate_rows.shape
     listed = rng.random((n, m)) < 0.6
     rows = np.where(rng.random((n, m)) < 0.3, 0.0, stream.estimate_rows)
+    return np.where(listed, rows, 0.0), listed
+
+
+def listed_estimates(rows, listed):
+    """The ProbEstimate of every row of a masked estimate matrix: row i lists
+    the labels of ``listed[i]``."""
+    m = rows.shape[1]
     return [ProbEstimate(m, np.flatnonzero(mask), row[mask]) for mask, row in zip(listed, rows)]
 
 
 @st.composite
 def column_streams(draw, max_n=30):
-    """A synthetic stream, or the same instances rebuilt from label tuples and
-    sparse ProbEstimates that list zero-probability labels."""
+    """A synthetic stream, or the same instances rebuilt from its label rows,
+    a masked estimate matrix with a support that lists zero-probability
+    labels, and its truth."""
     kind = draw(KINDS)
     m = draw(st.integers(2 if kind == "multiclass" else 1, 6))
     task = Task(kind, m)
     stream = synth_generate(SynthModel(task=task, seed=draw(st.integers(0, 99))),
                             draw(st.integers(0, max_n)), seed=draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        stream = InstanceStream(task, stream.labels, listed_estimates(draw, stream),
-                                truth=stream.truth)
+        stream = InstanceStream(task, stream.label_rows, *listed_columns(draw, stream),
+                                stream.truth_rows)
     return stream
 
 
@@ -778,9 +788,9 @@ def assert_same_stream(got, labels, estimates, truth):
     assert len(got.estimates) == len(estimates)
     for a, b in zip(got.estimates, estimates):
         assert_same_estimate(a, b)
-    assert (got.truth is None) == (truth is None)
-    for a, b in zip(got.truth or [], truth or []):
-        assert np.array_equal(a.dense(), b.dense())
+    assert (got.truth_rows is None) == (truth is None)
+    if truth is not None:
+        assert np.array_equal(got.truth_rows, truth)
 
 
 @settings(max_examples=100, deadline=None)
@@ -788,18 +798,19 @@ def assert_same_stream(got, labels, estimates, truth):
 def test_shuffle_equals_a_row_permutation(stream, seed):
     perm = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([seed, 0x5F1E]))).permutation(len(stream))
-    truth = stream.truth
+    truth = stream.truth_rows
     assert_same_stream(shuffle(stream, seed), [stream.labels[i] for i in perm],
                        [stream.estimates[i] for i in perm],
-                       None if truth is None else [truth[i] for i in perm])
+                       None if truth is None else truth[perm])
 
 
 @settings(max_examples=100, deadline=None)
 @given(column_streams(), st.integers(0, 7))
 def test_sparsify_equals_row_top_k(stream, k):
     got = sparsify_estimates(stream, k)
-    assert_same_stream(got, stream.labels, [est.top(k) for est in stream.estimates],
-                       stream.truth)
+    top = [ProbEstimate(est.m, *top_entries(est.indices, est.values, k))
+           for est in stream.estimates]
+    assert_same_stream(got, stream.labels, top, stream.truth_rows)
     assert got.label_rows is stream.label_rows
 
 
@@ -824,7 +835,7 @@ def per_instance_reference(labels, estimates, cfg, marks):
 def column_runs(draw):
     """A stream, its label tuples and estimates, a learner configuration and a
     checkpoint set.  The stream is a synthetic one, or the same instances
-    rebuilt from tuples and estimates, dense or on sparse supports; a third
+    rebuilt from its columns, dense or masked to a sparse support; a third
     of the streams are longer than the run loop's decision buffer."""
     kind = draw(KINDS)
     m = draw(st.integers(2, 5))
@@ -833,10 +844,14 @@ def column_runs(draw):
              st.integers(evaluation._FLUSH + 1, evaluation._FLUSH + 150))
     base = synth_generate(SynthModel(task=task, seed=draw(st.integers(0, 99))), n,
                           seed=draw(st.integers(0, 2**32 - 1)))
-    sparse = draw(st.booleans())
-    estimates = listed_estimates(draw, base) if sparse else base.estimates
-    stream = (InstanceStream(task, base.labels, estimates) if sparse or draw(st.booleans())
-              else base)
+    if draw(st.booleans()):  # sparse
+        rows, listed = listed_columns(draw, base)
+        estimates = listed_estimates(rows, listed)
+        stream = InstanceStream(task, base.label_rows, rows, listed)
+    else:
+        estimates = base.estimates
+        stream = (InstanceStream(task, base.label_rows, base.estimate_rows)
+                  if draw(st.booleans()) else base)
     budget = draw(st.none() | st.integers(1, m))
     # the top-k' path is drawn more often; under macro-recall an unlisted label
     # has gain exactly 0, which the dense rule would predict
@@ -943,8 +958,7 @@ def test_shorter_stream_is_a_prefix(kind, d, n, data):
     assert short.label_rows.tobytes() == full.label_rows[:k].tobytes()
     assert short.estimate_rows.tobytes() == full.estimate_rows[:k].tobytes()
     assert short.labels == full.labels[:k]
-    for got, want in zip(short.truth, full.truth[:k]):
-        assert_same_estimate(got, want)
+    assert short.truth_rows.tobytes() == full.truth_rows[:k].tobytes()
 
 
 def reference_regret(metric, model, algorithm, n_grid, runs, lam, base_seed, psi_star):
