@@ -30,7 +30,8 @@ import numpy as np
 
 from . import policy
 from .confusion import (Labels, ProbEstimate, Task, _pack, batch_counts, check_labels,
-                        check_regularizer, indicator_row, init_state, is_integer, top_entries)
+                        check_regularizer, check_seed, indicator_row, init_state, is_integer,
+                        top_entries)
 from .metrics import BINARY, CostCoefficients, Metric
 
 
@@ -62,6 +63,7 @@ class LearnerConfig:
         if alg not in _LEARNERS:
             raise ValueError(f"unknown algorithm: {alg!r}")
         check_regularizer(self.lam)
+        check_seed(self.seed)
         metric.check_task(task)
         if sparse_k is not None and not (is_integer(sparse_k) and sparse_k >= 1):
             raise ValueError("the sparse top-k' size must be at least 1")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import functools
 import json
 import math
@@ -68,7 +69,7 @@ _RUN_FLAGS = {
     "schedule": dict(choices=["interval", "cumulative"], default="interval"),
     "fw-deterministic": dict(action="store_true",
                              help="always apply the last mixture component"),
-    "jobs": dict(type=int, default=1),
+    "jobs": dict(type=int, default=1, help="processes for the --runs runs"),
 }
 
 
@@ -112,7 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="both")
     reg.add_argument("--n-opt", type=int, default=200_000)
     reg.add_argument("--out")
-    reg.add_argument("--jobs", type=int, default=1)
+    reg.add_argument("--jobs", type=int, default=1,
+                     help="processes for the --lambda-grid values; one lambda runs in one process")
 
     sub.add_parser("metrics", help="list the metric registry")
     return p
@@ -152,14 +154,23 @@ def _check_jobs(jobs: int) -> None:
         raise ConfigError("--jobs must be at least 1")
 
 
-def _map(fn, *iterables, jobs: int) -> list:
-    """``map(fn, *iterables)`` as a list, in a pool of ``jobs`` processes when
+def _map(fn, iterable, *, jobs: int) -> list:
+    """``map(fn, iterable)`` as a list, in a pool of ``jobs`` processes when
     jobs > 1; the workers raise the same floating-point errors as ``main``."""
     if jobs == 1:
-        return list(map(fn, *iterables))
+        return list(map(fn, iterable))
     init = functools.partial(np.seterr, **evaluation.FP_ERRORS)
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, initializer=init) as pool:
-        return list(pool.map(fn, *iterables))
+        return list(pool.map(fn, iterable))
+
+
+def _shuffled_run(stream: InstanceStream, cfg: LearnerConfig, stride, seed: int):
+    """One run of ``omma run``: the stream shuffled by ``seed``, learned with
+    ``cfg`` at that seed.  The shuffled copy lives only for its run."""
+    # evaluation.run_online is looked up at each call, so a wrapper set on
+    # the module attribute sees every run
+    return evaluation.run_online(dataio.shuffle(stream, seed),
+                                 dataclasses.replace(cfg, seed=seed), stride)
 
 
 def cmd_run(args) -> int:
@@ -168,14 +179,12 @@ def cmd_run(args) -> int:
     _check_jobs(args.jobs)
     metric = parse_metric(args.metric, epsilon=args.epsilon)
     stream = _load_or_synth(args)
-    seeds = range(args.seed, args.seed + args.runs)
-    cfgs = [LearnerConfig(algorithm=args.alg, task=stream.task, metric=metric,
-                          lam=args.lam, seed=seed, sparse_k=args.kprime,
-                          fw_iterations=args.fw_iters, refit_mode=args.schedule,
-                          deterministic_mixture=args.fw_deterministic)
-            for seed in seeds]
-    traces = _map(evaluation.run_online, [dataio.shuffle(stream, seed) for seed in seeds],
-                  cfgs, [args.stride] * args.runs, jobs=args.jobs)
+    cfg = LearnerConfig(algorithm=args.alg, task=stream.task, metric=metric,
+                        lam=args.lam, seed=args.seed, sparse_k=args.kprime,
+                        fw_iterations=args.fw_iters, refit_mode=args.schedule,
+                        deterministic_mixture=args.fw_deterministic)
+    traces = _map(functools.partial(_shuffled_run, stream, cfg, args.stride),
+                  range(args.seed, args.seed + args.runs), jobs=args.jobs)
     report = evaluation.RunReport.from_finals(metric, args.alg, args.lam, args.seed,
                                               len(stream), [t.final_psi for t in traces])
     # runs first, then the report, which rejects NaN: a failed run writes no file

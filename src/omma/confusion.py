@@ -158,6 +158,12 @@ def is_integer(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
 
+def check_seed(seed) -> None:
+    """A random seed: an int or a numpy integer >= 0, and no bool."""
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def check_labels(task: Task, labels: Labels, *, prediction: bool = False) -> Labels:
     """Validate a sorted tuple of label indices against the task: ints (numpy
     integers too, bools not) in 0..m-1, strictly increasing, and exactly one

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .confusion import (Labels, ProbEstimate, Task, _check_probabilities, check_label_rows,
-                        check_labels, is_integer)
+                        check_labels, check_seed, is_integer)
 
 _MC_SUM_SLACK = 1e-3
 
@@ -291,10 +291,11 @@ class SynthModel:
             raise ValueError("latent dimension must be nonnegative")
         if not math.isfinite(self.weight_scale):
             raise ValueError("weight scale must be finite")
+        check_seed(self.seed)
 
     def params(self) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic (priors, weights) drawn from the model seed."""
-        rng = np.random.default_rng([int(self.seed), 0xA11CE])
+        rng = np.random.default_rng([self.seed, 0xA11CE])
         m = self.task.m
         priors = rng.uniform(self.prior_low, self.prior_high, size=m)
         if self.d == 0:
@@ -358,7 +359,8 @@ def _latent_draw(model: SynthModel, n: int,
     conditionals do not depend on whether labels are drawn.
     """
     entropy = model.seed if seed is None else seed
-    ss_x, ss_y = np.random.SeedSequence([int(entropy), 0xDA7A]).spawn(2)
+    check_seed(entropy)
+    ss_x, ss_y = np.random.SeedSequence([entropy, 0xDA7A]).spawn(2)
     rng_x = np.random.default_rng(ss_x)
     x = rng_x.standard_normal((n, model.d)) if model.d > 0 else np.zeros((n, 0))
     return model.conditionals(x), np.random.default_rng(ss_y)
@@ -399,7 +401,8 @@ def perturb_estimates(stream: InstanceStream, sigma: float,
         raise ValueError(f"noise sigma must be finite and >= 0, got {sigma!r}")
     if stream.truth_rows is None:
         raise ValueError("perturbation requires exact conditionals in the stream")
-    rng = np.random.default_rng([int(seed), 0x5E11])
+    check_seed(seed)
+    rng = np.random.default_rng([seed, 0x5E11])
     n, m = len(stream), stream.task.m
     dense = stream.truth_rows
     # one (n, m) draw gives the same numbers as n draws of size m
@@ -434,7 +437,8 @@ def sparsify_estimates(stream: InstanceStream, k: int) -> InstanceStream:
 
 def shuffle(stream: InstanceStream, seed: int) -> InstanceStream:
     """Seeded permutation preserving label/estimate/support/truth alignment."""
-    rng = np.random.default_rng([int(seed), 0x5F1E])
+    check_seed(seed)
+    rng = np.random.default_rng([seed, 0x5F1E])
     perm = rng.permutation(len(stream))
     eta = stream.estimate_rows[perm]
     truth = stream.truth_rows

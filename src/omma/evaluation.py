@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import LearnerConfig, fw_fit, make_learner
-from .confusion import _pack, batch_counts, is_integer, multilabel
+from .confusion import _pack, batch_counts, check_seed, is_integer, multilabel
 from .dataio import InstanceStream, SynthModel, _latent_draw, synth_generate
 from .metrics import Metric, min_tn_tp
 
@@ -245,6 +245,7 @@ def measure_regret(metric: Metric, model: SynthModel, algorithm: str,
     the measured gap isolates the optimization part of the regret.
     """
     check_regret_grid(n_grid, runs)
+    check_seed(base_seed)
     cfg = LearnerConfig(algorithm=algorithm, task=model.task, metric=metric, lam=lam)
     if psi_star is None:
         psi_star = estimate_optimal(metric, model, seed=base_seed)
@@ -316,6 +317,7 @@ def adversarial_run(algorithm: str, n: int, runs: int, seed: int = 0,
     """
     if not (is_integer(runs) and runs >= 1):
         raise ValueError("need at least one run")
+    check_seed(seed)
     seqs = adversarial_sequences(n)
     task = multilabel(1)
     metric = min_tn_tp()

@@ -5,8 +5,9 @@ on a single ``tn/fp/fn/tp`` block; they extend to m labels through macro
 averaging (mean of per-block values) and micro averaging (value of the mean
 block).  A handful of metrics additionally have native ``(m, m)`` multiclass
 forms built from per-class recalls.  A recall depends only on its own row, so
-each native gradient is a per-row constant plus a diagonal, and its kernel
-returns that (row, diag) pair from one pass over the diagonal and row sums.
+each native gradient is a per-row constant plus a diagonal; its kernel returns
+the recall chain ``(dpsi/dr, num, d)`` of ``r_j = num_j / d_j`` from one pass
+over the diagonal and row sums, and the row and diagonal terms follow from it.
 
 Each binary base returns the gradient's four partials ``(dtn, dfp, dfn, dtp)``
 per block, a structural zero as the scalar 0.0, already divided by the
@@ -25,7 +26,7 @@ dfp - dfn`` and ``beta = dtn - dfp`` from them directly, per label or,
 through the one-vs-rest blocks, per class.  It does not subtract a
 structural zero, since ``x - 0.0`` is ``x`` bit for bit: where ``dfp`` is
 one, ``beta`` is ``dtn``.  A native metric's coefficients are its diagonal
-term ``dpsi/dr_j / d_j`` and 0; its kernel forms no row term for them.
+term ``dpsi/dr_j / d_j`` and 0; no row term is formed for them.
 
 All denominators are stabilized by adding ``epsilon``, and the ratio factors of
 the mean-family metrics (G/H/Q-mean) are stabilized as ``(num + eps) /
@@ -57,7 +58,8 @@ MACRO = "macro"
 MICRO = "micro"
 MULTICLASS_NATIVE = "multiclass"
 
-_AVERAGINGS = (BINARY, MACRO, MICRO, MULTICLASS_NATIVE)
+# the name prefix of each averaging, in the order list_metrics gives them
+_PREFIXES = {BINARY: "", MACRO: "macro-", MICRO: "micro-", MULTICLASS_NATIVE: "mc-"}
 
 # the smallest positive stabilizer; its square and products with 1e6-scale
 # counts stay well inside the float64 range
@@ -327,24 +329,18 @@ def _row_plus_diagonal(row, diag):
     return G
 
 
-def _mc_recall_grad(dpsi_dr, num, d, rows):
-    """(row, diag) of a recall-based metric: dpsi/dr_j chained back to row j;
-    the row is None unless ``rows``."""
-    return (dpsi_dr * (-num) / d**2 if rows else None), dpsi_dr / d
-
-
-# the values read one (m, m) matrix; the gradient kernels return the (row,
-# diag) pair, also of an (R, m, m) stack, reducing over the class axis so that
-# a per-matrix scalar stays aligned with its own matrix.  The coefficients
-# read the diagonal alone, so with rows=False a kernel forms no row (None)
+# the values read one (m, m) matrix; the gradient kernels return the recall
+# chain (dpsi/dr, num, d), also of an (R, m, m) stack, reducing over the class
+# axis so that a per-matrix scalar stays aligned with its own matrix
 
 
 def _mc_acc_v(C, eps, beta):
     return float(np.trace(C))
 
 
-def _mc_acc_g(C, eps, beta, rows=True):
-    return (np.zeros(C.shape[:-1]) if rows else None), np.ones(C.shape[:-1])
+def _mc_acc_g(C, eps, beta):
+    # r_j = C_jj, with num 0 (an int, so the row term is +0.0) and d 1
+    return np.ones(C.shape[:-1]), 0, 1
 
 
 # balanced accuracy sums r_j = C_jj / (m row_j + eps): only the denominator
@@ -356,10 +352,9 @@ def _mc_bacc_v(C, eps, beta):
     return float(np.add.reduce(np.diagonal(C) / d))
 
 
-def _mc_bacc_g(C, eps, beta, rows=True):
+def _mc_bacc_g(C, eps, beta):
     m = C.shape[-1]
-    d = m * C.sum(axis=-1) + eps
-    return (-C.diagonal(0, -2, -1) * m / d**2 if rows else None), 1.0 / d
+    return 1.0, m * C.diagonal(0, -2, -1), m * C.sum(axis=-1) + eps
 
 
 def _mc_gmean_v(C, eps, beta):
@@ -367,11 +362,11 @@ def _mc_gmean_v(C, eps, beta):
     return float(np.exp(np.add.reduce(np.log(r)) / C.shape[0]))
 
 
-def _mc_gmean_g(C, eps, beta, rows=True):
+def _mc_gmean_g(C, eps, beta):
     r, num, d = _mc_recalls(C, eps)
     m = C.shape[-1]
     v = np.exp(np.add.reduce(np.log(r), axis=-1, keepdims=True) / m)
-    return _mc_recall_grad(v / (m * r), num, d, rows)
+    return v / (m * r), num, d
 
 
 def _mc_hmean_v(C, eps, beta):
@@ -379,13 +374,13 @@ def _mc_hmean_v(C, eps, beta):
     return float(C.shape[0] / np.add.reduce(1.0 / r))
 
 
-def _mc_hmean_g(C, eps, beta, rows=True):
+def _mc_hmean_g(C, eps, beta):
     r, num, d = _mc_recalls(C, eps)
     s = np.add.reduce(1.0 / r, axis=-1, keepdims=True)
     # pow(s, 2): how s ** 2 rounds where s is a numpy scalar, as it is for
     # one matrix without keepdims; an array's ** 2 is s * s, which can round
     # one unit apart
-    return _mc_recall_grad(C.shape[-1] / (np.float_power(s, 2) * r**2), num, d, rows)
+    return C.shape[-1] / (np.float_power(s, 2) * r**2), num, d
 
 
 def _mc_qmean_v(C, eps, beta):
@@ -393,14 +388,14 @@ def _mc_qmean_v(C, eps, beta):
     return float(1.0 - np.sqrt(np.add.reduce((1.0 - r) ** 2) / C.shape[0]))
 
 
-def _mc_qmean_g(C, eps, beta, rows=True):
+def _mc_qmean_g(C, eps, beta):
     r, num, d = _mc_recalls(C, eps)
     m = C.shape[-1]
     u = 1.0 - r
     root = np.sqrt(np.add.reduce(u**2, -1) / m)
     # at the kink (root 0) every recall is 1 and every 1 - r is +0.0, so
     # dividing by 1 there instead gives the gradient taken there, 0
-    return _mc_recall_grad(u / m / (root + (root == 0.0))[..., None], num, d, rows)
+    return u / m / (root + (root == 0.0))[..., None], num, d
 
 
 _NATIVE_BASES = {
@@ -424,7 +419,7 @@ class Metric:
     budget_k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.averaging not in _AVERAGINGS:
+        if self.averaging not in _PREFIXES:
             raise ValueError(f"unknown averaging: {self.averaging!r}")
         if self.base not in _BINARY_BASES:
             raise ValueError(f"unknown metric base: {self.base!r}")
@@ -440,6 +435,16 @@ class Metric:
             raise ValueError(f"beta must be at most {BETA_MAX:g}")
         if self.budget_k is not None and not (is_integer(self.budget_k) and self.budget_k >= 1):
             raise ValueError("budget must be a positive integer")
+
+    @property
+    def concave(self) -> bool:
+        """Concave over the confusions a fixed label distribution can reach."""
+        return self.base in _CONCAVE
+
+    @property
+    def smooth(self) -> bool:
+        """Continuously differentiable: no kink."""
+        return self.base not in _NONSMOOTH
 
     @property
     def per_label(self) -> bool:
@@ -492,7 +497,8 @@ class Metric:
         if self.averaging == MULTICLASS_NATIVE:
             if C.ndim != 2 or C.shape[0] != C.shape[1]:
                 raise ValueError("native multiclass metrics expect an (m, m) matrix")
-            return _row_plus_diagonal(*_NATIVE_BASES[self.base][1](C, self.epsilon, self.beta))
+            dpsi_dr, num, d = _NATIVE_BASES[self.base][1](C, self.epsilon, self.beta)
+            return _row_plus_diagonal(dpsi_dr * (-num) / d**2, dpsi_dr / d)
         blocks = self.blocks(C)
         Gt = _pack(*self._partials(blocks, blocks.shape[0]), blocks.shape)
         if C.ndim == 2:
@@ -549,8 +555,8 @@ class Metric:
             raise ValueError(f"expected an ({task.m}, {task.m}) matrix or an (R, {task.m}, "
                              f"{task.m}) stack of multiclass confusions, got {C.shape}")
         if self.averaging == MULTICLASS_NATIVE:
-            _, diag = _NATIVE_BASES[self.base][1](C, self.epsilon, self.beta, rows=False)
-            return CostCoefficients(diag, 0.0)
+            dpsi_dr, _, d = _NATIVE_BASES[self.base][1](C, self.epsilon, self.beta)
+            return CostCoefficients(dpsi_dr / d, 0.0)
         if self.averaging == BINARY:
             if task.m != 2:
                 raise ValueError("binary averaging expects a single block: two classes")
@@ -597,39 +603,18 @@ _BASE_TOKENS = {
 # Concavity holds over confusion matrices sharing label marginals (row sums /
 # per-block positive mass), the set a fixed data distribution can reach;
 # linear-fractional bases (precision, F-beta, jaccard) and Matthews fail it.
-_CONCAVE = {"accuracy", "balanced_accuracy", "recall", "g_mean", "h_mean", "q_mean"}
-# q_mean has a kink where both error rates vanish.
-_NONSMOOTH = {"q_mean"}
+# min(tn, tp) is the minimum of two linear functions.
+_CONCAVE = {"accuracy", "balanced_accuracy", "recall", "g_mean", "h_mean", "q_mean",
+            "min_tn_tp"}
+# q_mean has a kink where both error rates vanish, min(tn, tp) where tn = tp.
+_NONSMOOTH = {"q_mean", "min_tn_tp"}
 
 
-@dataclass(frozen=True)
-class MetricInfo:
-    name: str
-    base: str
-    averaging: str
-    concave: bool
-    smooth: bool
-
-
-def list_metrics() -> list[MetricInfo]:
+def list_metrics() -> list[Metric]:
     """Stable listing of every (base, averaging) pair the CLI accepts."""
-    out = []
-    for avg, prefix in ((BINARY, ""), (MACRO, "macro-"), (MICRO, "micro-")):
-        for token, base in _BASE_TOKENS.items():
-            out.append(MetricInfo(prefix + token, base, avg,
-                                  base in _CONCAVE, base not in _NONSMOOTH))
-    for token, base in _BASE_TOKENS.items():
-        if base in _NATIVE_BASES:
-            out.append(MetricInfo("mc-" + token, base, MULTICLASS_NATIVE,
-                                  base in _CONCAVE, base not in _NONSMOOTH))
-    return out
-
-
-def lookup(name: str) -> MetricInfo:
-    for info in list_metrics():
-        if info.name == name:
-            return info
-    raise KeyError(name)
+    return [parse_metric(prefix + token)
+            for avg, prefix in _PREFIXES.items() for token, base in _BASE_TOKENS.items()
+            if avg != MULTICLASS_NATIVE or base in _NATIVE_BASES]
 
 
 def parse_metric(name: str, epsilon: float = 1e-9) -> Metric:
@@ -642,14 +627,9 @@ def parse_metric(name: str, epsilon: float = 1e-9) -> Metric:
             budget = int(tail)
         except ValueError:
             raise ValueError(f"bad budget suffix in metric name: {name!r}") from None
-        if budget < 1:
-            raise ValueError(f"budget must be positive in {name!r}")
-    averaging = BINARY
-    for prefix, avg in (("macro-", MACRO), ("micro-", MICRO), ("mc-", MULTICLASS_NATIVE)):
-        if spec.startswith(prefix):
-            averaging = avg
-            spec = spec[len(prefix):]
-            break
+    averaging = next((avg for avg, prefix in _PREFIXES.items()
+                      if prefix and spec.startswith(prefix)), BINARY)
+    spec = spec[len(_PREFIXES[averaging]):]
     beta = 1.0
     if spec.startswith("fbeta:"):
         try:

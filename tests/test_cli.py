@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from omma import dataio
+from omma import cli, dataio
 from omma.cli import _build_parser, _inject_config, main
 
 
@@ -238,6 +238,31 @@ def test_jobs_parallel_identical_outputs(tmp_path, capsys):
         assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
 
 
+def test_run_shuffles_each_stream_after_the_previous_run(tmp_path, capsys, monkeypatch):
+    """``omma run`` holds one shuffled stream at a time: each run's shuffle
+    comes after the previous run returned."""
+    log = []
+    shuffle, run_online = cli.dataio.shuffle, cli.evaluation.run_online
+
+    def logged_shuffle(stream, seed):
+        log.append(("shuffle", seed))
+        return shuffle(stream, seed)
+
+    def logged_run(stream, cfg, *args):
+        log.append(("run", cfg.seed))
+        trace = run_online(stream, cfg, *args)
+        log.append(("returned", cfg.seed))
+        return trace
+
+    monkeypatch.setattr(cli.dataio, "shuffle", logged_shuffle)
+    monkeypatch.setattr(cli.evaluation, "run_online", logged_run)
+    assert run_cli(capsys, "run", "--metric", "macro-f1", "--alg", "omma", "--m", "3",
+                   "--n", "20", "--runs", "3", "--seed", "4",
+                   "--out", str(tmp_path / "o"))[0] == 0
+    assert log == [(event, seed) for seed in (4, 5, 6)
+                   for event in ("shuffle", "run", "returned")]
+
+
 def _report(tmp):
     return json.loads((tmp / "o" / "report.json").read_text())
 
@@ -364,6 +389,11 @@ REGRET_M3 = ["regret", "--metric", "macro-f1", "--alg", "omma", "--n-grid", "20"
     ([*RUN_M3, "--metric", "macro-fbeta:1e77"], 2, "error: beta must be at most 1e+30", None),
     ([*RUN_M3, "--metric", "macro-matthews", "--lambda", "1e77"], 2,
      "error: regularizer must be at most 1e+50", None),
+    # a seed names its setting, not numpy's message
+    ([*RUN_M3, "--seed", "-1"], 2, "error: seed must be a nonnegative integer, got -1",
+     None),
+    ([*REGRET_M3, "--seed", "-1"], 2, "error: seed must be a nonnegative integer, got -1",
+     None),
 ])
 def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, check):
     (tmp_path / "exp.cfg").write_text("metric=macro-f1\nm=3\nn=30\nlambda=0.5\nruns=2\n")

@@ -285,6 +285,9 @@ def test_parse_model_file(tmp_path):
     p.write_text("nonsense\n")
     with pytest.raises(DataFormatError):
         parse_model_file(p)
+    p.write_text("m=7\nseed=-1\n")
+    with pytest.raises(DataFormatError, match="seed must be a nonnegative integer, got -1"):
+        parse_model_file(p)
 
 
 @pytest.mark.parametrize("line", ["bogus=1", "prior_lo=0.2"])

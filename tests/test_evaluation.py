@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -13,7 +14,8 @@ from omma.algorithms import (ALGORITHMS, LearnerConfig, OfflineFWLearner,
                              UnsupportedMetricError, fw_fit, make_learner)
 from omma.confusion import (LAM_MAX, ProbEstimate, Task, check_regularizer, init_state,
                             multiclass, multilabel)
-from omma.dataio import InstanceStream, SynthModel, sparsify_estimates, synth_generate
+from omma.dataio import (InstanceStream, SynthModel, perturb_estimates, shuffle,
+                         sparsify_estimates, synth_generate)
 from omma.evaluation import (RunReport, adversarial_run, adversarial_sequences,
                              emit_report, emit_trace, estimate_optimal,
                              measure_regret, opt_bounds, run_online)
@@ -440,6 +442,22 @@ def _replaced(name, **changes):
 
 MODEL3 = SynthModel(task=multilabel(3), seed=1)
 
+# each place a seed enters, called with the seed
+SEED_CALLS = {
+    "SynthModel": lambda s: SynthModel(task=multilabel(3), seed=s),
+    "synth_generate": lambda s: synth_generate(MODEL3, 2, seed=s),
+    "estimate_optimal": lambda s: estimate_optimal(parse_metric("macro-f1"), MODEL3,
+                                                   n_opt=10, seed=s),
+    "shuffle": lambda s: shuffle(synth_generate(MODEL3, 2), s),
+    "perturb_estimates": lambda s: perturb_estimates(synth_generate(MODEL3, 2), 0.1, s),
+    "LearnerConfig": lambda s: LearnerConfig("ofw", multilabel(3), parse_metric("macro-f1"),
+                                             seed=s),
+    "measure_regret": lambda s: measure_regret(parse_metric("macro-f1"), MODEL3, "omma",
+                                               [10], 1, base_seed=s, psi_star=0.5),
+    "adversarial_run": lambda s: adversarial_run("omma", 6, 1, seed=s),
+}
+BAD_SEEDS = {"float": 2.5, "bool": True, "negative": -1}
+
 
 @pytest.mark.parametrize("call, msg", [
     (lambda: Task("multilabel", 2.5), "need at least one label"),
@@ -466,12 +484,15 @@ MODEL3 = SynthModel(task=multilabel(3), seed=1)
     (lambda: SynthModel(task=multilabel(3), d=1.5), "latent dimension must be nonnegative"),
     (lambda: sparsify_estimates(synth_generate(MODEL3, 2), 2.5),
      "top-k size must be at least 0"),
-], ids=["Task.m", "Metric.budget_k-float", "Metric.budget_k-bool",
-        "LearnerConfig.fw_iterations-bool", "LearnerConfig.fw_iterations-float",
-        "LearnerConfig.sparse_k", "fw_fit.iterations", "estimate_optimal.n_opt",
-        "adversarial_run.n", "adversarial_run.runs", "measure_regret.n_grid",
-        "measure_regret.runs", "synth_generate.n-negative", "synth_generate.n-float",
-        "SynthModel.d", "sparsify_estimates.k"])
+] + [(functools.partial(call, seed), f"seed must be a nonnegative integer, got {seed!r}")
+     for call in SEED_CALLS.values() for seed in BAD_SEEDS.values()],
+    ids=["Task.m", "Metric.budget_k-float", "Metric.budget_k-bool",
+         "LearnerConfig.fw_iterations-bool", "LearnerConfig.fw_iterations-float",
+         "LearnerConfig.sparse_k", "fw_fit.iterations", "estimate_optimal.n_opt",
+         "adversarial_run.n", "adversarial_run.runs", "measure_regret.n_grid",
+         "measure_regret.runs", "synth_generate.n-negative", "synth_generate.n-float",
+         "SynthModel.d", "sparsify_estimates.k"]
+    + [f"{name}.seed-{kind}" for name in SEED_CALLS for kind in BAD_SEEDS])
 def test_integer_settings_are_checked_where_they_enter(call, msg):
     with pytest.raises(ValueError, match=re.escape(msg)):
         call()

@@ -3,7 +3,7 @@ import pytest
 
 from omma import metrics
 from omma.confusion import multilabel
-from omma.metrics import Metric, list_metrics, lookup, min_tn_tp, parse_metric
+from omma.metrics import Metric, list_metrics, min_tn_tp, parse_metric
 
 
 def finite_difference(metric, C, h=1e-6):
@@ -198,7 +198,7 @@ def _chord_pair(rng, m):
 def test_random_chord_concavity(name):
     """Flagged-concave metrics satisfy the chord inequality on matched-marginal pairs."""
     met = parse_metric(name, epsilon=1e-9)
-    assert lookup(name).concave
+    assert met.concave
     rng = np.random.default_rng(77)
     for _ in range(1000):
         C1, C2 = _chord_pair(rng, 3)
@@ -208,16 +208,16 @@ def test_random_chord_concavity(name):
 
 
 def test_micro_f1_not_concave_flag():
-    assert lookup("micro-f1").concave is False
+    assert parse_metric("micro-f1").concave is False
 
 
 def test_balanced_accuracy_flags():
-    info = lookup("balanced-acc")
+    info = parse_metric("balanced-acc")
     assert info.concave and info.smooth
 
 
 def test_macro_f1_lookup():
-    info = lookup("macro-f1")
+    info = parse_metric("macro-f1")
     assert info.base == "f_beta" and info.averaging == metrics.MACRO
 
 
@@ -249,6 +249,16 @@ def test_registry_stable_and_complete():
     assert names == [i.name for i in list_metrics()]
     assert "macro-f1" in names and "mc-qmean" in names and "matthews" in names
     assert len(names) == len(set(names))
+
+
+def test_the_listing_is_parsed_metrics_and_every_metric_has_its_flags():
+    for met in list_metrics():
+        assert met == parse_metric(met.name)
+    # a budget and a beta change neither flag; min(tn, tp) is concave with a kink
+    hmean, fbeta, worst = parse_metric("macro-hmean@2"), parse_metric("macro-fbeta:2"), min_tn_tp()
+    assert (hmean.concave, hmean.smooth) == (True, True)
+    assert (fbeta.concave, fbeta.smooth) == (False, True)
+    assert (worst.concave, worst.smooth) == (True, False)
 
 
 def test_value_shape_mismatch():

@@ -27,8 +27,8 @@ from omma.confusion import (ProbEstimate, Task, _cells, batch_counts, check_labe
 from omma.dataio import (DataFormatError, InstanceStream, SynthModel, _latent_draw,
                          load_stream, perturb_estimates, read_estimates, shuffle,
                          sparsify_estimates, synth_generate)
-from omma.metrics import (BINARY, EPSILON_FLOOR, MACRO, MULTICLASS_NATIVE, CostCoefficients,
-                          list_metrics, lookup, parse_metric)
+from omma.metrics import (BINARY, EPSILON_FLOOR, MACRO, MICRO, MULTICLASS_NATIVE, CostCoefficients,
+                          list_metrics, parse_metric)
 
 # few distinct values, zero among them, so that ties and zero gains are common
 SCORES = st.sampled_from([-1.0, -0.25, 0.0, 0.0, 0.5, 1.0])
@@ -247,7 +247,7 @@ def test_class_coefficients_decide_as_the_column_scores_of_the_gradient(name, da
     above it.  ``tol`` is 2^-45 of sum(eta) times the largest magnitude in
     G, alpha and beta.  Rounding can split a tie that the metric makes
     exactly, so no closer statement holds for the float gradient."""
-    m = 2 if lookup(name).averaging == BINARY else data.draw(st.integers(2, 8))
+    m = 2 if parse_metric(name).averaging == BINARY else data.draw(st.integers(2, 8))
     budget = data.draw(st.none() | st.integers(1, m))
     metric = parse_metric(name + (f"@{budget}" if budget else ""),
                           epsilon=data.draw(st.sampled_from([1e-9, 0.25])))
@@ -1167,12 +1167,27 @@ def test_a_stacked_gradient_equals_the_per_slice_calls(info, m, R, eps, scale, s
         assert same_coefficients(got, stacked(want))
 
 
+@pytest.mark.parametrize("name", [i.name for i in list_metrics() if i.averaging == MICRO])
+def test_micro_one_confusion_calls_equal_a_large_stack(name):
+    """A micro one-confusion call reads numpy scalars, a stack reads arrays.
+    A scalar's ``x ** 2`` is ``pow(x, 2)``, about one value in a thousand a
+    unit apart from ``x * x``, so few random stacks meet one: 4000 slices."""
+    metric = parse_metric(name)
+    task = Task("multilabel", 3)
+    rng = np.random.default_rng(2024)
+    stack = rng.random((4000, 3, 2, 2)) * 10.0 ** rng.integers(-3, 4, (4000, 1, 1, 1))
+    with np.errstate(**evaluation.FP_ERRORS):
+        want = stacked([metric.coefficients(C, task) for C in stack])
+        got = metric.coefficients(stack, task)
+    assert same_coefficients(got, want)
+
+
 @pytest.mark.parametrize("name", ["qmean", "macro-qmean", "micro-qmean", "mc-qmean"])
 @pytest.mark.parametrize("eps", [0.0, 1e-9])
 def test_a_q_mean_kink_slice_beside_ordinary_slices(name, eps):
     metric = parse_metric(name, epsilon=eps)
     rng = np.random.default_rng(7)
-    for task in metric_tasks(lookup(name), 4):
+    for task in metric_tasks(metric, 4):
         # positive entries, so that even eps = 0 divides by no zero
         ordinary = rng.random((2, *task.shape)) + 0.5
         kink = confusion_slice(task, "kink", rng, 1.0) + (0.5 * np.eye(task.m)
@@ -1344,12 +1359,15 @@ def test_native_coefficients_are_the_kernels_diagonal_term(name, C, eps, R, seed
     rng = np.random.default_rng(seed)
     stack = np.stack([C, *(rng.permutation(C.reshape(-1)).reshape(C.shape)
                            for _ in range(R - 1))])
+
+    def diagonal_term(C):
+        dpsi_dr, _, d = kernel(C, eps, metric.beta)
+        return dpsi_dr / d
+
     for confusion in (C, stack):
-        want = outcome(lambda C: kernel(C, eps, metric.beta)[1], confusion)
+        want = outcome(diagonal_term, confusion)
         got = outcome(lambda C: metric.coefficients(C, task).alpha, confusion)
         if want[0] == "raised":
-            # the row term, which the coefficients skip, may have raised first
-            # and named another error
             assert got[0] == "raised"
         else:
             assert got == want
