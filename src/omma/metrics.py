@@ -611,7 +611,8 @@ _NONSMOOTH = {"q_mean", "min_tn_tp"}
 
 
 def list_metrics() -> list[Metric]:
-    """Stable listing of every (base, averaging) pair the CLI accepts."""
+    """The parsed Metric of every (base, averaging) pair the CLI accepts, in a
+    stable order."""
     return [parse_metric(prefix + token)
             for avg, prefix in _PREFIXES.items() for token, base in _BASE_TOKENS.items()
             if avg != MULTICLASS_NATIVE or base in _NATIVE_BASES]
