@@ -29,7 +29,7 @@ from itertools import islice, takewhile, tee
 import numpy as np
 
 from . import policy
-from .confusion import (Labels, ProbEstimate, Task, _pack, batch_counts, check_labels,
+from .confusion import (_ONE, Labels, ProbEstimate, Task, _pack, batch_counts, check_labels,
                         check_regularizer, check_seed, indicator_row, init_state, is_integer,
                         top_entries)
 from .metrics import BINARY, CostCoefficients, Metric
@@ -102,6 +102,7 @@ class OnlineLearner:
         self.cfg = cfg
         self.task = cfg.task
         self.metric = cfg.metric
+        self._budget = cfg.budget
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
 
     def step_row(self, eta: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
@@ -164,7 +165,7 @@ class OmmaLearner(OnlineLearner):
         if self.cfg.sparse_k is not None:
             return self._predict_sparse(eta, support)
         coeffs = self.metric.coefficients(self.state.normalized(), self.task)
-        return policy.decide_coefficients(coeffs, eta, self.cfg.budget,
+        return policy.decide_coefficients(coeffs, eta, self._budget,
                                           multiclass=self.task.is_multiclass)
 
     def _predict_sparse(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
@@ -172,7 +173,7 @@ class OmmaLearner(OnlineLearner):
         listed = self._all_labels if support is None else np.flatnonzero(support)
         indices, values = top_entries(listed, eta[listed], self.cfg.sparse_k)
         coeffs = self.metric.coefficients(self.state.normalized_blocks(indices), self.task)
-        return policy.decide_support(coeffs, indices, values, self.task.m, self.cfg.budget)
+        return policy.decide_support(coeffs, indices, values, self.task.m, self._budget)
 
     def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
         self.state.add(y, dec)
@@ -202,14 +203,16 @@ class GreedyLearner(OnlineLearner):
         super().__init__(cfg)
         self.state = init_state(cfg.task, cfg.lam)
         self._two_class = cfg.task.is_multiclass and cfg.metric.averaging == BINARY
+        self._next_t = np.empty(())  # t + 1 as a 0-d float64 array
 
     def _gain_table(self, eta_dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Expected per-label utility for predicting 0 vs 1 on this instance."""
         # the blocks after one more instance, one stack per cell tn, fp, fn, tp
         blocks = self.metric.blocks(self.state.counts)
-        nxt = (blocks[None] + _UNIT_CELLS[:, None]) / (self.state.t + 1)
+        self._next_t[()] = self.state.t + 1
+        nxt = (blocks[None] + _UNIT_CELLS[:, None]) / self._next_t
         v_tn, v_fp, v_fn, v_tp = self.metric.block_values(nxt)
-        not_eta = 1.0 - eta_dense
+        not_eta = _ONE - eta_dense
         gain0 = eta_dense * v_fn + not_eta * v_tn
         gain1 = eta_dense * v_tp + not_eta * v_fp
         return gain0, gain1
@@ -222,7 +225,7 @@ class GreedyLearner(OnlineLearner):
         else:
             gain0, gain1 = self._gain_table(eta)
             scores = gain1 - gain0
-        return policy.decide(scores, self.cfg.budget, argmax=self.task.is_multiclass)
+        return policy.decide(scores, self._budget, argmax=self.task.is_multiclass)
 
     def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
         self.state.add(y, dec)
@@ -241,7 +244,8 @@ class MixtureClassifier:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
-        if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
+        # written as "all inside" rather than "any outside" so that NaN fails too
+        if not (np.all(w >= -1e-12) and abs(w.sum() - 1.0) <= 1e-9):
             raise ValueError("mixture weights must be a distribution")
         self.weights = w
         # built as Generator.choice builds it from p on every call
@@ -353,6 +357,9 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     mass = None  # the rows' class masses, taken once a fit needs them
     budget = metric.budget_k
     by_class = multiclass and budget is None
+    # a fit by class scores into these two (n, m) buffers, reused by every
+    # iteration and prefix (a prefix uses its first rows)
+    work = np.empty((2, n, m)) if by_class else None
     classes = np.arange(m)
     # the trivial start predicts every label with probability k / m: the
     # all-negative classifier, or a uniformly random class or k-subset
@@ -383,7 +390,7 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
             coeffs = CostCoefficients(alphas[r, q], beta if zero else betas[r, q])
             rows_mass = None if mass is None else mass[:size]
             if by_class:
-                top = policy.gains(coeffs, rows, rows_mass).argmax(axis=1)
+                top = policy.gains(coeffs, rows, rows_mass, work[:, :size]).argmax(axis=1)
                 key = top.tobytes()
             else:
                 dec = policy.decide_coefficients(coeffs, rows, budget, multiclass=multiclass,
@@ -421,7 +428,7 @@ class _MixtureLearner(OnlineLearner):
     def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
         mix = self.mixture
         coeffs = mix.component(-1) if self.cfg.deterministic_mixture else mix.sample(self._rng)
-        return policy.decide_coefficients(coeffs, eta, self.cfg.budget,
+        return policy.decide_coefficients(coeffs, eta, self._budget,
                                           multiclass=self.task.is_multiclass)
 
 

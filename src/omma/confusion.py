@@ -57,6 +57,25 @@ class Task:
     def shape(self) -> tuple[int, ...]:
         return (self.m, self.m) if self.is_multiclass else (self.m, 2, 2)
 
+    @cached_property
+    def scale(self) -> np.ndarray:
+        """m as a read-only 0-d float64 array: the averaging scale of the
+        metrics' step arithmetic."""
+        return _const(self.m)
+
+
+def _const(x) -> np.ndarray:
+    """x as a read-only 0-d float64 array.  numpy converts a Python number
+    operand on every call; an array operand takes the faster path, and a
+    float64 one computes the same bits as the Python float on float64 arrays."""
+    out = np.array(float(x))
+    out.flags.writeable = False
+    return out
+
+
+_ZERO = _const(0.0)
+_ONE = _const(1.0)
+
 
 def multiclass(m: int) -> Task:
     return Task(MULTICLASS, m)
@@ -220,7 +239,7 @@ def multiclass_to_multilabel(C: np.ndarray) -> np.ndarray:
     row = C.sum(axis=-1)
     col = C.sum(axis=-2)
     total = C.sum(axis=(-2, -1))[..., None]
-    return _pack(np.maximum(0.0, total - row - col + diag), col - diag, row - diag, diag,
+    return _pack(np.maximum(_ZERO, total - row - col + diag), col - diag, row - diag, diag,
                  C.shape[:-1] + (2, 2))
 
 
@@ -241,8 +260,12 @@ class ConfusionState:
     def __post_init__(self) -> None:
         # the per-instance add writes through a flat view of the counts
         self.counts = np.ascontiguousarray(self.counts, dtype=np.float64)
-        # flat index of every multilabel tn cell [j, 0, 0]
+        # flat index of every multilabel tn cell [j, 0, 0], and of every tp
+        # row's first cell [j, 1, 0], 2 further on
         self._tn_cells = np.arange(0, 4 * self.task.m, 4)
+        self._tp_cells = self._tn_cells + 2
+        # max(t, 1) as a 0-d float64 array, written before each division
+        self._divisor = np.empty(())
 
     def update(self, y: Labels, yhat: Labels) -> None:
         """Fold in one observed (label, prediction) pair."""
@@ -265,7 +288,8 @@ class ConfusionState:
         Multiclass: every predicted column receives the row.  Multilabel: label
         j adds ref_j to its true-positive row and 1 - ref_j to its true-negative
         row, in the column of its prediction.  Adding 0.0 is exact, so a 0/1
-        row gives the same counts as counting label pairs.
+        row gives the same counts as counting label pairs.  A run's rows are
+        float64, so 1 - ref_j is taken in float64 as the counts are.
         """
         if self.task.is_multiclass:
             # one predicted column (no budget) is added as a view; an index
@@ -276,20 +300,21 @@ class ConfusionState:
             else:
                 self.counts[:, cols] += ref[:, None]
         else:
-            # flat index of cell [j, 0, dec_j]; cell [j, 1, dec_j] is 2 further on
-            cells = self._tn_cells + dec
+            # flat index of cells [j, 0, dec_j] and [j, 1, dec_j]
             flat = self.counts.reshape(-1)
-            flat[cells] += 1.0 - ref
-            flat[cells + 2] += ref
+            flat[self._tn_cells + dec] += _ONE - ref
+            flat[self._tp_cells + dec] += ref
         self.t += 1
 
     def normalized(self) -> np.ndarray:
         """Counts divided by t; at t=0 a copy of the raw lam-filled accumulator."""
-        return self.counts / (self.t or 1)
+        self._divisor[()] = self.t or 1
+        return self.counts / self._divisor
 
     def normalized_blocks(self, indices: np.ndarray) -> np.ndarray:
         """Normalized per-label blocks for a label subset (multilabel only)."""
-        return self.counts[indices] / (self.t or 1)
+        self._divisor[()] = self.t or 1
+        return self.counts[indices] / self._divisor
 
 
 def indicator_row(m: int, labels: Labels, dtype) -> np.ndarray:
@@ -353,5 +378,8 @@ def check_regularizer(lam: float) -> None:
 
 
 def init_state(task: Task, lam: float) -> ConfusionState:
+    """The t = 0 state of regularizer ``lam``; a lam of -0.0 is stored as
+    +0.0, so that no count of a run is a negative zero."""
     check_regularizer(lam)
-    return ConfusionState(task, lam, np.full(task.shape, float(lam)))
+    lam = float(lam) + 0.0
+    return ConfusionState(task, lam, np.full(task.shape, lam))

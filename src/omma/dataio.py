@@ -166,6 +166,12 @@ class InstanceStream:
         return ProbEstimate._row_views(self.estimate_rows, self.support)
 
 
+def _plain(text: str) -> bool:
+    """ASCII without an underscore: ``int`` and ``float`` also read ``1_0``
+    as 10 and the digits of other scripts, which no stream file holds."""
+    return text.isascii() and "_" not in text
+
+
 def read_labels(path, task: Task) -> np.ndarray:
     """The (n, m) 0/1 label rows of a label file, one per line, each line
     checked by :func:`check_labels`."""
@@ -174,6 +180,10 @@ def read_labels(path, task: Task) -> np.ndarray:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             try:
+                # one test per line; the tokens only where it fails, since
+                # int also strips other scripts' spaces around a token
+                if not _plain(line) and not all(_plain(tok.strip()) for tok in line.split(",")):
+                    raise ValueError
                 idx = tuple(sorted(int(tok) for tok in line.split(","))) if line else ()
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: bad label line {line!r}") from None
@@ -196,6 +206,10 @@ def _read_estimate_columns(path, m: int, *, multiclass: bool = False
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             line = line.strip()
+            if not _plain(line):  # one test per line; the tokens only where it fails
+                bad = next((tok for tok in line.split() if not _plain(tok)), None)
+                if bad is not None:
+                    raise DataFormatError(f"{path}:{n}: malformed pair {bad!r}")
             pairs = []
             seen = set()
             for tok in line.split():

@@ -10,7 +10,8 @@ the recall chain ``(dpsi/dr, num, d)`` of ``r_j = num_j / d_j`` from one pass
 over the diagonal and row sums, and the row and diagonal terms follow from it.
 
 Each binary base returns the gradient's four partials ``(dtn, dfp, dfn, dtp)``
-per block, a structural zero as the scalar 0.0, already divided by the
+per block, a structural zero as the Python float 0.0 (every other partial is
+a numpy scalar or an array), already divided by the
 averaging's scale: m for macro and micro averaging, 1 for binary.  A base
 folds the scale into the factor its partials share, such as F-beta's ``(1 +
 b2) / (d * d * m)``, so that no partial takes a division of its own.  Values
@@ -23,10 +24,33 @@ same formulas to the same bits.
 :meth:`Metric.gradient` packs the partials into the gradient;
 :meth:`Metric.coefficients` forms the decision rule's ``alpha = dtp + dtn -
 dfp - dfn`` and ``beta = dtn - dfp`` from them directly, per label or,
-through the one-vs-rest blocks, per class.  It does not subtract a
-structural zero, since ``x - 0.0`` is ``x`` bit for bit: where ``dfp`` is
-one, ``beta`` is ``dtn``.  A native metric's coefficients are its diagonal
-term ``dpsi/dr_j / d_j`` and 0; no row term is formed for them.
+through the one-vs-rest blocks, per class.  A native metric's coefficients
+are its diagonal term ``dpsi/dr_j / d_j`` and 0; no row term is formed for
+them.
+
+Every numpy operation of a step takes array operands (numpy scalars where
+the cells are numpy scalars), since numpy converts a Python number operand
+on every call:
+
+* Constants are resolved once.  Each :class:`Metric` resolves its base
+  functions and its constants when it is built: epsilon, F-beta's ``b2 =
+  beta**2`` and ``1 + b2``, and the literals 0.5, 1, 2 and -2 that the bases
+  use, as read-only 0-d float64 arrays (``confusion._const``), and the
+  task's scale m is ``Task.scale``.  On float64 operands a 0-d float64 array
+  computes the same bits as the Python float.  Micro averaging's mean block
+  of one confusion has numpy scalar cells, for which a 0-d operand costs ten
+  times a scalar one, so it reads the same constants as numpy scalars.
+* Structural zeros take no arithmetic.  ``coefficients`` takes ``dtp`` where
+  ``dtn`` is a structural zero and ``-dfp`` where it would form ``0.0 -
+  dfp``, and it subtracts no structural zero.  ``x + 0.0`` and ``0.0 - x``
+  differ from ``x`` and ``-x`` only in the sign of a zero x: a -0.0 tp cell,
+  which no run makes (``confusion.init_state`` stores a regularizer of -0.0
+  as +0.0), gives a beta of -0.0 there and decides as the +0.0 cell.
+* Inputs are converted to float64 where they enter: ``value``, ``gradient``,
+  ``coefficients``, ``block_values`` and ``block_gradient`` read a float32
+  or integer confusion as its float64 copy, bit for bit.  Without that rule
+  a 0-d float64 operand would upcast a float32 confusion partway through a
+  base, where a Python float did not.
 
 All denominators are stabilized by adding ``epsilon``, and the ratio factors of
 the mean-family metrics (G/H/Q-mean) are stabilized as ``(num + eps) /
@@ -51,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .confusion import Task, _cells, _pack, is_integer, multiclass_to_multilabel
+from .confusion import Task, _cells, _const, _pack, is_integer, multiclass_to_multilabel
 
 BINARY = "binary"
 MACRO = "macro"
@@ -68,6 +92,8 @@ EPSILON_FLOOR = 1e-100
 # the largest F-beta beta (see the module docstring)
 BETA_MAX = 1e30
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 class CostCoefficients(NamedTuple):
     """Weights of the decision rule: predict label j when alpha_j eta_j >= beta_j;
@@ -81,21 +107,31 @@ class CostCoefficients(NamedTuple):
 def _coefficients(dtn, dfp, dfn, dtp, shape) -> CostCoefficients:
     """(alpha, beta) of the given shape from the four partials; a scalar, or a
     micro stack's (R, 1) partial, is shared by the labels it covers."""
-    # x - 0.0 is x bit for bit, so a structural zero (a python float; a
-    # micro partial is a numpy scalar, a float subclass) is not subtracted
-    alpha = dtp + dtn
+    # a structural zero (a python float; every other partial is a numpy
+    # scalar or an array) takes no arithmetic: x + 0.0 is x and 0.0 - x is
+    # -x, but for the sign of a zero x
+    zero_tn = type(dtn) is float
+    alpha = dtp if zero_tn else dtp + dtn
     beta = dtn
     if type(dfp) is not float:
         alpha = alpha - dfp
-        beta = dtn - dfp
+        beta = -dfp if zero_tn else dtn - dfp
     if type(dfn) is not float:
         alpha = alpha - dfn
     # python floats have no shape
     if getattr(alpha, "shape", ()) != shape:
-        alpha = np.full(shape, alpha)
+        alpha = _filled(shape, alpha)
     if getattr(beta, "shape", ()) != shape:
-        beta = np.full(shape, beta)
+        beta = _filled(shape, beta)
     return CostCoefficients(alpha, beta)
+
+
+def _filled(shape, x) -> np.ndarray:
+    """A float64 array of the shape with x broadcast into it: np.full without
+    its Python wrapper, which infers a dtype from x."""
+    out = np.empty(shape)
+    out[...] = x
+    return out
 
 
 def _safe_div(den, *nums):
@@ -110,86 +146,101 @@ def _safe_div(den, *nums):
     return [num / den for num in nums]
 
 
-# --- binary bases: value(blocks) and the gradient's four partials (dtn, dfp,
-# dfn, dtp) divided by the averaging's scale (m, or 1 for binary), vectorized
-# over leading axes; a structural zero is a scalar 0.0.  A base folds the
-# scale into a factor its partials share, or divides each one by it
+class _Constants(NamedTuple):
+    """The operands a base reads besides the blocks, resolved once per metric:
+    the stabilizer, F-beta's b2 = beta**2 and 1 + b2, and the literals."""
+
+    eps: np.ndarray
+    b2: np.ndarray
+    b2p1: np.ndarray
+    half: np.ndarray
+    one: np.ndarray
+    two: np.ndarray
+    minus_two: np.ndarray
 
 
-def _acc_v(blocks, eps, beta):
+# --- binary bases: value(blocks, c) and the gradient's four partials (dtn,
+# dfp, dfn, dtp) divided by the averaging's scale (m, or 1 for binary),
+# vectorized over leading axes; a structural zero is a scalar 0.0.  A base
+# folds the scale into a factor its partials share, or divides each one by
+# it.  c holds the metric's constants, and every operand is an array, or
+# every one a numpy scalar (micro averaging's mean block of one confusion)
+
+
+def _acc_v(blocks, c):
     tn, fp, fn, tp = _cells(blocks)
     return tp + tn
 
 
-def _acc_g(blocks, eps, beta, scale):
-    one = 1.0 / scale
+def _acc_g(blocks, c, scale):
+    # one number, divided as numpy scalars: a 0-d division is a ufunc call
+    one = c.one[()] / scale[()]
     return one, 0.0, 0.0, one
 
 
-def _bacc_v(blocks, eps, beta):
+def _bacc_v(blocks, c):
     tn, fp, fn, tp = _cells(blocks)
-    return tp / (2.0 * (tp + fn) + eps) + tn / (2.0 * (tn + fp) + eps)
+    return tp / (c.two * (tp + fn) + c.eps) + tn / (c.two * (tn + fp) + c.eps)
 
 
-def _bacc_g(blocks, eps, beta, scale):
+def _bacc_g(blocks, c, scale):
     tn, fp, fn, tp = _cells(blocks)
-    d1, d2 = 2.0 * (tp + fn) + eps, 2.0 * (tn + fp) + eps
+    d1, d2 = c.two * (tp + fn) + c.eps, c.two * (tn + fp) + c.eps
     d1, d2 = d1 * d1 * scale, d2 * d2 * scale
-    return (2.0 * fp + eps) / d2, -2.0 * tn / d2, -2.0 * tp / d1, (2.0 * fn + eps) / d1
+    return ((c.two * fp + c.eps) / d2, c.minus_two * tn / d2, c.minus_two * tp / d1,
+            (c.two * fn + c.eps) / d1)
 
 
-def _recall_v(blocks, eps, beta):
+def _recall_v(blocks, c):
     tn, fp, fn, tp = _cells(blocks)
-    return tp / (tp + fn + eps)
+    return tp / (tp + fn + c.eps)
 
 
-def _recall_g(blocks, eps, beta, scale):
+def _recall_g(blocks, c, scale):
     tn, fp, fn, tp = _cells(blocks)
-    d = tp + fn + eps
+    d = tp + fn + c.eps
     d2 = d * d * scale
-    return 0.0, 0.0, -tp / d2, (fn + eps) / d2
+    return 0.0, 0.0, -tp / d2, (fn + c.eps) / d2
 
 
-def _precision_v(blocks, eps, beta):
+def _precision_v(blocks, c):
     tn, fp, fn, tp = _cells(blocks)
-    return tp / (tp + fp + eps)
+    return tp / (tp + fp + c.eps)
 
 
-def _precision_g(blocks, eps, beta, scale):
+def _precision_g(blocks, c, scale):
     tn, fp, fn, tp = _cells(blocks)
-    d = tp + fp + eps
+    d = tp + fp + c.eps
     d2 = d * d * scale
-    return 0.0, -tp / d2, 0.0, (fp + eps) / d2
+    return 0.0, -tp / d2, 0.0, (fp + c.eps) / d2
 
 
-def _fbeta_v(blocks, eps, beta):
+def _fbeta_v(blocks, c):
     tn, fp, fn, tp = _cells(blocks)
-    b2 = beta * beta
-    wtp = (1.0 + b2) * tp
-    return wtp / (wtp + b2 * fn + fp + eps)
+    wtp = c.b2p1 * tp
+    return wtp / (wtp + c.b2 * fn + fp + c.eps)
 
 
-def _fbeta_g(blocks, eps, beta, scale):
+def _fbeta_g(blocks, c, scale):
     tn, fp, fn, tp = _cells(blocks)
-    b2 = beta * beta
-    rest = b2 * fn + fp + eps
-    d = (1.0 + b2) * tp + rest
-    k = (1.0 + b2) / (d * d * scale)
+    rest = c.b2 * fn + fp + c.eps
+    d = c.b2p1 * tp + rest
+    k = c.b2p1 / (d * d * scale)
     dfp = -tp * k
-    return 0.0, dfp, b2 * dfp, rest * k
+    return 0.0, dfp, c.b2 * dfp, rest * k
 
 
-def _jaccard_v(blocks, eps, beta):
+def _jaccard_v(blocks, c):
     tn, fp, fn, tp = _cells(blocks)
-    return tp / (tp + fp + fn + eps)
+    return tp / (tp + fp + fn + c.eps)
 
 
-def _jaccard_g(blocks, eps, beta, scale):
+def _jaccard_g(blocks, c, scale):
     tn, fp, fn, tp = _cells(blocks)
-    d = tp + fp + fn + eps
+    d = tp + fp + fn + c.eps
     d2 = d * d * scale
     dfp = -tp / d2
-    return 0.0, dfp, dfp, (fp + fn + eps) / d2
+    return 0.0, dfp, dfp, (fp + fn + c.eps) / d2
 
 
 def _rates(blocks, eps):
@@ -211,57 +262,59 @@ def _rate_partials(chain, scale, dv_drp, dv_drn):
     return dv_drn * fp / dn2, dv_drn * (-tne) / dn2, dv_drp * (-tpe) / dp2, dv_drp * fn / dp2
 
 
-def _gmean_v(blocks, eps, beta):
-    rp, rn, _ = _rates(blocks, eps)
+def _gmean_v(blocks, c):
+    rp, rn, _ = _rates(blocks, c.eps)
     return np.sqrt(rp * rn)
 
 
-def _gmean_g(blocks, eps, beta, scale):
-    rp, rn, chain = _rates(blocks, eps)
-    return _rate_partials(chain, scale, *_safe_div(2.0 * np.sqrt(rp * rn), rn, rp))
+def _gmean_g(blocks, c, scale):
+    rp, rn, chain = _rates(blocks, c.eps)
+    return _rate_partials(chain, scale, *_safe_div(c.two * np.sqrt(rp * rn), rn, rp))
 
 
-def _hmean_v(blocks, eps, beta):
-    rp, rn, _ = _rates(blocks, eps)
-    return 2.0 * rp * rn / (rp + rn)
+def _hmean_v(blocks, c):
+    rp, rn, _ = _rates(blocks, c.eps)
+    return c.two * rp * rn / (rp + rn)
 
 
-def _hmean_g(blocks, eps, beta, scale):
-    rp, rn, chain = _rates(blocks, eps)
+def _hmean_g(blocks, c, scale):
+    rp, rn, chain = _rates(blocks, c.eps)
     s = rp + rn
     s2 = s * s
-    return _rate_partials(chain, scale, 2.0 * (rn * rn) / s2, 2.0 * (rp * rp) / s2)
+    return _rate_partials(chain, scale, c.two * (rn * rn) / s2, c.two * (rp * rp) / s2)
 
 
-def _qmean_v(blocks, eps, beta):
-    rp, rn, _ = _rates(blocks, eps)
-    up, un = 1.0 - rp, 1.0 - rn
-    return 1.0 - np.sqrt(0.5 * (up * up + un * un))
+def _qmean_v(blocks, c):
+    rp, rn, _ = _rates(blocks, c.eps)
+    up, un = c.one - rp, c.one - rn
+    return c.one - np.sqrt(c.half * (up * up + un * un))
 
 
-def _qmean_g(blocks, eps, beta, scale):
-    rp, rn, chain = _rates(blocks, eps)
-    up, un = 1.0 - rp, 1.0 - rn
-    root = np.sqrt(0.5 * (up * up + un * un))
-    return _rate_partials(chain, scale, *_safe_div(root, 0.5 * up, 0.5 * un))
+def _qmean_g(blocks, c, scale):
+    rp, rn, chain = _rates(blocks, c.eps)
+    up, un = c.one - rp, c.one - rn
+    root = np.sqrt(c.half * (up * up + un * un))
+    return _rate_partials(chain, scale, *_safe_div(root, c.half * up, c.half * un))
 
 
-def _matthews_v(blocks, eps, beta):
+def _matthews_v(blocks, c):
     tn, fp, fn, tp = _cells(blocks)
+    eps = c.eps
     den = np.sqrt((tp + fp + eps) * (tp + fn + eps) * (tn + fp + eps) * (tn + fn + eps))
     return _safe_div(den, tp * tn - fp * fn)[0]
 
 
-def _matthews_g(blocks, eps, beta, scale):
+def _matthews_g(blocks, c, scale):
     tn, fp, fn, tp = _cells(blocks)
+    eps = c.eps
     f1 = tp + fp + eps
     f2 = tp + fn + eps
     f3 = tn + fp + eps
     f4 = tn + fn + eps
     den = np.sqrt(f1 * f2 * f3 * f4)
     v, tn_den, tp_den, fn_den, fp_den = _safe_div(den, tp * tn - fp * fn, tn, tp, -fn, -fp)
-    half_v = 0.5 * v
-    i1, i2, i3, i4 = 1.0 / f1, 1.0 / f2, 1.0 / f3, 1.0 / f4
+    half_v = c.half * v
+    i1, i2, i3, i4 = c.one / f1, c.one / f2, c.one / f3, c.one / f4
     dtp = tn_den - half_v * (i1 + i2)
     dtn = tp_den - half_v * (i3 + i4)
     dfp = fn_den - half_v * (i1 + i3)
@@ -269,23 +322,22 @@ def _matthews_g(blocks, eps, beta, scale):
     return dtn / scale, dfp / scale, dfn / scale, dtp / scale
 
 
-_TIE_WIDTH = 1e-12
+_TIE_WIDTH = _const(1e-12)
 
 
-def _min_tn_tp_v(blocks, eps, beta):
+def _min_tn_tp_v(blocks, c):
     tn, fp, fn, tp = _cells(blocks)
     return np.minimum(tn, tp)
 
 
-def _min_tn_tp_g(blocks, eps, beta, scale):
+def _min_tn_tp_g(blocks, c, scale):
     """Supergradient of min(tn, tp): indicator of the smaller entry, split at ties."""
     # tn < tp exactly where tn - tp < 0: a difference of finite floats is 0
-    # only where they are equal.  dtn is 0, half or all of 1 / scale, so
-    # 1 / scale - dtn is exact
+    # only where they are equal.  The weight w of tn is 0, 1/2 or 1, so
+    # (1 - w) / scale is 1 / scale - w / scale bit for bit
     tn, _, _, tp = _cells(blocks)
-    gap = tn - tp
-    dtn = np.where(abs(gap) <= _TIE_WIDTH, 0.5, gap < 0.0) / scale
-    return dtn, 0.0, 0.0, 1.0 / scale - dtn
+    w = np.where(abs(tn - tp) <= _TIE_WIDTH, c.half, tn < tp)
+    return w / scale, 0.0, 0.0, (c.one - w) / scale
 
 
 _BINARY_BASES = {
@@ -307,7 +359,8 @@ _BINARY_BASES = {
 # gradient is a per-row constant plus a diagonal: r_a depends only on row a of
 # C, and dr_a/dC_ab = (1{a=b} d_a - num_a) / d_a^2 for r_a = num_a / d_a.
 # np.add.reduce(x) / m equals np.mean(x) bit for bit, without mean's Python
-# wrapper, which costs more than the reduction at these sizes.
+# wrapper, which costs more than the reduction at these sizes.  Each kernel
+# takes (C, c, scale) with scale the 0-d class count m.
 
 
 def _mc_recalls(C, eps):
@@ -334,68 +387,67 @@ def _row_plus_diagonal(row, diag):
 # axis so that a per-matrix scalar stays aligned with its own matrix
 
 
-def _mc_acc_v(C, eps, beta):
+def _mc_acc_v(C, c, scale):
     return float(np.trace(C))
 
 
-def _mc_acc_g(C, eps, beta):
+def _mc_acc_g(C, c, scale):
     # r_j = C_jj, with num 0 (an int, so the row term is +0.0) and d 1
-    return np.ones(C.shape[:-1]), 0, 1
+    return np.ones(C.shape[:-1]), 0, c.one
 
 
 # balanced accuracy sums r_j = C_jj / (m row_j + eps): only the denominator
 # is stabilized
 
 
-def _mc_bacc_v(C, eps, beta):
-    d = C.shape[0] * C.sum(axis=1) + eps
+def _mc_bacc_v(C, c, scale):
+    d = scale * C.sum(axis=1) + c.eps
     return float(np.add.reduce(np.diagonal(C) / d))
 
 
-def _mc_bacc_g(C, eps, beta):
-    m = C.shape[-1]
-    return 1.0, m * C.diagonal(0, -2, -1), m * C.sum(axis=-1) + eps
+def _mc_bacc_g(C, c, scale):
+    return c.one, scale * C.diagonal(0, -2, -1), scale * C.sum(axis=-1) + c.eps
 
 
-def _mc_gmean_v(C, eps, beta):
-    r = _mc_recalls(C, eps)[0]
+def _mc_gmean_v(C, c, scale):
+    r = _mc_recalls(C, c.eps)[0]
     return float(np.exp(np.add.reduce(np.log(r)) / C.shape[0]))
 
 
-def _mc_gmean_g(C, eps, beta):
-    r, num, d = _mc_recalls(C, eps)
-    m = C.shape[-1]
-    v = np.exp(np.add.reduce(np.log(r), axis=-1, keepdims=True) / m)
-    return v / (m * r), num, d
+def _mc_gmean_g(C, c, scale):
+    r, num, d = _mc_recalls(C, c.eps)
+    v = np.exp(np.add.reduce(np.log(r), axis=-1, keepdims=True) / scale)
+    return v / (scale * r), num, d
 
 
-def _mc_hmean_v(C, eps, beta):
-    r = _mc_recalls(C, eps)[0]
-    return float(C.shape[0] / np.add.reduce(1.0 / r))
+def _mc_hmean_v(C, c, scale):
+    r = _mc_recalls(C, c.eps)[0]
+    return float(C.shape[0] / np.add.reduce(c.one / r))
 
 
-def _mc_hmean_g(C, eps, beta):
-    r, num, d = _mc_recalls(C, eps)
-    s = np.add.reduce(1.0 / r, axis=-1, keepdims=True)
+def _mc_hmean_g(C, c, scale):
+    r, num, d = _mc_recalls(C, c.eps)
+    s = np.add.reduce(c.one / r, axis=-1, keepdims=True)
     # pow(s, 2): how s ** 2 rounds where s is a numpy scalar, as it is for
     # one matrix without keepdims; an array's ** 2 is s * s, which can round
     # one unit apart
-    return C.shape[-1] / (np.float_power(s, 2) * r**2), num, d
+    return scale / (np.float_power(s, c.two) * (r * r)), num, d
 
 
-def _mc_qmean_v(C, eps, beta):
-    r = _mc_recalls(C, eps)[0]
-    return float(1.0 - np.sqrt(np.add.reduce((1.0 - r) ** 2) / C.shape[0]))
+def _mc_qmean_v(C, c, scale):
+    u = c.one - _mc_recalls(C, c.eps)[0]
+    return float(1.0 - np.sqrt(np.add.reduce(u * u) / C.shape[0]))
 
 
-def _mc_qmean_g(C, eps, beta):
-    r, num, d = _mc_recalls(C, eps)
-    m = C.shape[-1]
-    u = 1.0 - r
-    root = np.sqrt(np.add.reduce(u**2, -1) / m)
+def _mc_qmean_g(C, c, scale):
+    r, num, d = _mc_recalls(C, c.eps)
+    u = c.one - r
+    # the root of one matrix is a numpy scalar, for which Python operands
+    # are the fast ones
+    root = np.sqrt(np.add.reduce(u * u, -1) / C.shape[-1])
     # at the kink (root 0) every recall is 1 and every 1 - r is +0.0, so
     # dividing by 1 there instead gives the gradient taken there, 0
-    return u / m / (root + (root == 0.0))[..., None], num, d
+    return u / scale / (root + (root == 0.0))[..., None], num, d
 
 
 _NATIVE_BASES = {
@@ -435,6 +487,16 @@ class Metric:
             raise ValueError(f"beta must be at most {BETA_MAX:g}")
         if self.budget_k is not None and not (is_integer(self.budget_k) and self.budget_k >= 1):
             raise ValueError("budget must be a positive integer")
+        # resolved once: the base functions, and their constants as 0-d
+        # float64 arrays, and as numpy scalars for micro averaging's mean
+        # block of one confusion, whose cells are numpy scalars
+        b2 = self.beta * self.beta
+        consts = _Constants(*map(_const, (self.epsilon, b2, 1.0 + b2, 0.5, 1.0, 2.0, -2.0)))
+        native = self.averaging == MULTICLASS_NATIVE
+        value_fn, gradient_fn = (_NATIVE_BASES if native else _BINARY_BASES)[self.base]
+        for name, attr in (("_consts", consts), ("_scalars", _Constants(*(x[()] for x in consts))),
+                           ("_value_fn", value_fn), ("_gradient_fn", gradient_fn)):
+            object.__setattr__(self, name, attr)
 
     @property
     def concave(self) -> bool:
@@ -486,9 +548,10 @@ class Metric:
             C = np.asarray(C, dtype=np.float64)
             if C.ndim != 2 or C.shape[0] != C.shape[1]:
                 raise ValueError("native multiclass metrics expect an (m, m) matrix")
-            return float(_NATIVE_BASES[self.base][0](C, self.epsilon, self.beta))
-        vals = _BINARY_BASES[self.base][0](self._read(self.blocks(C)), self.epsilon, self.beta)
-        return float(np.mean(vals))
+            return float(self._value_fn(C, self._consts, _const(C.shape[0])))
+        blocks = self.blocks(C)
+        read, consts, _ = self._read(blocks, _const(blocks.shape[-3]))
+        return float(np.mean(self._value_fn(read, consts)))
 
     def gradient(self, C: np.ndarray) -> np.ndarray:
         """Analytic gradient with respect to every entry of C, same shape as C:
@@ -497,48 +560,52 @@ class Metric:
         if self.averaging == MULTICLASS_NATIVE:
             if C.ndim != 2 or C.shape[0] != C.shape[1]:
                 raise ValueError("native multiclass metrics expect an (m, m) matrix")
-            dpsi_dr, num, d = _NATIVE_BASES[self.base][1](C, self.epsilon, self.beta)
+            dpsi_dr, num, d = self._gradient_fn(C, self._consts, _const(C.shape[0]))
             return _row_plus_diagonal(dpsi_dr * (-num) / d**2, dpsi_dr / d)
         blocks = self.blocks(C)
-        Gt = _pack(*self._partials(blocks, blocks.shape[0]), blocks.shape)
+        Gt = _pack(*self._partials(blocks, blocks.shape[0], _const(blocks.shape[0])),
+                   blocks.shape)
         if C.ndim == 2:
             return Gt[0] if self.averaging == BINARY else _tensor_grad_to_matrix(Gt)
         return Gt
 
-    def _read(self, blocks: np.ndarray) -> np.ndarray:
-        """What the base formula reads of (..., k, 2, 2) blocks: micro averaging's
-        mean block, of one confusion as numpy scalars (fast), of a stack on a
-        label axis of length 1; else the blocks."""
+    def _read(self, blocks: np.ndarray, scale: np.ndarray):
+        """(what the base formula reads of (..., k, 2, 2) blocks, its constants,
+        its scale): micro averaging's mean block of the k = m labels (``scale``,
+        0-d), of one confusion as numpy scalars (fast) with the constants as
+        numpy scalars, of a stack on a label axis of length 1; else the blocks."""
         if self.averaging != MICRO:
-            return blocks
+            return blocks, self._consts, scale
         # the mean's own arithmetic (see the native forms), without its wrapper
-        mean = np.add.reduce(blocks, axis=-3) / blocks.shape[-3]
-        return mean if mean.ndim == 2 else mean[..., None, :, :]
+        mean = np.add.reduce(blocks, axis=-3) / scale
+        if mean.ndim == 2:
+            return mean, self._scalars, scale[()]
+        return mean[..., None, :, :], self._consts, scale
 
-    def _partials(self, blocks: np.ndarray, m: int):
+    def _partials(self, blocks: np.ndarray, m: int, scale: np.ndarray):
         """The partials (dtn, dfp, dfn, dtp) at k of the m labels' (..., k, 2, 2)
-        blocks as :meth:`_read` reads them (micro: at the mean block of all m),
-        as the base returns them with the averaging's scale: 1 / m for macro
-        and micro averaging; binary averaging has one block and scale 1."""
-        gfn = _BINARY_BASES[self.base][1]
+        float64 blocks as :meth:`_read` reads them (micro: at the mean block of
+        all m), as the base returns them with the averaging's scale: 1 / m for
+        macro and micro averaging, ``scale`` the 0-d m; binary averaging has
+        one block and scale 1."""
+        if self.averaging == MACRO:  # the blocks as they are
+            return self._gradient_fn(blocks, self._consts, scale)
         if self.averaging == BINARY:
             if m != 1:
                 raise ValueError("binary averaging expects a single block")
-            return gfn(blocks, self.epsilon, self.beta, 1.0)
-        if self.averaging == MICRO:
-            if blocks.shape[-3] != m:
-                raise ValueError("micro averaging needs the blocks of all m labels")
-        elif self.averaging != MACRO:
+            return self._gradient_fn(blocks, self._consts, self._consts.one)
+        if self.averaging != MICRO:
             raise ValueError("native multiclass metrics have no per-label coefficients")
-        # a float m: the same arithmetic as with the int, without numpy's
-        # int-scalar path
-        return gfn(self._read(blocks), self.epsilon, self.beta, float(m))
+        if blocks.shape[-3] != m:
+            raise ValueError("micro averaging needs the blocks of all m labels")
+        return self._gradient_fn(*self._read(blocks, scale))
 
     def block_gradient(self, blocks: np.ndarray, m: int) -> np.ndarray:
         """Gradient of selected per-label blocks (macro/binary), incl. the 1/m factor."""
         if not self.per_label:
             raise ValueError("per-block gradients exist only for macro/binary averaging")
-        return _pack(*self._partials(blocks, m), blocks.shape)
+        blocks = blocks.astype(np.float64, copy=False)
+        return _pack(*self._partials(blocks, m, _const(m)), blocks.shape)
 
     def coefficients(self, C: np.ndarray, task: Task) -> CostCoefficients:
         """(alpha, beta) of the decision rule at a normalized confusion of
@@ -549,30 +616,36 @@ class Metric:
         is ``eta . a`` plus the class scores.  A binary metric reads two
         classes as one block, class 1 positive: ([0, alpha], [0, beta]).
         """
+        # the dtype rule: a confusion enters as float64, so that the 0-d float64
+        # constants compute as on a float64 copy (a run's confusions are)
+        if C.dtype is not _FLOAT64:
+            C = C.astype(np.float64, copy=False)
         if not task.is_multiclass:
-            return _coefficients(*self._partials(C, task.m), C.shape[:-2])
+            return _coefficients(*self._partials(C, task.m, task.scale), C.shape[:-2])
         if C.ndim not in (2, 3) or C.shape[-2:] != task.shape:
             raise ValueError(f"expected an ({task.m}, {task.m}) matrix or an (R, {task.m}, "
                              f"{task.m}) stack of multiclass confusions, got {C.shape}")
         if self.averaging == MULTICLASS_NATIVE:
-            dpsi_dr, _, d = _NATIVE_BASES[self.base][1](C, self.epsilon, self.beta)
+            dpsi_dr, _, d = self._gradient_fn(C, self._consts, task.scale)
             return CostCoefficients(dpsi_dr / d, 0.0)
         if self.averaging == BINARY:
             if task.m != 2:
                 raise ValueError("binary averaging expects a single block: two classes")
             # class 0 scores 0; class 1 takes the block's own (alpha, beta)
             pair = np.zeros((2, *C.shape[:-2], 2))
-            pair[..., 1:] = _coefficients(*self._partials(C[..., None, :, :], 1),
+            pair[..., 1:] = _coefficients(*self._partials(C[..., None, :, :], 1, task.scale),
                                           C.shape[:-2] + (1,))
             return CostCoefficients(*pair)
-        return _coefficients(*self._partials(multiclass_to_multilabel(C), task.m),
+        return _coefficients(*self._partials(multiclass_to_multilabel(C), task.m, task.scale),
                              C.shape[:-1])
 
     def block_values(self, blocks: np.ndarray) -> np.ndarray:
         """Base-formula values of individual blocks, without the macro 1/m factor."""
         if not self.per_label:
             raise ValueError("per-block values exist only for macro/binary averaging")
-        return _BINARY_BASES[self.base][0](blocks, self.epsilon, self.beta)
+        if blocks.dtype is not _FLOAT64:
+            blocks = blocks.astype(np.float64, copy=False)
+        return self._value_fn(blocks, self._consts)
 
 
 def _tensor_grad_to_matrix(Gt: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .confusion import Labels, ProbEstimate, _cells
+from .confusion import _ZERO, Labels, ProbEstimate, _cells
 from .metrics import CostCoefficients, _coefficients
 
 
@@ -40,17 +40,25 @@ def class_mass(eta: np.ndarray) -> float | np.ndarray:
 
 
 def gains(coeffs: CostCoefficients, eta: ProbEstimate | np.ndarray,
-          mass: float | np.ndarray | None = None) -> np.ndarray:
+          mass: float | np.ndarray | None = None,
+          out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Scores of an estimate, an (m,) row or (n, m) rows (unlisted eta_j = 0):
     ``alpha * eta - beta`` without ``mass`` (multilabel gains), ``alpha * eta
     - beta * mass`` with the rows' :func:`class_mass` (class scores).  A
-    structural zero beta, the scalar 0.0, is skipped: x - 0.0 is x."""
+    structural zero beta, the scalar 0.0, is skipped: x - 0.0 is x.  ``out``,
+    two arrays of the scores' shape, receives the scores and ``beta * mass``
+    in place of fresh arrays, with the same bits."""
     if isinstance(eta, ProbEstimate):
         eta = eta.dense()
     alpha, beta = coeffs
-    scores = alpha * eta
-    if isinstance(beta, np.ndarray):  # in place: one temporary fewer on a buffer
-        scores -= beta if mass is None else beta * mass
+    if out is None:
+        scores = alpha * eta
+        if isinstance(beta, np.ndarray):  # in place: one temporary fewer on a buffer
+            scores -= beta if mass is None else beta * mass
+        return scores
+    scores = np.multiply(alpha, eta, out=out[0])
+    if isinstance(beta, np.ndarray):
+        scores -= beta if mass is None else np.multiply(beta, mass, out=out[1])
     return scores
 
 
@@ -67,7 +75,7 @@ def decide(scores: np.ndarray, budget: int | None = None, *,
     """
     m = scores.shape[-1]
     if budget is None and not argmax:
-        return scores >= 0.0
+        return scores >= _ZERO
     if budget is not None and budget > m:
         raise ValueError(f"budget {budget} exceeds the {m} candidate labels")
     if budget is None or budget == 1:

@@ -394,17 +394,33 @@ REGRET_M3 = ["regret", "--metric", "macro-f1", "--alg", "omma", "--n-grid", "20"
      None),
     ([*REGRET_M3, "--seed", "-1"], 2, "error: seed must be a nonnegative integer, got -1",
      None),
+    # int() and float() read "1_0" as 10 and other scripts' digits; a stream
+    # file holds ASCII digits only (each line would parse at m = 12)
+    (["run", "--labels", "{tmp}/under.labels", "--probs", "{tmp}/ok.probs", "--m", "12",
+      "--metric", "macro-f1", "--alg", "omma", "--out", "{tmp}/o"], 3,
+     "data error: {tmp}/under.labels:2: bad label line '1_0'", None),
+    (["run", "--labels", "{tmp}/ok.labels", "--probs", "{tmp}/under.probs", "--m", "12",
+      "--metric", "macro-f1", "--alg", "omma", "--out", "{tmp}/o"], 3,
+     "data error: {tmp}/under.probs:2: malformed pair '1_1:0.2'", None),
+    (["run", "--labels", "{tmp}/ok.labels", "--probs", "{tmp}/digits.probs", "--m", "12",
+      "--metric", "macro-f1", "--alg", "omma", "--out", "{tmp}/o"], 3,
+     "data error: {tmp}/digits.probs:1: malformed pair", None),
 ])
 def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, check):
     (tmp_path / "exp.cfg").write_text("metric=macro-f1\nm=3\nn=30\nlambda=0.5\nruns=2\n")
     (tmp_path / "empty.labels").write_text("")
     (tmp_path / "empty.probs").write_text("")
+    (tmp_path / "ok.labels").write_text("0\n1\n")
+    (tmp_path / "ok.probs").write_text("0:0.5\n1:0.5\n")
+    (tmp_path / "under.labels").write_text("0\n1_0\n")
+    (tmp_path / "under.probs").write_text("0:0.5\n1_1:0.2\n")
+    (tmp_path / "digits.probs").write_text("0:\u0660.5\n1:0.5\n", encoding="utf-8")
     got, out, err = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
     assert got == code
     if error is None:
         assert err == "" and check(out, tmp_path)
     else:
-        assert err.startswith(error) and err.count("\n") == 1
+        assert err.startswith(error.format(tmp=tmp_path)) and err.count("\n") == 1
 
 
 def test_out_of_memory_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch):

@@ -43,6 +43,25 @@ def test_read_labels_errors_carry_line_number(tmp_path):
         read_labels(p, multilabel(4))
 
 
+@pytest.mark.parametrize("line", ["1_0", "\u0663", "1,\u0662", "0,1__2", "\uff11"])
+def test_read_labels_takes_ascii_digits_only(tmp_path, line):
+    """int() reads "1_0" as 10 and other scripts' digits ("\u0663" is 3);
+    a label line holds ASCII digits only."""
+    p = tmp_path / "a.labels"
+    p.write_text(f"0\n{line}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=":2: bad label line"):
+        read_labels(p, multilabel(12))
+
+
+def test_other_scripts_spaces_around_tokens_still_separate(tmp_path):
+    p = tmp_path / "a.labels"
+    p.write_text("1,\u00a02\n", encoding="utf-8")
+    assert read_labels(p, multilabel(3)).tolist() == [[0, 1, 1]]
+    p = tmp_path / "a.probs"
+    p.write_text("0:0.5\u00a01:0.25\n", encoding="utf-8")
+    assert read_estimates(p, 3)[0].values.tolist() == [0.5, 0.25]
+
+
 def _perfbench_tracing():
     """The benchmark's tracing module, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
@@ -102,6 +121,11 @@ def test_read_estimates_canonicalizes_order(tmp_path):
     ("1:1.5", "outside"),
     ("oops", "malformed"),
     ("1:0.5 9:0.1", "out of range"),
+    # float() and int() also read underscores and other scripts' digits
+    ("1_1:0.2", "malformed pair '1_1:0.2'"),
+    ("0:1_0e-1", "malformed pair '0:1_0e-1'"),
+    ("\u0663:0.5", "malformed pair"),
+    ("0:0.5 1:\u0660.\u0665", "malformed pair '1:"),
 ])
 def test_read_estimates_errors(tmp_path, line, msg):
     p = tmp_path / "a.probs"

@@ -6,6 +6,7 @@ Frank-Wolfe's reuse of vertex confusions, its independence of memory layout
 and its lockstep fits of nested prefixes, the refit groups of a run, and a
 mixture's draws."""
 
+import dataclasses
 import itertools
 import os
 import re
@@ -28,7 +29,7 @@ from omma.dataio import (DataFormatError, InstanceStream, SynthModel, _latent_dr
                          load_stream, perturb_estimates, read_estimates, shuffle,
                          sparsify_estimates, synth_generate)
 from omma.metrics import (BINARY, EPSILON_FLOOR, MACRO, MICRO, MULTICLASS_NATIVE, CostCoefficients,
-                          list_metrics, parse_metric)
+                          list_metrics, min_tn_tp, parse_metric)
 
 # few distinct values, zero among them, so that ties and zero gains are common
 SCORES = st.sampled_from([-1.0, -0.25, 0.0, 0.0, 0.5, 1.0])
@@ -1182,6 +1183,65 @@ def test_micro_one_confusion_calls_equal_a_large_stack(name):
     assert same_coefficients(got, want)
 
 
+def call_bits(call):
+    """The bytes and shape of each array a call returns, or the error it raises."""
+    try:
+        with np.errstate(**evaluation.FP_ERRORS):
+            got = call()
+    except (ValueError, FloatingPointError) as err:
+        return type(err), str(err)
+    parts = got if isinstance(got, tuple) else (got,)
+    return [(type(p), np.shape(p), np.asarray(p, np.float64).tobytes()) for p in parts]
+
+
+@pytest.mark.parametrize("info", [*list_metrics(), min_tn_tp()], ids=lambda i: i.name)
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 6), st.sampled_from(["float32", "float16", "int64", "int32"]),
+       st.sampled_from([0.0, EPSILON_FLOOR, 1e-9]), st.integers(0, 2**32 - 1))
+def test_a_confusion_of_another_dtype_reads_as_its_float64_copy(info, m, dtype, eps, seed):
+    """The dtype rule: a confusion enters as float64, so the 0-d float64
+    constants compute on it as on its float64 copy.  Coefficients (of one
+    confusion and of a stack), value and gradient are the copy's, bit for
+    bit, or raise as the copy's do."""
+    metric = min_tn_tp(eps) if info.name == "min-tn-tp" else parse_metric(info.name, epsilon=eps)
+    rng = np.random.default_rng(seed)
+    for task in metric_tasks(info, m):
+        # fractions whose float32 sums round, zeros, and integer counts
+        C = rng.random((3, *task.shape)) * (rng.random((3, *task.shape)) < 0.8)
+        C = (C * 50).astype(dtype) if dtype.startswith("int") else C.astype(dtype)
+        copy = C.astype(np.float64)
+        assert call_bits(lambda: metric.coefficients(C, task)) == \
+            call_bits(lambda: metric.coefficients(copy, task))
+        for k in range(3):
+            assert call_bits(lambda: metric.coefficients(C[k], task)) == \
+                call_bits(lambda: metric.coefficients(copy[k], task))
+            assert call_bits(lambda: metric.value(C[k])) == call_bits(lambda: metric.value(copy[k]))
+            assert call_bits(lambda: metric.gradient(C[k])) == \
+                call_bits(lambda: metric.gradient(copy[k]))
+
+
+def test_a_negative_zero_regularizer_is_stored_as_plus_zero():
+    """A run's counts hold no -0.0: lam = -0.0, which the regularizer check
+    accepts, is stored as +0.0.  Only a -0.0 tp cell that a caller passes in
+    gives a beta of -0.0 (-dfp) where 0.0 - dfp would be +0.0; its decisions
+    are those of the +0.0 cell."""
+    for task in (Task("multilabel", 3), Task("multiclass", 3)):
+        state = init_state(task, -0.0)
+        assert not np.signbit(state.lam) and not np.any(np.signbit(state.counts))
+        assert not np.any(np.signbit(state.normalized()))
+    metric = parse_metric("macro-f1")
+    task = Task("multilabel", 2)
+    signed = np.array([[[1.0, 0.5], [0.25, -0.0]], [[1.0, 0.5], [0.25, 2.0]]])
+    got = metric.coefficients(signed, task)
+    want = metric.coefficients(np.abs(signed), task)
+    assert np.array_equal(got.alpha, want.alpha) and np.array_equal(got.beta, want.beta)
+    assert np.signbit(got.beta).tolist() == [True, False]
+    assert np.signbit(want.beta).tolist() == [False, False]
+    for eta in ([0.0, 0.0], [0.5, 1.0], [1.0, 0.0]):
+        assert np.array_equal(policy.decide_coefficients(got, np.array(eta)),
+                              policy.decide_coefficients(want, np.array(eta)))
+
+
 @pytest.mark.parametrize("name", ["qmean", "macro-qmean", "micro-qmean", "mc-qmean"])
 @pytest.mark.parametrize("eps", [0.0, 1e-9])
 def test_a_q_mean_kink_slice_beside_ordinary_slices(name, eps):
@@ -1361,7 +1421,7 @@ def test_native_coefficients_are_the_kernels_diagonal_term(name, C, eps, R, seed
                            for _ in range(R - 1))])
 
     def diagonal_term(C):
-        dpsi_dr, _, d = kernel(C, eps, metric.beta)
+        dpsi_dr, _, d = kernel(C, metric._consts, task.scale)
         return dpsi_dr / d
 
     for confusion in (C, stack):
@@ -1471,6 +1531,11 @@ def ref_bin_matthews_g(blocks, eps, beta, scale):
     return dtn / scale, dfp / scale, dfn / scale, dtp / scale
 
 
+def ref_bin_min_tn_tp_v(blocks, eps, beta):
+    tn, fp, fn, tp = _cells(blocks)
+    return np.minimum(tn, tp)
+
+
 def ref_bin_min_tn_tp_g(blocks, eps, beta, scale):
     """Supergradient of min(tn, tp): indicator of the smaller entry, split at ties."""
     tn, fp, fn, tp = _cells(blocks)
@@ -1480,12 +1545,19 @@ def ref_bin_min_tn_tp_g(blocks, eps, beta, scale):
     return dtn / scale, 0.0, 0.0, dtp / scale
 
 
+def as_base(value, gradient):
+    """A reference pair of (blocks, eps, beta[, scale]) functions as a base
+    pair, which reads the stabilizer from the metric's constants."""
+    return (lambda blocks, c: value(blocks, c.eps, None),
+            lambda blocks, c, scale: gradient(blocks, c.eps, None, scale))
+
+
 REF_BINARY = {
-    "g_mean": (ref_bin_gmean_v, ref_bin_gmean_g),
-    "h_mean": (ref_bin_hmean_v, ref_bin_hmean_g),
-    "q_mean": (ref_bin_qmean_v, ref_bin_qmean_g),
-    "matthews": (ref_bin_matthews_v, ref_bin_matthews_g),
-    "min_tn_tp": (metrics._BINARY_BASES["min_tn_tp"][0], ref_bin_min_tn_tp_g),
+    "g_mean": as_base(ref_bin_gmean_v, ref_bin_gmean_g),
+    "h_mean": as_base(ref_bin_hmean_v, ref_bin_hmean_g),
+    "q_mean": as_base(ref_bin_qmean_v, ref_bin_qmean_g),
+    "matthews": as_base(ref_bin_matthews_v, ref_bin_matthews_g),
+    "min_tn_tp": as_base(ref_bin_min_tn_tp_v, ref_bin_min_tn_tp_g),
 }
 
 # every binary, macro and micro metric, and min(tn, tp) as the adversarial
@@ -1556,7 +1628,8 @@ def test_binary_bases_equal_the_reference_formulas(name, data):
     got = binary_outcomes(metric, task, C, stack)
     with mock.patch.dict(metrics._BINARY_BASES, REF_BINARY), \
             mock.patch.object(metrics, "_coefficients", ref_bin_coefficients):
-        want = binary_outcomes(metric, task, C, stack)
+        # a metric resolves its bases when it is built: build it again here
+        want = binary_outcomes(dataclasses.replace(metric), task, C, stack)
     assert got == want
 
 

@@ -67,3 +67,40 @@ def test_against_a_path_without_the_package_is_a_usage_error(capsys, tmp_path):
         steps.main(["--against", str(tmp_path), "--calls", "1"])
     assert exc.value.code == 2
     assert "no src/omma package" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--kernel", "coefficients", "--metric", "micro-f1", "--m", "3"],
+    ["--kernel", "coefficients", "--stack", "3", "--metric", "mc-qmean", "--task", "multiclass",
+     "--m", "4"],
+    ["--kernel", "fw_fit", "--metric", "macro-f1", "--task", "multiclass", "--m", "4",
+     "--iterations", "3"],
+    ["--kernel", "fw_fit", "--stack", "2", "--metric", "macro-hmean", "--m", "3",
+     "--iterations", "2"],
+    ["--kernel", "batch_counts", "--metric", "min-tn-tp", "--m", "1"],
+])
+def test_a_kernel_against_a_checkout_reports_both_sides(capsys, args):
+    argv = [*args, "--n", "20", "--calls", "2", "--rounds", "2", "--against", _ROOT]
+    assert steps.main([*argv, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    kernel = args[1]
+    assert out["kernel"] == kernel and sorted(out["stages"]) == sorted([kernel, "overhead"])
+    for stage in out["stages"].values():
+        assert all(stage[k] > 0.0 for k in ("this_best", "other_best", "this_median",
+                                             "other_median", "ratio_best", "ratio_median"))
+        assert 0 <= stage["wins"] <= stage["rounds"] == 2
+    assert steps.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{kernel} ")
+    assert [line.split()[0] for line in lines[2:]] == [kernel, "overhead"]
+
+
+def test_a_kernel_alone_and_its_bounds(capsys):
+    assert steps.main(["--kernel", "batch_counts", "--n", "10", "--calls", "2", "--rounds",
+                       "1", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert sorted(out["us_per_call"]) == ["batch_counts", "overhead"]
+    for bad in (["--stack", "0"], ["--stack", "11"], ["--iterations", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            steps.main(["--kernel", "fw_fit", "--n", "10", *bad])
+        assert exc.value.code == 2

@@ -43,17 +43,17 @@ MUTANTS = (
            ("tests/test_properties.py::test_the_threshold_comparison_equals_the_thresholded"
             "_gains",)),
     Mutant("fbeta-square-as-pow", "src/omma/metrics.py",
-           "k = (1.0 + b2) / (d * d * scale)",
-           "k = (1.0 + b2) / (d ** 2 * scale)",
+           "k = c.b2p1 / (d * d * scale)",
+           "k = c.b2p1 / (d ** 2 * scale)",
            ("tests/test_properties.py::test_micro_one_confusion_calls_equal_a_large_stack"
             "[micro-f1]",)),
     Mutant("fbeta-without-scale", "src/omma/metrics.py",
-           "k = (1.0 + b2) / (d * d * scale)",
-           "k = (1.0 + b2) / (d * d)",
+           "k = c.b2p1 / (d * d * scale)",
+           "k = c.b2p1 / (d * d)",
            ("tests/test_metrics.py::test_gradient_matches_finite_differences[macro-f1]",)),
     Mutant("micro-stack-without-label-axis", "src/omma/metrics.py",
-           "return mean if mean.ndim == 2 else mean[..., None, :, :]",
-           "return mean",
+           "return mean[..., None, :, :], self._consts, scale",
+           "return mean, self._consts, scale",
            ("tests/test_properties.py::test_micro_one_confusion_calls_equal_a_large_stack"
             "[micro-f1]",
             "tests/test_properties.py::test_a_stacked_gradient_equals_the_per_slice_calls"
@@ -84,6 +84,33 @@ MUTANTS = (
            '"q_mean"}',
            ("tests/test_metrics.py::test_the_listing_is_parsed_metrics_and_every_metric_has"
             "_its_flags",)),
+    Mutant("beta-without-the-sign-of-dfp", "src/omma/metrics.py",
+           "beta = -dfp if zero_tn else dtn - dfp",
+           "beta = dfp if zero_tn else dtn - dfp",
+           ("tests/test_properties.py::test_binary_bases_equal_the_reference_formulas"
+            "[macro-f1]",)),
+    Mutant("coefficients-without-float64-entry", "src/omma/metrics.py",
+           "C = C.astype(np.float64, copy=False)",
+           "C = C",
+           ("tests/test_properties.py::test_a_confusion_of_another_dtype_reads_as_its_float64"
+            "_copy[macro-recall]",)),
+    Mutant("negative-zero-regularizer-kept", "src/omma/confusion.py",
+           "lam = float(lam) + 0.0",
+           "lam = float(lam)",
+           ("tests/test_properties.py::test_a_negative_zero_regularizer_is_stored_as_plus_zero",)),
+    Mutant("mixture-weights-any-outside", "src/omma/algorithms.py",
+           "if not (np.all(w >= -1e-12) and abs(w.sum() - 1.0) <= 1e-9):",
+           "if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:",
+           ("tests/test_algorithms.py::test_mixture_weights_must_be_a_finite_distribution",)),
+    Mutant("stream-numbers-with-underscores", "src/omma/dataio.py",
+           'return text.isascii() and "_" not in text',
+           "return text.isascii()",
+           ("tests/test_dataio.py::test_read_labels_takes_ascii_digits_only",
+            "tests/test_dataio.py::test_read_estimates_errors")),
+    Mutant("class-scores-overwrite-their-buffer", "src/omma/policy.py",
+           "np.multiply(beta, mass, out=out[1])",
+           "np.multiply(beta, mass, out=out[0])",
+           ("tests/test_properties.py::test_fw_fit_equals_a_fit_that_counts_every_vertex",)),
 )
 
 

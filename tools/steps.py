@@ -2,6 +2,8 @@
 
     python3 tools/steps.py --metric macro-f1 --task multilabel --m 5 --alg omma
     python3 tools/steps.py --metric min-tn-tp --m 1 --against ../parent
+    python3 tools/steps.py --kernel fw_fit --metric macro-f1 --task multiclass --m 20 \
+        --n 2000 --iterations 20 --against ../parent
 
 Imports ``omma`` from the ``src/`` beside this file, so a copy of the file
 in another checkout times that checkout.  It draws a synthetic stream of
@@ -25,6 +27,18 @@ utility of the adversarial scenario (one label: ``--m 1``).  Each of
 ``--rounds`` rounds makes ``--calls`` calls of every stage in turn, and a
 stage's figure is its fastest round, in µs per call.  Runs under the
 floating-point error state of ``run_online``.
+
+``--kernel NAME`` times one library kernel instead of the step stages, on
+the same stream of ``--n`` rows (one stage named after the kernel, and
+``overhead``):
+
+* ``coefficients``: ``Metric.coefficients`` at the confusion the learner
+  reaches after ``n // 2`` rows, or with ``--stack R`` on the (R, ...) stack
+  of the confusions it reaches after ``n (r + 1) // R`` rows, r < R;
+* ``fw_fit``: ``fw_fit`` of the ``n`` rows with their labels, ``--iterations``
+  steps, or with ``--stack R`` the lockstep fit of those R prefixes;
+* ``batch_counts``: ``batch_counts`` of the ``n`` label rows against the
+  decisions of the 0.5 threshold (multilabel) or the argmax (multiclass).
 
 ``--against PATH`` also imports ``PATH/src/omma``, under another package
 name, and times both checkouts in this one process: each side builds its
@@ -56,6 +70,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import numpy as np  # noqa: E402
 
 ALGORITHMS = ("omma", "omma-eta", "greedy")  # the learners that keep a confusion state
+KERNELS = ("coefficients", "fw_fit", "batch_counts")
 MODULES = ("algorithms", "confusion", "dataio", "evaluation", "metrics", "policy")
 OTHER = "omma_against"  # the package name the other checkout is imported under
 
@@ -104,6 +119,32 @@ def stages(learner, estimates: np.ndarray, labels: np.ndarray, policy) -> dict:
         "step": step,
         "overhead": lambda i: None,
     }
+
+
+def kernel_calls(lib, cfg, estimates: np.ndarray, labels: np.ndarray, kernel: str,
+                 stack: int | None, iterations: int) -> dict:
+    """One call of ``kernel`` (see the module docstring) and the empty call,
+    keyed by name; each ignores its row argument."""
+    task, metric = cfg.task, cfg.metric
+    n = len(estimates)
+    marks = [n // 2] if stack is None else [n * (r + 1) // stack for r in range(stack)]
+    if kernel == "coefficients":
+        learner = lib.algorithms.make_learner(cfg)
+        states = []
+        for t, (eta, y) in enumerate(zip(estimates, labels), start=1):
+            learner.step_row(eta)
+            learner.observe_row(y)
+            states += [learner.state.normalized()] * marks.count(t)
+        C = states[0] if stack is None else np.stack(states)
+        call = lambda i: metric.coefficients(C, task)  # noqa: E731
+    elif kernel == "fw_fit":
+        prefixes = None if stack is None else marks
+        call = lambda i: lib.algorithms.fw_fit(estimates, labels, task, metric,  # noqa: E731
+                                               iterations, prefixes)
+    else:
+        dec = lib.policy.decide(estimates - 0.5, argmax=task.is_multiclass)
+        call = lambda i: lib.confusion.batch_counts(task, labels, dec)  # noqa: E731
+    return {kernel: call, "overhead": lambda i: None}
 
 
 def one_round(calls: dict, rows: int, per_round: int) -> dict[str, float]:
@@ -170,17 +211,22 @@ def warmed(lib, cfg, estimates: np.ndarray, labels: np.ndarray, half: int) -> di
     return stages(learner, estimates[half:], labels[half:], lib.policy)
 
 
-def measure(libs, cfgs, n: int, per_round: int, rounds: int) -> dict:
-    """The stage timings of a setting (see the module docstring), with one
-    (library, config) pair this checkout's fastest rounds, with two the
-    side-by-side figures of :func:`side_by_side`."""
+def measure(libs, cfgs, n: int, per_round: int, rounds: int, kernel: str | None = None,
+            stack: int | None = None, iterations: int = 20) -> dict:
+    """The stage timings of a setting, or of a kernel (see the module
+    docstring), with one (library, config) pair this checkout's fastest
+    rounds, with two the side-by-side figures of :func:`side_by_side`."""
     lib = libs[0]
     stream = lib.dataio.synth_generate(lib.dataio.SynthModel(task=cfgs[0].task, seed=2024),
                                        n, seed=0)
     estimates, labels = stream.estimate_rows, stream.label_rows
     half = n // 2
     with np.errstate(**lib.evaluation.FP_ERRORS):
-        calls = [warmed(x, cfg, estimates, labels, half) for x, cfg in zip(libs, cfgs)]
+        if kernel is None:
+            calls = [warmed(x, cfg, estimates, labels, half) for x, cfg in zip(libs, cfgs)]
+        else:
+            calls = [kernel_calls(x, cfg, estimates, labels, kernel, stack, iterations)
+                     for x, cfg in zip(libs, cfgs)]
         if len(calls) == 1:
             return fastest(calls[0], n - half, per_round, rounds)
         return side_by_side(*calls, n - half, per_round, rounds)
@@ -197,10 +243,18 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=300)
     parser.add_argument("--against", metavar="PATH",
                         help="a second checkout to time side by side with this one")
+    parser.add_argument("--kernel", choices=KERNELS,
+                        help="time this library kernel instead of the step stages")
+    parser.add_argument("--stack", type=int, metavar="R",
+                        help="kernel mode: an (R, ...) coefficient stack or R lockstep fits")
+    parser.add_argument("--iterations", type=int, default=20,
+                        help="kernel mode: Frank-Wolfe iterations")
     parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
     if args.n < 2 or args.calls < 1 or args.rounds < 1:
         parser.error("need --n >= 2, --calls >= 1 and --rounds >= 1")
+    if args.stack is not None and not 1 <= args.stack <= args.n or args.iterations < 1:
+        parser.error("need 1 <= --stack <= --n and --iterations >= 1")
     try:
         libs = [library("omma")]
         if args.against is not None:
@@ -208,24 +262,29 @@ def main(argv=None) -> int:
         cfgs = [setting(lib, args.metric, args.task, args.m, args.alg) for lib in libs]
     except ValueError as err:
         parser.error(str(err))
-    result = measure(libs, cfgs, args.n, args.calls, args.rounds)
+    result = measure(libs, cfgs, args.n, args.calls, args.rounds, args.kernel, args.stack,
+                     args.iterations)
     head = {"metric": args.metric, "task": args.task, "m": args.m, "alg": args.alg,
             "calls": args.calls, "rounds": args.rounds}
+    if args.kernel is not None:
+        head.update(kernel=args.kernel, stack=args.stack, n=args.n, iterations=args.iterations)
+    title = f"{args.alg} {args.metric} {args.task} m={args.m}"
+    if args.kernel is not None:
+        title = (f"{args.kernel} {args.metric} {args.task} m={args.m} n={args.n} "
+                 f"stack={args.stack} iterations={args.iterations}")
     if args.against is None:
         if args.json:
             print(json.dumps({**head, "us_per_call": result}, sort_keys=True))
             return 0
-        print(f"{args.alg} {args.metric} {args.task} m={args.m}: fastest of "
-              f"{args.rounds} rounds of {args.calls} calls, µs per call")
+        print(f"{title}: fastest of {args.rounds} rounds of {args.calls} calls, µs per call")
         for name, value in result.items():
             print(f"  {name:<13}{value:8.2f}")
         return 0
     if args.json:
         print(json.dumps({**head, "against": args.against, "stages": result}, sort_keys=True))
         return 0
-    print(f"{args.alg} {args.metric} {args.task} m={args.m}: this checkout against "
-          f"{args.against}, {args.rounds} rounds each of {args.calls} calls, A B B A; "
-          "µs per call")
+    print(f"{title}: this checkout against {args.against}, {args.rounds} rounds each of "
+          f"{args.calls} calls, A B B A; µs per call")
     print(f"  {'stage':<13}{'this best':>10}{'other best':>11}{'ratio':>7}"
           f"{'this med':>10}{'other med':>11}{'ratio':>7}{'wins':>10}")
     for name, s in result.items():
