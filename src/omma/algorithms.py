@@ -357,9 +357,6 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
     mass = None  # the rows' class masses, taken once a fit needs them
     budget = metric.budget_k
     by_class = multiclass and budget is None
-    # a fit by class scores into these two (n, m) buffers, reused by every
-    # iteration and prefix (a prefix uses its first rows)
-    work = np.empty((2, n, m)) if by_class else None
     classes = np.arange(m)
     # the trivial start predicts every label with probability k / m: the
     # all-negative classifier, or a uniformly random class or k-subset
@@ -390,7 +387,7 @@ def fw_fit(estimates: np.ndarray, labels: np.ndarray | None, task: Task,
             coeffs = CostCoefficients(alphas[r, q], beta if zero else betas[r, q])
             rows_mass = None if mass is None else mass[:size]
             if by_class:
-                top = policy.gains(coeffs, rows, rows_mass, work[:, :size]).argmax(axis=1)
+                top = policy.gains(coeffs, rows, rows_mass).argmax(axis=1)
                 key = top.tobytes()
             else:
                 dec = policy.decide_coefficients(coeffs, rows, budget, multiclass=multiclass,

@@ -40,25 +40,17 @@ def class_mass(eta: np.ndarray) -> float | np.ndarray:
 
 
 def gains(coeffs: CostCoefficients, eta: ProbEstimate | np.ndarray,
-          mass: float | np.ndarray | None = None,
-          out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+          mass: float | np.ndarray | None = None) -> np.ndarray:
     """Scores of an estimate, an (m,) row or (n, m) rows (unlisted eta_j = 0):
     ``alpha * eta - beta`` without ``mass`` (multilabel gains), ``alpha * eta
     - beta * mass`` with the rows' :func:`class_mass` (class scores).  A
-    structural zero beta, the scalar 0.0, is skipped: x - 0.0 is x.  ``out``,
-    two arrays of the scores' shape, receives the scores and ``beta * mass``
-    in place of fresh arrays, with the same bits."""
+    structural zero beta, the scalar 0.0, is skipped: x - 0.0 is x."""
     if isinstance(eta, ProbEstimate):
         eta = eta.dense()
     alpha, beta = coeffs
-    if out is None:
-        scores = alpha * eta
-        if isinstance(beta, np.ndarray):  # in place: one temporary fewer on a buffer
-            scores -= beta if mass is None else beta * mass
-        return scores
-    scores = np.multiply(alpha, eta, out=out[0])
-    if isinstance(beta, np.ndarray):
-        scores -= beta if mass is None else np.multiply(beta, mass, out=out[1])
+    scores = alpha * eta
+    if isinstance(beta, np.ndarray):  # in place: one temporary fewer on a buffer
+        scores -= beta if mass is None else beta * mass
     return scores
 
 

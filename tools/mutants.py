@@ -107,10 +107,6 @@ MUTANTS = (
            "return text.isascii()",
            ("tests/test_dataio.py::test_read_labels_takes_ascii_digits_only",
             "tests/test_dataio.py::test_read_estimates_errors")),
-    Mutant("class-scores-overwrite-their-buffer", "src/omma/policy.py",
-           "np.multiply(beta, mass, out=out[1])",
-           "np.multiply(beta, mass, out=out[0])",
-           ("tests/test_properties.py::test_fw_fit_equals_a_fit_that_counts_every_vertex",)),
 )
 
 
