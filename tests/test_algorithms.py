@@ -576,8 +576,8 @@ def test_public_step_and_observe_check_their_arguments():
     assert learner.state.t == 1
 
 
-@pytest.mark.parametrize("weights", [[np.nan], [0.5, np.nan, 0.5], [np.inf], [1.0, np.inf, -np.inf],
-                                     [0.7, 0.2], [1.5, -0.5]])
+@pytest.mark.parametrize("weights", [[np.nan], [0.5, np.nan, 0.5], [np.inf],
+                                     [1.0, np.inf, -np.inf], [0.7, 0.2], [1.5, -0.5]])
 def test_mixture_weights_must_be_a_finite_distribution(weights):
     """The check reads "all inside": a NaN weight, whose CDF is NaN and
     whose draws would all be component 0, fails it too."""

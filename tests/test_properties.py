@@ -1215,7 +1215,8 @@ def test_a_confusion_of_another_dtype_reads_as_its_float64_copy(info, m, dtype, 
         for k in range(3):
             assert call_bits(lambda: metric.coefficients(C[k], task)) == \
                 call_bits(lambda: metric.coefficients(copy[k], task))
-            assert call_bits(lambda: metric.value(C[k])) == call_bits(lambda: metric.value(copy[k]))
+            assert call_bits(lambda: metric.value(C[k])) == \
+                call_bits(lambda: metric.value(copy[k]))
             assert call_bits(lambda: metric.gradient(C[k])) == \
                 call_bits(lambda: metric.gradient(copy[k]))
 

@@ -136,15 +136,15 @@ def kernel_calls(lib, cfg, estimates: np.ndarray, labels: np.ndarray, kernel: st
             learner.observe_row(y)
             states += [learner.state.normalized()] * marks.count(t)
         C = states[0] if stack is None else np.stack(states)
-        call = lambda i: metric.coefficients(C, task)  # noqa: E731
+        calls = {kernel: lambda i: metric.coefficients(C, task)}
     elif kernel == "fw_fit":
         prefixes = None if stack is None else marks
-        call = lambda i: lib.algorithms.fw_fit(estimates, labels, task, metric,  # noqa: E731
-                                               iterations, prefixes)
+        calls = {kernel: lambda i: lib.algorithms.fw_fit(estimates, labels, task, metric,
+                                                         iterations, prefixes)}
     else:
         dec = lib.policy.decide(estimates - 0.5, argmax=task.is_multiclass)
-        call = lambda i: lib.confusion.batch_counts(task, labels, dec)  # noqa: E731
-    return {kernel: call, "overhead": lambda i: None}
+        calls = {kernel: lambda i: lib.confusion.batch_counts(task, labels, dec)}
+    return {**calls, "overhead": lambda i: None}
 
 
 def one_round(calls: dict, rows: int, per_round: int) -> dict[str, float]:
