@@ -142,8 +142,10 @@ class OnlineLearner:
 
     def use_columns(self, estimates: np.ndarray, labels: np.ndarray) -> None:
         """Hand over the (n, m) estimate and label columns of the stream the
-        learner is about to be stepped on, row by row from the first.  Most
-        learners ignore them; a mixture learner fits from them (see
+        learner is about to be stepped on, row by row from the first.  The
+        estimate-only baselines ignore them; a multilabel learner that
+        accumulates a confusion keeps its reference column (see
+        ``_Accumulating``), and a mixture learner fits from them (see
         ``OfflineFWLearner`` and ``FrankWolfeLearner``)."""
 
     def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
@@ -153,12 +155,63 @@ class OnlineLearner:
         pass
 
 
-class OmmaLearner(OnlineLearner):
-    """Cost-sensitive argmax of the linearized utility, label-fed updates."""
+# an accumulating learner builds the reference pairs of at most _PAIR_ROWS
+# rows at a time, as many as the run loop's decision buffer holds
+# (``evaluation._FLUSH``), and of at most _PAIR_LABELS labels (64 KB of
+# pairs), so that a block stays in cache: at m = 100 a 1024-row block (1.6 MB)
+# made a run slower than adding rows
+_PAIR_ROWS = 1024
+_PAIR_LABELS = 4096
+
+
+def _pair_rows(ref: np.ndarray):
+    """Yield the (2, m) pair ``[1 - ref, ref]`` of each row of an (n, m)
+    reference column, in order.  The pairs are built a block of rows at a
+    time (see ``_PAIR_ROWS``), and a block is dropped before the next is
+    built, so at most one block is held; row t's pair is row t mod b of its
+    block of b rows."""
+    size = max(1, min(_PAIR_ROWS, _PAIR_LABELS // ref.shape[1]))
+    for start in range(0, len(ref), size):
+        rows = ref[start:start + size]
+        yield from np.stack((_ONE - rows, rows), axis=1)
+
+
+class _Accumulating(OnlineLearner):
+    """A learner that folds each observed instance into its confusion state:
+    the label row, or the estimate row for ``omma-eta`` (``_adds_estimates``).
+
+    Handed a multilabel stream's columns, it keeps its reference column and
+    adds each instance as the instance's prebuilt pair (:func:`_pair_rows`,
+    ``ConfusionState.add_pair``): the same numbers into the same cells as
+    ``ConfusionState.add`` of the row, without forming ``1 - ref`` on the
+    step.  The learner must then be stepped on exactly those rows, in order,
+    as ``run_online`` does.  A multiclass learner adds its rows as they come.
+    """
+
+    _adds_estimates = False
 
     def __init__(self, cfg: LearnerConfig):
         super().__init__(cfg)
         self.state = init_state(cfg.task, cfg.lam)
+
+    def use_columns(self, estimates: np.ndarray, labels: np.ndarray) -> None:
+        if not self.task.is_multiclass:
+            pairs = _pair_rows(estimates if self._adds_estimates else labels)
+            add_pair = self.state.add_pair
+            # shadows the class's row add, so that neither path branches; it
+            # holds the state, not the learner, so that no reference cycle
+            # keeps a finished run's block alive
+            self._update = lambda y, eta, dec: add_pair(next(pairs), dec)
+
+    def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
+        self.state.add(y, dec)
+
+
+class OmmaLearner(_Accumulating):
+    """Cost-sensitive argmax of the linearized utility, label-fed updates."""
+
+    def __init__(self, cfg: LearnerConfig):
+        super().__init__(cfg)
         self._all_labels = np.arange(cfg.task.m, dtype=np.int64)
 
     def _predict(self, eta: np.ndarray, support: np.ndarray | None) -> np.ndarray:
@@ -175,12 +228,11 @@ class OmmaLearner(OnlineLearner):
         coeffs = self.metric.coefficients(self.state.normalized_blocks(indices), self.task)
         return policy.decide_support(coeffs, indices, values, self.task.m, self._budget)
 
-    def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
-        self.state.add(y, dec)
-
 
 class OmmaEtaLearner(OmmaLearner):
     """Same rule, but the internal matrix accumulates expected confusions."""
+
+    _adds_estimates = True
 
     def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
         self.state.add(eta, dec)
@@ -189,7 +241,7 @@ class OmmaEtaLearner(OmmaLearner):
 _UNIT_CELLS = _pack(*np.eye(4), (4, 2, 2))
 
 
-class GreedyLearner(OnlineLearner):
+class GreedyLearner(_Accumulating):
     """Maximizes the expected utility including the current instance.
 
     Tractable when the metric decomposes over labels, i.e. macro or binary
@@ -201,7 +253,6 @@ class GreedyLearner(OnlineLearner):
 
     def __init__(self, cfg: LearnerConfig):
         super().__init__(cfg)
-        self.state = init_state(cfg.task, cfg.lam)
         self._two_class = cfg.task.is_multiclass and cfg.metric.averaging == BINARY
         self._next_t = np.empty(())  # t + 1 as a 0-d float64 array
 
@@ -226,9 +277,6 @@ class GreedyLearner(OnlineLearner):
             gain0, gain1 = self._gain_table(eta)
             scores = gain1 - gain0
         return policy.decide(scores, self._budget, argmax=self.task.is_multiclass)
-
-    def _update(self, y: np.ndarray, eta: np.ndarray, dec: np.ndarray) -> None:
-        self.state.add(y, dec)
 
 
 @dataclass

@@ -134,14 +134,14 @@ def _load_or_synth(args) -> InstanceStream:
     if (args.labels or args.probs) and (args.model or args.n):
         raise ConfigError("give --labels/--probs or --model/--n, not both")
     if args.model or args.n:
-        if not (args.model and args.n) and not (args.n and args.m):
+        if not (args.model and args.n) and not (args.n and args.m is not None):
             raise ConfigError("synthetic runs need --model (or --m) and --n")
         model = (dataio.parse_model_file(args.model) if args.model
                  else SynthModel(task=Task(args.task, args.m), seed=args.seed))
         return dataio.synth_generate(model, args.n, seed=args.seed)
     if not (args.labels and args.probs):
         raise ConfigError("provide --labels and --probs, or --model/--m with --n")
-    if not args.m:
+    if args.m is None:
         raise ConfigError("file streams need --m (label count)")
     stream = dataio.load_stream(args.labels, args.probs, Task(args.task, args.m))
     if len(stream) == 0:

@@ -6,7 +6,9 @@ Storage conventions used throughout the package:
 * multilabel: an ``(m, 2, 2)`` stack of per-label binary blocks indexed
   ``[label, true, predicted]``, so within a block ``tn = [0, 0]``,
   ``fp = [0, 1]``, ``fn = [1, 0]``, ``tp = [1, 1]``; ``_cells`` reads and
-  ``_pack`` writes that layout for every module but the per-step add.
+  ``_pack`` writes that layout for every module but the per-step add, which
+  adds one instance as one scatter of its (2, m) reference pair ``[1 - ref,
+  ref]`` into the cells ``[j, 0, d_j]`` and ``[j, 1, d_j]``.
 
 At the public boundary labels and predictions are sorted tuples of positive
 label indices; inside a run they are (m,) rows: 0/1 float64 label rows
@@ -260,10 +262,9 @@ class ConfusionState:
     def __post_init__(self) -> None:
         # the per-instance add writes through a flat view of the counts
         self.counts = np.ascontiguousarray(self.counts, dtype=np.float64)
-        # flat index of every multilabel tn cell [j, 0, 0], and of every tp
-        # row's first cell [j, 1, 0], 2 further on
-        self._tn_cells = np.arange(0, 4 * self.task.m, 4)
-        self._tp_cells = self._tn_cells + 2
+        # flat index of every multilabel cell [j, 0, 0] (row 0) and [j, 1, 0]
+        # (row 1), 2 further on: a (2, m) pair scatters to it plus the decisions
+        self._pair_cells = np.arange(0, 4 * self.task.m, 4) + np.array([[0], [2]])
         # max(t, 1) as a 0-d float64 array, written before each division
         self._divisor = np.empty(())
 
@@ -285,11 +286,11 @@ class ConfusionState:
         """Add a dense reference row (0/1 labels or probabilities) against the
         (m,) boolean decision row ``dec``; neither is checked.
 
-        Multiclass: every predicted column receives the row.  Multilabel: label
-        j adds ref_j to its true-positive row and 1 - ref_j to its true-negative
-        row, in the column of its prediction.  Adding 0.0 is exact, so a 0/1
-        row gives the same counts as counting label pairs.  A run's rows are
-        float64, so 1 - ref_j is taken in float64 as the counts are.
+        Multiclass: every predicted column receives the row.  Multilabel: the
+        row's ``[1 - ref, ref]`` pair goes through :meth:`add_pair`.  Adding
+        0.0 is exact, so a 0/1 row gives the same counts as counting label
+        pairs.  A run's rows are float64, so 1 - ref is taken in float64 as
+        the counts are.
         """
         if self.task.is_multiclass:
             # one predicted column (no budget) is added as a view; an index
@@ -299,11 +300,20 @@ class ConfusionState:
                 self.counts[:, cols[0]] += ref
             else:
                 self.counts[:, cols] += ref[:, None]
+            self.t += 1
         else:
-            # flat index of cells [j, 0, dec_j] and [j, 1, dec_j]
-            flat = self.counts.reshape(-1)
-            flat[self._tn_cells + dec] += _ONE - ref
-            flat[self._tp_cells + dec] += ref
+            self.add_pair(np.array((_ONE - ref, ref)), dec)
+
+    def add_pair(self, pair: np.ndarray, dec: np.ndarray) -> None:
+        """Add the (2, m) reference pair ``[1 - ref, ref]`` of one multilabel
+        instance against its (m,) boolean decision row; neither is checked.
+
+        One scatter: label j adds 1 - ref_j to its true-negative row and ref_j
+        to its true-positive row, each in the column of its prediction, the
+        cells ``[j, 0, dec_j]`` and ``[j, 1, dec_j]``.  These 2m cells are
+        distinct, so each receives exactly one addition.
+        """
+        self.counts.reshape(-1)[self._pair_cells + dec] += pair
         self.t += 1
 
     def normalized(self) -> np.ndarray:

@@ -30,17 +30,19 @@ def cost_coefficients(G: np.ndarray) -> CostCoefficients:
     return _coefficients(*_cells(G), G.shape[:1])
 
 
-def class_mass(eta: np.ndarray) -> float | np.ndarray:
-    """sum(eta) of an (m,) row, or of each row of an (n, m) buffer as an (n, 1)
-    column, correctly rounded (``math.fsum``): the same bits for a row alone
-    and in any buffer, whatever its layout."""
+def class_mass(eta: np.ndarray) -> np.ndarray:
+    """sum(eta) of an (m,) row as a 0-d float64 array, or of each row of an
+    (n, m) buffer as an (n, 1) column, correctly rounded (``math.fsum``): the
+    same bits for a row alone and in any buffer, whatever its layout.  A row's
+    mass is an array, not a Python float, because numpy converts a Python
+    number operand on every call and takes a faster path for an array."""
     if eta.ndim == 1:
-        return math.fsum(eta.tolist())
+        return np.array(math.fsum(eta.tolist()))
     return np.array(list(map(math.fsum, eta.tolist())))[:, None]
 
 
 def gains(coeffs: CostCoefficients, eta: ProbEstimate | np.ndarray,
-          mass: float | np.ndarray | None = None) -> np.ndarray:
+          mass: np.ndarray | None = None) -> np.ndarray:
     """Scores of an estimate, an (m,) row or (n, m) rows (unlisted eta_j = 0):
     ``alpha * eta - beta`` without ``mass`` (multilabel gains), ``alpha * eta
     - beta * mass`` with the rows' :func:`class_mass` (class scores).  A

@@ -405,6 +405,11 @@ REGRET_M3 = ["regret", "--metric", "macro-f1", "--alg", "omma", "--n-grid", "20"
     (["run", "--labels", "{tmp}/ok.labels", "--probs", "{tmp}/digits.probs", "--m", "12",
       "--metric", "macro-f1", "--alg", "omma", "--out", "{tmp}/o"], 3,
      "data error: {tmp}/digits.probs:1: malformed pair", None),
+    # --m 0 is a label count like --m -1, not a missing one
+    ([*RUN_M3, "--m", "0"], 2, "error: need at least one label", None),
+    (["run", "--labels", "{tmp}/ok.labels", "--probs", "{tmp}/ok.probs", "--m", "0",
+      "--metric", "macro-f1", "--alg", "omma", "--out", "{tmp}/o"], 2,
+     "error: need at least one label", None),
 ])
 def test_exit_code_and_one_stderr_line(tmp_path, capsys, argv, code, error, check):
     (tmp_path / "exp.cfg").write_text("metric=macro-f1\nm=3\nn=30\nlambda=0.5\nruns=2\n")

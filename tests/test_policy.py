@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,20 @@ def test_the_threshold_comparison_differs_from_the_gain_only_at_one_infinity():
     with np.errstate(over="ignore", invalid="ignore"):
         assert policy.decide_coefficients(coeffs, eta).tolist() == [True, True, True]
         assert policy.decide(policy.gains(coeffs, eta)).tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("row", [
+    [0.1, 0.2, 0.3],
+    [0.7, 0.1, 0.1, 0.1],
+    [1e16, 1.0, -1e16],  # a naive sum reads 0.0, fsum 1.0
+    [0.0, -0.0],
+    [5e-324, 0.25, 1e-310],
+    [0.5],
+])
+def test_a_rows_class_mass_is_a_0d_float64_array_of_the_fsum(row):
+    mass = policy.class_mass(np.array(row))
+    assert type(mass) is np.ndarray and mass.shape == () and mass.dtype == np.float64
+    assert mass.tobytes() == np.float64(math.fsum(row)).tobytes()
 
 
 def test_decide_sparse_threshold():

@@ -1,6 +1,7 @@
 """Property tests of the decision kernel, the coefficient decision rule of
 rows and buffers, its exact tie rule, the accumulation rule, the batch-built
-estimate streams, the label-file parse, the run loop's checkpoints, the per-label and per-class
+estimate streams, the label-file parse, the run loop's checkpoints, a run's prebuilt
+reference pairs, the per-label and per-class
 coefficients, the native multiclass kernels, stacked coefficients,
 Frank-Wolfe's reuse of vertex confusions, its independence of memory layout
 and its lockstep fits of nested prefixes, the refit groups of a run, and a
@@ -11,6 +12,7 @@ import itertools
 import os
 import re
 import tempfile
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -886,6 +888,67 @@ def test_columnar_run_equals_a_per_instance_reference(run):
         return
     got = evaluation.run_online(stream, cfg, marks)
     assert exact(got.checkpoints) == exact(want)
+
+
+def blocks_watched(state, seen):
+    """Make ``state.add_pair`` check, before each add, that the pair it is
+    given is a row of a block of at most ``_FLUSH`` pairs and that no earlier
+    block is alive; each block's root array is appended to ``seen`` as a
+    weak reference with its length."""
+    add_pair = state.add_pair
+
+    def watched(pair, dec):
+        block = pair
+        while block.base is not None:
+            block = block.base
+        assert block.ndim == 3 and block.shape[1:] == (2, state.task.m)
+        assert len(block) <= evaluation._FLUSH
+        if not seen or seen[-1][0]() is not block:
+            seen.append((weakref.ref(block), len(block)))
+        assert [ref() is not None for ref, _ in seen].count(True) == 1
+        add_pair(pair, dec)
+
+    state.add_pair = watched
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("m, name", [(1, "min-tn-tp"), (5, "macro-f1")])
+@pytest.mark.parametrize("algorithm", ["omma", "omma-eta", "greedy"])
+def test_prebuilt_pairs_equal_the_public_path_past_one_block(algorithm, m, name, sparse, lam):
+    """A run adds each multilabel instance as its prebuilt [1 - ref, ref]
+    pair, built one block of ``_FLUSH`` rows at a time; over three blocks
+    its checkpoints and counts equal the public step/observe path's, which
+    adds rows, and the learner holds one block at a time."""
+    task = Task("multilabel", m)
+    n = 2 * evaluation._FLUSH + 3
+    stream = synth_generate(SynthModel(task=task, seed=5), n, seed=6)
+    sparse_k = None
+    if sparse:
+        stream = sparsify_estimates(stream, 2)
+        sparse_k = None if algorithm == "greedy" else min(2, m)
+    metric = min_tn_tp() if name == "min-tn-tp" else parse_metric(name)
+    cfg = LearnerConfig(algorithm=algorithm, task=task, metric=metric, lam=lam,
+                        sparse_k=sparse_k)
+    marks = {1, evaluation._FLUSH, evaluation._FLUSH + 1, 2 * evaluation._FLUSH + 1, n}
+    got = evaluation.run_online(stream, cfg, marks)
+    assert exact(got.checkpoints) == exact(
+        per_instance_reference(stream.labels, stream.estimates, cfg, marks))
+    # the same rows through a learner given the columns and one that is not
+    given, public = make_learner(cfg), make_learner(cfg)
+    seen = []
+    blocks_watched(given.state, seen)
+    given.use_columns(stream.estimate_rows, stream.label_rows)
+    support = stream.support
+    for t, (y, eta) in enumerate(zip(stream.label_rows, stream.estimate_rows)):
+        listed = None if support is None else support[t]
+        assert given.step_row(eta, listed).tobytes() == public.step_row(eta, listed).tobytes()
+        given.observe_row(y)
+        public.observe_row(y)
+    assert given.state.t == public.state.t == n
+    assert given.state.counts.tobytes() == public.state.counts.tobytes()
+    # one pair per row, over at least three blocks
+    assert sum(size for _, size in seen) == n and len(seen) >= 3
 
 
 @st.composite

@@ -1,5 +1,6 @@
-"""Smoke test of tools/steps.py: every stage is timed, in text and JSON output,
-alone and side by side with a checkout (here its own)."""
+"""Smoke test of tools/steps.py: every stage is timed, the whole-stream run
+included, in text and JSON output, alone and side by side with a checkout
+(here its own)."""
 
 import importlib.util
 import json
@@ -13,7 +14,7 @@ _SPEC = importlib.util.spec_from_file_location("steps", _PATH)
 steps = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(steps)
 
-STAGES = ["normalized", "coefficients", "decision", "add", "step", "overhead"]
+STAGES = ["normalized", "coefficients", "decision", "add", "step", "run", "overhead"]
 
 
 @pytest.mark.parametrize("args", [
@@ -53,6 +54,9 @@ def test_against_a_checkout_reports_both_sides_of_every_stage(capsys, args):
     assert steps.main([*argv, "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["against"] == _ROOT and sorted(out["stages"]) == sorted(STAGES)
+    # the whole-stream run is timed on both sides, once per round
+    run = out["stages"]["run"]
+    assert run["this_best"] > 0.0 and run["other_best"] > 0.0 and run["rounds"] == 4
     for stage in out["stages"].values():
         assert all(stage[k] > 0.0 for k in ("this_best", "other_best", "this_median",
                                              "other_median", "ratio_best", "ratio_median"))

@@ -36,6 +36,10 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest ids; at least one must fail
 
 
+# the parity property of the prebuilt reference pairs, over three blocks
+_PAIR_PARITY = ("tests/test_properties.py::test_prebuilt_pairs_equal_the_public_path_past"
+                "_one_block")
+
 MUTANTS = (
     Mutant("threshold-strict", "src/omma/policy.py",
            "return coeffs.alpha * eta >= coeffs.beta",
@@ -102,6 +106,26 @@ MUTANTS = (
            "if not (np.all(w >= -1e-12) and abs(w.sum() - 1.0) <= 1e-9):",
            "if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:",
            ("tests/test_algorithms.py::test_mixture_weights_must_be_a_finite_distribution",)),
+    Mutant("beta-without-the-sign-of-dfp-bruteforce", "src/omma/metrics.py",
+           "beta = -dfp if zero_tn else dtn - dfp",
+           "beta = dfp if zero_tn else dtn - dfp",
+           ("tests/test_algorithms.py::test_omma_matches_linearized_bruteforce_over_stream"
+            "[macro-f1]",)),
+    Mutant("pair-rows-swapped", "src/omma/algorithms.py",
+           "yield from np.stack((_ONE - rows, rows), axis=1)",
+           "yield from np.stack((rows, _ONE - rows), axis=1)",
+           (_PAIR_PARITY + "[omma-5-macro-f1-dense-0.0]",
+            _PAIR_PARITY + "[omma-eta-1-min-tn-tp-sparse-0.001]")),
+    Mutant("pair-block-rebuilt-one-row-late", "src/omma/algorithms.py",
+           "for start in range(0, len(ref), size):",
+           "for start in range(0, len(ref), size - 1):",
+           (_PAIR_PARITY + "[omma-5-macro-f1-dense-0.0]",
+            _PAIR_PARITY + "[omma-eta-1-min-tn-tp-sparse-0.001]")),
+    Mutant("pair-scatter-index-twice-the-decision", "src/omma/confusion.py",
+           "self.counts.reshape(-1)[self._pair_cells + dec] += pair",
+           "self.counts.reshape(-1)[self._pair_cells + 2 * dec] += pair",
+           (_PAIR_PARITY + "[omma-5-macro-f1-dense-0.0]",
+            _PAIR_PARITY + "[omma-eta-1-min-tn-tp-sparse-0.001]")),
     Mutant("stream-numbers-with-underscores", "src/omma/dataio.py",
            'return text.isascii() and "_" not in text',
            "return text.isascii()",

@@ -14,9 +14,14 @@ one a run reaches, and then times each stage on the second half's rows:
 * ``normalized``: ``ConfusionState.normalized()`` of the learner's state;
 * ``coefficients``: ``Metric.coefficients`` at that normalized confusion;
 * ``decision``: ``policy.decide_coefficients`` of those coefficients on a row;
-* ``add``: ``ConfusionState.add`` of a label row against its decision, on a
-  copy of the state;
-* ``step``: the learner's full ``step_row`` and ``observe_row`` on a row;
+* ``add``: the add of a label row against its decision that a run makes,
+  on a copy of the state: ``ConfusionState.add_pair`` of the row's prebuilt
+  pair on a multilabel task where the library has it, else
+  ``ConfusionState.add`` of the row;
+* ``step``: the learner's full ``step_row`` and ``observe_row`` on a row,
+  through the public path (no columns handed over);
+* ``run``: ``run_online`` of a fresh learner over the whole stream, one run
+  per round, in µs per instance: the path perfbench times;
 * ``overhead``: the timing loop around an empty call, which every other
   stage includes.
 
@@ -63,6 +68,8 @@ import statistics
 import sys
 import time
 import types
+from collections.abc import Callable
+from typing import NamedTuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "src"))
@@ -96,15 +103,32 @@ def import_checkout(root: str, name: str = OTHER) -> types.SimpleNamespace:
     return library(name)
 
 
-def stages(learner, estimates: np.ndarray, labels: np.ndarray, policy) -> dict:
-    """One call of each stage on row i, keyed by stage name."""
-    state, metric, task = learner.state, learner.metric, learner.task
+class WholeRun(NamedTuple):
+    """A stage timed once per round and reported per instance: ``call()``
+    steps ``instances`` instances."""
+
+    call: Callable[[], object]
+    instances: int
+
+
+def stages(learner, estimates: np.ndarray, labels: np.ndarray, lib, run: WholeRun) -> dict:
+    """One call of each stage on row i, keyed by stage name; ``run`` is the
+    whole-stream stage."""
+    state, metric, task, policy = learner.state, learner.metric, learner.task, lib.policy
     budget, multiclass = metric.budget_k, task.is_multiclass
     C = state.normalized()
     coeffs = metric.coefficients(C, task)
     decisions = [policy.decide_coefficients(coeffs, eta, budget, multiclass=multiclass)
                  for eta in estimates]
     scratch = copy.deepcopy(state)
+    if hasattr(scratch, "add_pair") and not multiclass:
+        pairs = list(lib.algorithms._pair_rows(labels))
+
+        def add(i):
+            scratch.add_pair(pairs[i], decisions[i])
+    else:
+        def add(i):
+            scratch.add(labels[i], decisions[i])
 
     def step(i):
         learner.step_row(estimates[i])
@@ -115,8 +139,9 @@ def stages(learner, estimates: np.ndarray, labels: np.ndarray, policy) -> dict:
         "coefficients": lambda i: metric.coefficients(C, task),
         "decision": lambda i: policy.decide_coefficients(coeffs, estimates[i], budget,
                                                          multiclass=multiclass),
-        "add": lambda i: scratch.add(labels[i], decisions[i]),
+        "add": add,
         "step": step,
+        "run": run,
         "overhead": lambda i: None,
     }
 
@@ -148,9 +173,15 @@ def kernel_calls(lib, cfg, estimates: np.ndarray, labels: np.ndarray, kernel: st
 
 
 def one_round(calls: dict, rows: int, per_round: int) -> dict[str, float]:
-    """Seconds per call of each stage, the stages timed in turn."""
+    """Seconds per call of each stage, the stages timed in turn; a
+    :class:`WholeRun` stage runs once, in seconds per instance."""
     out = {}
     for name, call in calls.items():
+        if isinstance(call, WholeRun):
+            start = time.perf_counter()
+            call.call()
+            out[name] = (time.perf_counter() - start) / call.instances
+            continue
         start = time.perf_counter()
         for i in range(per_round):
             call(i % rows)
@@ -202,13 +233,16 @@ def setting(lib, metric: str, kind: str, m: int, alg: str):
                                         metric=metric_named(lib, metric))
 
 
-def warmed(lib, cfg, estimates: np.ndarray, labels: np.ndarray, half: int) -> dict:
-    """The stages of a learner of ``cfg`` that has stepped the first ``half`` rows."""
+def warmed(lib, cfg, stream, half: int) -> dict:
+    """The stages of a learner of ``cfg`` that has stepped the first ``half``
+    rows of ``stream``, and the run of a fresh one over all of it."""
+    estimates, labels = stream.estimate_rows, stream.label_rows
     learner = lib.algorithms.make_learner(cfg)
     for eta, y in zip(estimates[:half], labels[:half]):
         learner.step_row(eta)
         learner.observe_row(y)
-    return stages(learner, estimates[half:], labels[half:], lib.policy)
+    run = WholeRun(lambda: lib.evaluation.run_online(stream, cfg), len(stream))
+    return stages(learner, estimates[half:], labels[half:], lib, run)
 
 
 def measure(libs, cfgs, n: int, per_round: int, rounds: int, kernel: str | None = None,
@@ -223,7 +257,9 @@ def measure(libs, cfgs, n: int, per_round: int, rounds: int, kernel: str | None 
     half = n // 2
     with np.errstate(**lib.evaluation.FP_ERRORS):
         if kernel is None:
-            calls = [warmed(x, cfg, estimates, labels, half) for x, cfg in zip(libs, cfgs)]
+            # each side runs on its own library's stream of the same rows
+            calls = [warmed(x, cfg, x.dataio.InstanceStream(cfg.task, labels, estimates), half)
+                     for x, cfg in zip(libs, cfgs)]
         else:
             calls = [kernel_calls(x, cfg, estimates, labels, kernel, stack, iterations)
                      for x, cfg in zip(libs, cfgs)]
